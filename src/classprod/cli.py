@@ -42,7 +42,6 @@ EXIT_CAPABILITY = 3
 
 PARTITION_MAX_N = 50
 CHAR_MAX_N = 40
-ORACLE_MAX_N = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +56,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _check_n(n: int, cap: int, what: str) -> None:
     if n < 1:
         raise UsageError("n must be positive")
@@ -67,6 +73,9 @@ def _check_n(n: int, cap: int, what: str) -> None:
 def _check_engine_n(n: int, mode: str) -> None:
     _check_n(n, ENGINE_MAX_N, "the character-sum engine")
     if mode in ("oracle", "both"):
+        # imported here so that engine-mode commands never load the oracle
+        from .brute_force import ORACLE_MAX_N
+
         _check_n(n, ORACLE_MAX_N, "brute-force mode")
 
 
@@ -90,19 +99,8 @@ def _table(rows, headers) -> list[str]:
 
 
 def _normal_set(names: list[str], n: int) -> NormalSet:
-    classes = []
-    for name in names:
-        for cls in parse_class_or_union(name):
-            if cls.n != n:
-                raise UsageError(f"class {cls.name} is not a class of Alt({n})")
-            classes.append(cls)
-    return NormalSet.of(classes, n)
-
-
-def _oracle_table(n: int):
-    from .brute_force import alt_conjugacy_classes
-
-    return alt_conjugacy_classes(n)
+    # NormalSet rejects a class of another Alt(m)
+    return NormalSet.of([cls for name in names for cls in parse_class_or_union(name)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +197,7 @@ def _cmd_product(args) -> int:
     _check_engine_n(args.n, args.mode)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
-    names = None
-    if args.mode in ("engine", "both"):
-        result = product_set(s, t)
-        names = [c.name for c in result]
-    if args.mode in ("oracle", "both"):
-        from .brute_force import oracle_product_set
-
-        oracle = oracle_product_set(_oracle_table(args.n), s, t)
-        oracle_names = [c.name for c in oracle]
-        if names is None:
-            names = oracle_names
-        elif names != oracle_names:
-            raise ConsistencyError(
-                f"engine product {names} disagrees with oracle {oracle_names}"
-            )
+    names = [c.name for c in product_set(s, t, mode=args.mode)]
     _emit(
         args,
         {"n": args.n, "mode": args.mode, "classes": names, "count": len(names)},
@@ -227,19 +211,8 @@ def _cmd_contains(args) -> int:
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     targets = _normal_set(args.g, args.n)
-    verdict = None
-    if args.mode in ("engine", "both"):
-        result = product_set(s, t)
-        verdict = all(g in result for g in targets)
-    if args.mode in ("oracle", "both"):
-        from .brute_force import oracle_product_set
-
-        oracle = oracle_product_set(_oracle_table(args.n), s, t)
-        oracle_verdict = all(g in oracle for g in targets)
-        if verdict is None:
-            verdict = oracle_verdict
-        elif verdict != oracle_verdict:
-            raise ConsistencyError("engine and oracle disagree on containment")
+    result = product_set(s, t, mode=args.mode)
+    verdict = all(g in result for g in targets)
     _emit(
         args,
         {"n": args.n, "mode": args.mode, "contains": verdict},
@@ -256,19 +229,7 @@ def _cmd_covering(args) -> int:
     cls = classes[0]
     if cls.n != args.n:
         raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
-    result = None
-    if args.mode in ("engine", "both"):
-        result = covering_number(cls, args.max_k)
-    if args.mode in ("oracle", "both"):
-        from .brute_force import oracle_covering_number
-
-        oracle = oracle_covering_number(_oracle_table(args.n), cls, args.max_k)
-        if args.mode == "oracle":
-            result = oracle
-        elif oracle != result:
-            raise ConsistencyError(
-                f"engine covering number {result} disagrees with oracle {oracle}"
-            )
+    result = covering_number(cls, args.max_k, mode=args.mode)
     payload = {
         "n": args.n,
         "class": cls.name,
@@ -302,11 +263,8 @@ def _cmd_dvir(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     _check_engine_n(args.n, args.mode)
-    epsilon = _parse_fraction(args.epsilon)
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
     report = verify_four_class_theorem(
-        args.n, epsilon, jobs=args.jobs, mode=args.mode
+        args.n, _parse_fraction(args.epsilon), jobs=args.jobs, mode=args.mode
     )
     total = len(report.quadruples)
     lines = [
@@ -351,10 +309,7 @@ def _cmd_excon(args) -> int:
 
 def _cmd_delta_report(args) -> int:
     _check_n(args.n, CHAR_MAX_N, "delta report")
-    gamma = _parse_fraction(args.gamma)
-    if not 0 < gamma < 1:
-        raise UsageError("gamma must lie strictly between 0 and 1")
-    report = delta_bound_report(args.n, gamma)
+    report = delta_bound_report(args.n, _parse_fraction(args.gamma))
     rows = [
         (r.cls.name, r.size, r.delta, str(r.ratio), "*" if r.minimal else "")
         for r in report.rows
@@ -386,7 +341,7 @@ def _add_common(p: argparse.ArgumentParser, mode: bool = False, jobs: bool = Fal
         )
     if jobs:
         p.add_argument(
-            "--jobs", type=int, default=1, help="parallel workers for the heavy sweeps"
+            "--jobs", type=_positive_int, default=1, help="parallel workers, at most one per core"
         )
 
 
@@ -490,6 +445,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    except ValueError as exc:  # a library check on its arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

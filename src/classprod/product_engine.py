@@ -9,20 +9,24 @@ per radicand, the radical parts must cancel, and the resulting pair count
 must be a nonnegative integer.  Any failure raises ConsistencyError.
 
 Pairwise class products are cached as bitmasks over the canonical class
-order, which makes iterated products (covering numbers, four-class
-sweeps) cheap unions.  The cache may be filled by parallel workers; each
-evaluation is pure, so results are independent of scheduling.
+order; the cache may be filled by parallel workers, and each evaluation is
+pure, so results are independent of scheduling.  Every larger product
+(product sets, powers, the named sweeps) is a chain of one step in
+ProductAlgebra, "normal set times class", over a pair-mask function.  The
+one provider ``_cross_checked`` runs a computation over the engine's
+algebra, the oracle's or both, and raises ConsistencyError if they differ.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .alt_group import (
     AltClass,
@@ -38,8 +42,10 @@ from .alt_group import (
 )
 from .characters import character_table
 from .errors import ConsistencyError
+from .partitions import format_partition
 
 ENGINE_MAX_N = 14
+MODES = ("engine", "oracle", "both")
 
 _PAIR_CACHE: dict[tuple[int, int, int], int] = {}
 _EXACTNESS_CHECKS = 0
@@ -163,8 +169,7 @@ def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
 
 
 def _pair_mask(n: int, ia: int, ib: int) -> int:
-    if ia > ib:
-        ia, ib = ib, ia
+    """The cached mask of a class pair, for ia <= ib."""
     key = (n, ia, ib)
     mask = _PAIR_CACHE.get(key)
     if mask is None:
@@ -173,8 +178,17 @@ def _pair_mask(n: int, ia: int, ib: int) -> int:
     return mask
 
 
-def _pair_mask_task(key: tuple[int, int, int]) -> tuple[tuple[int, int, int], int]:
-    return key, _compute_pair_mask(*key)
+def _pair_mask_task(key: tuple[int, int, int]) -> tuple[tuple[int, int, int], int, int]:
+    """A worker's mask, with the exactness checks it ran for the parent to count."""
+    before = _EXACTNESS_CHECKS
+    mask = _compute_pair_mask(*key)
+    return key, mask, _EXACTNESS_CHECKS - before
+
+
+def _pool_size(jobs: int, tasks: int, cpus: int) -> int:
+    """Workers for a fill: no more than asked for, than cores or than masks;
+    1 (serial) below four masks, where a pool costs more than it saves."""
+    return 1 if tasks < 4 else max(1, min(jobs, cpus, tasks))
 
 
 def ensure_pair_masks(
@@ -185,6 +199,7 @@ def ensure_pair_masks(
     Workers evaluate disjoint pairs; every evaluation is deterministic,
     so the merged cache does not depend on scheduling.
     """
+    global _EXACTNESS_CHECKS
     k = len(enumerate_alt_classes(n))
     if pairs is None:
         pairs = combinations_with_replacement(range(k), 2)
@@ -193,23 +208,26 @@ def ensure_pair_masks(
         for i, j in pairs
     ]
     missing = sorted({key for key in keys if key not in _PAIR_CACHE})
-    if not missing:
-        return
-    if jobs <= 1 or len(missing) < 4:
-        for key in missing:
-            _PAIR_CACHE[key] = _compute_pair_mask(*key)
-        return
-    character_table(n)  # built before fork so workers inherit it
-    try:
+    workers = _pool_size(jobs, len(missing), os.cpu_count() or 1)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        character_table(n)  # built before fork so workers inherit it
         ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        for key in missing:
-            _PAIR_CACHE[key] = _compute_pair_mask(*key)
+        chunk = max(1, len(missing) // (workers * 4))
+        with ctx.Pool(workers) as pool:
+            for key, mask, checks in pool.imap_unordered(_pair_mask_task, missing, chunk):
+                _PAIR_CACHE[key] = mask
+                _EXACTNESS_CHECKS += checks
         return
-    chunk = max(1, len(missing) // (jobs * 4))
-    with ctx.Pool(jobs) as pool:
-        for key, mask in pool.imap_unordered(_pair_mask_task, missing, chunk):
-            _PAIR_CACHE[key] = mask
+    for key in missing:
+        _PAIR_CACHE[key] = _compute_pair_mask(*key)
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_of(s: NormalSet) -> int:
@@ -220,74 +238,132 @@ def _mask_of(s: NormalSet) -> int:
     return mask
 
 
-def _set_from_mask(n: int, mask: int) -> NormalSet:
+def _classes_in(n: int, mask: int) -> tuple[AltClass, ...]:
+    """The classes of a mask, in canonical order."""
     classes = enumerate_alt_classes(n)
-    return NormalSet(
-        n, frozenset(classes[j] for j in range(len(classes)) if mask >> j & 1)
-    )
+    return tuple(classes[j] for j in _bit_indices(mask))
 
 
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+class ProductAlgebra:
+    """Normal-set products of Alt(n) as class bitmasks, over one function
+    ``pair_mask(i, j)`` called with i <= j (normal sets commute).
+    ``times(mask, c)`` asks only for the pairs of c with the classes in the
+    mask, so a lazy pair cache fills only the pairs a product touches; its
+    results are memoised, so a chain met again asks for none.
+    """
+
+    def __init__(self, n: int, pair_mask: Callable[[int, int], int]):
+        self.full = (1 << len(enumerate_alt_classes(n))) - 1
+        self._pair_mask = pair_mask
+        self._memo: dict[tuple[int, int], int] = {}
+
+    def times(self, mask: int, c: int) -> int:
+        """The normal set ``mask`` times the class with index c."""
+        key = (mask, c)
+        if key not in self._memo:
+            out = 0
+            for i in _bit_indices(mask):
+                out |= self._pair_mask(min(i, c), max(i, c))
+            self._memo[key] = out
+        return self._memo[key]
+
+    def product(self, mask_a: int, mask_b: int) -> int:
+        """The product of two normal sets."""
+        out = 0
+        for c in _bit_indices(mask_b):
+            out |= self.times(mask_a, c)
+        return out
+
+    def chain(self, classes: Iterable[int]) -> int:
+        """The product of the classes with these indices, left to right."""
+        first, *rest = classes
+        mask = 1 << first
+        for c in rest:
+            mask = self.times(mask, c)
+        return mask
+
+    def powers(self, c: int) -> Iterator[int]:
+        """C, C^2, C^3, ... for the class C with index c."""
+        mask = 1 << c
+        while True:
+            yield mask
+            mask = self.times(mask, c)
 
 
-def _mask_product(n: int, mask_a: int, mask_b: int, pair_mask=None) -> int:
-    if pair_mask is None:
-        pair_mask = lambda i, j: _pair_mask(n, i, j)
-    out = 0
-    for ia in _bits(mask_a):
-        for ib in _bits(mask_b):
-            out |= pair_mask(ia, ib)
-    return out
+@lru_cache(maxsize=None)
+def _engine_algebra(n: int) -> ProductAlgebra:
+    """One engine algebra per n, so its memo outlives a single call."""
+    return ProductAlgebra(n, partial(_pair_mask, n))
 
 
-def product_set(s: NormalSet, t: NormalSet) -> NormalSet:
+def _oracle_algebra(n: int) -> ProductAlgebra:
+    from .brute_force import alt_conjugacy_classes, oracle_class_product
+
+    table = alt_conjugacy_classes(n)
+    classes = enumerate_alt_classes(n)
+
+    @lru_cache(maxsize=None)
+    def pair_mask(i: int, j: int) -> int:
+        return _mask_of(NormalSet(n, oracle_class_product(table, classes[i], classes[j])))
+
+    return ProductAlgebra(n, pair_mask)
+
+
+def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1):
+    """``compute(algebra)`` over the engine, the brute-force oracle, or both
+    (whose results must be equal).  The engine first fills the pairs in
+    ``fill`` (None: all) with ``jobs`` workers, the rest as they are asked for.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    results = []
+    if mode in ("engine", "both"):
+        ensure_pair_masks(n, fill, jobs)
+        results.append(compute(_engine_algebra(n)))
+    if mode in ("oracle", "both"):
+        results.append(compute(_oracle_algebra(n)))
+    if mode == "both" and results[0] != results[1]:
+        raise ConsistencyError(f"engine and oracle {what} disagree at n={n}")
+    return results[0]
+
+
+def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
     if s.n != t.n:
         raise ValueError("normal sets over different groups")
-    return _set_from_mask(s.n, _mask_product(s.n, _mask_of(s), _mask_of(t)))
-
-
-def _full_mask(n: int) -> int:
-    return (1 << len(enumerate_alt_classes(n))) - 1
+    mask_s, mask_t = _mask_of(s), _mask_of(t)
+    mask = _cross_checked(s.n, mode, "products", lambda alg: alg.product(mask_s, mask_t))
+    return NormalSet(s.n, frozenset(_classes_in(s.n, mask)))
 
 
 def power_covers(cls: AltClass, k: int) -> bool:
     """Does the k-fold product of the class with itself cover Alt(n)?"""
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = cls.n
-    base = 1 << class_index(n)[cls]
-    current = base
-    for _ in range(k - 1):
-        current = _mask_product(n, current, base)
-    return current == _full_mask(n)
+    return not missing_classes(cls, k)
 
 
-def covering_number(cls: AltClass, k_max: int) -> Optional[int]:
+def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:
     """Least k <= k_max whose k-fold product covers Alt(n), if any."""
     if cls == identity_class(cls.n):
         raise ValueError("covering number is defined for nontrivial classes")
-    n = cls.n
-    base = 1 << class_index(n)[cls]
-    current = base
-    full = _full_mask(n)
-    for k in range(1, k_max + 1):
-        if k > 1:
-            current = _mask_product(n, current, base)
-        if current == full:
-            return k
-    return None
+    c = class_index(cls.n)[cls]
+
+    def least_covering_power(alg: ProductAlgebra) -> Optional[int]:
+        powers = zip(range(1, k_max + 1), alg.powers(c))
+        return next((k for k, mask in powers if mask == alg.full), None)
+
+    return _cross_checked(cls.n, mode, "covering numbers", least_covering_power)
 
 
-def missing_classes(cls: AltClass, k: int) -> tuple[AltClass, ...]:
+def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltClass, ...]:
     """Classes not reached by the k-fold product of a class with itself."""
-    n = cls.n
-    base = 1 << class_index(n)[cls]
-    current = base
-    for _ in range(k - 1):
-        current = _mask_product(n, current, base)
-    return _set_from_mask(n, _full_mask(n) & ~current).sorted_classes()
+    if k < 1:
+        raise ValueError("k must be positive")
+    c = class_index(cls.n)[cls]
+
+    def missing(alg: ProductAlgebra) -> int:
+        return alg.full & ~next(islice(alg.powers(c), k - 1, None))
+
+    return _classes_in(cls.n, _cross_checked(cls.n, mode, "powers", missing))
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +398,17 @@ class DvirRodgersReport:
         }
 
 
-def _providers(n: int, mode: str, jobs: int, pairs=None):
-    """Yield (label, pair-mask function) for the requested mode."""
-    if mode not in ("engine", "oracle", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("engine", "both"):
-        ensure_pair_masks(n, pairs, jobs)
-        yield "engine", lambda i, j: _pair_mask(n, i, j)
-    if mode in ("oracle", "both"):
-        yield "oracle", _oracle_pair_mask_fn(n)
-
-
-def _type_masks(n: int) -> list[tuple[tuple[int, ...], str, int]]:
-    """Even cycle types as (delta, name, class bitmask) triples; a split
-    type contributes the union of its two classes, matching the classes
-    of Sym(n) that lie inside Alt(n)."""
+def _type_masks(n: int) -> list[tuple[str, AltClass, int]]:
+    """Even cycle types as (name, one class of the type, class bitmask)
+    triples; a split type contributes the union of its two classes,
+    matching the classes of Sym(n) that lie inside Alt(n)."""
     idx = class_index(n)
-    by_type: dict[tuple[int, ...], int] = {}
+    by_type: dict[tuple[int, ...], tuple[AltClass, int]] = {}
     for cls in enumerate_alt_classes(n):
-        by_type[cls.cycle_type] = by_type.get(cls.cycle_type, 0) | 1 << idx[cls]
-    from .partitions import format_partition
-
+        first, mask = by_type.get(cls.cycle_type, (cls, 0))
+        by_type[cls.cycle_type] = (first, mask | 1 << idx[cls])
     return [
-        (ct, format_partition(ct), mask) for ct, mask in by_type.items()
+        (format_partition(ct), first, mask) for ct, (first, mask) in by_type.items()
     ]
 
 
@@ -357,32 +421,30 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
     condition, both long-cycle classes must appear in the product.
     """
     idx = class_index(n)
-    targets = [(c, idx[c]) for c in long_cycle_classes(n)]
-    bound = n - 1 if n % 2 else n
-    types = _type_masks(n)
+    targets = [(c.name, idx[c]) for c in long_cycle_classes(n)]
     qualifying = [
         (t1, t2)
-        for t1, t2 in combinations_with_replacement(types, 2)
-        if (sum(t1[0]) - len(t1[0])) + (sum(t2[0]) - len(t2[0])) > bound
+        for t1, t2 in combinations_with_replacement(_type_masks(n), 2)
+        if dvir_rodgers_applies(t1[1], t2[1])
     ]
     pairs = [
         (i, j)
         for t1, t2 in qualifying
-        for i in _bits(t1[2])
-        for j in _bits(t2[2])
+        for i in _bit_indices(t1[2])
+        for j in _bit_indices(t2[2])
     ]
-    reports = {}
-    for label, pair_mask in _providers(n, mode, jobs, pairs):
-        violations = []
-        for t1, t2 in qualifying:
-            mask = _mask_product(n, t1[2], t2[2], pair_mask)
+
+    def violations(alg: ProductAlgebra) -> tuple[tuple[str, str, str], ...]:
+        found = []
+        for (name1, _, mask1), (name2, _, mask2) in qualifying:
+            mask = alg.product(mask1, mask2)
             for target, jt in targets:
                 if not mask >> jt & 1:
-                    violations.append((t1[1], t2[1], target.name))
-        reports[label] = DvirRodgersReport(n, len(qualifying), tuple(violations))
-    if mode == "both" and reports["engine"] != reports["oracle"]:
-        raise ConsistencyError("engine and oracle delta sweeps disagree")
-    return reports.get("engine", reports.get("oracle"))
+                    found.append((name1, name2, target))
+        return tuple(found)
+
+    found = _cross_checked(n, mode, "delta sweeps", violations, pairs, jobs)
+    return DvirRodgersReport(n, len(qualifying), found)
 
 
 @dataclass(frozen=True)
@@ -424,15 +486,20 @@ class FourClassReport:
 
 
 def _qualifying_quadruples(n: int, epsilon: Fraction):
+    """Class quadruples whose six pairwise size products all reach
+    (n!/2)**(1+epsilon), with the least of them: the product of the two
+    smallest sizes.  The test is monotone in the product, so that one
+    decides all six, and its outcome is cached per product."""
     classes = enumerate_alt_classes(n)
     sizes = [class_size(c) for c in classes]
     order = math.factorial(n) // 2
     threshold = Fraction(1) + Fraction(epsilon)
+    reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, order, threshold))
     out = []
     for quad in combinations_with_replacement(range(len(classes)), 4):
-        products = [sizes[a] * sizes[b] for a, b in combinations(quad, 2)]
-        if all(power_at_least(p, order, threshold) for p in products):
-            out.append((quad, min(products)))
+        smallest, second = sorted(sizes[i] for i in quad)[:2]
+        if reaches(smallest * second):
+            out.append((quad, smallest * second))
     out.sort(key=lambda item: (-item[1], item[0]))
     return classes, out
 
@@ -452,51 +519,28 @@ def verify_four_class_theorem(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if mode not in ("engine", "oracle", "both"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     classes, quads = _qualifying_quadruples(n, epsilon)
     if not quads:
         return FourClassReport(n, epsilon, mode, ())
-    full = _full_mask(n)
-    reports = {}
-    for label, pair_mask in _providers(n, mode, jobs):
+
+    def verdicts(alg: ProductAlgebra) -> tuple[QuadrupleVerdict, ...]:
         rows = []
         for quad, min_product in quads:
-            mask = pair_mask(quad[0], quad[1])
-            for extra in quad[2:]:
-                mask = _mask_product(n, mask, 1 << extra, pair_mask)
-            missing = _set_from_mask(n, full & ~mask).sorted_classes()
+            mask = alg.chain(quad)
             rows.append(
                 QuadrupleVerdict(
                     tuple(classes[i].name for i in quad),
                     min_product,
-                    mask == full,
-                    tuple(c.name for c in missing),
+                    mask == alg.full,
+                    tuple(c.name for c in _classes_in(n, alg.full & ~mask)),
                 )
             )
-        reports[label] = tuple(rows)
-    if mode == "both" and reports["engine"] != reports["oracle"]:
-        raise ConsistencyError("engine and oracle four-class sweeps disagree")
-    return FourClassReport(n, epsilon, mode, reports.get("engine", reports.get("oracle")))
+        return tuple(rows)
 
-
-def _oracle_pair_mask_fn(n: int):
-    from .brute_force import alt_conjugacy_classes, oracle_class_product
-
-    table = alt_conjugacy_classes(n)
-    classes = enumerate_alt_classes(n)
-    idx = class_index(n)
-    cache: dict[tuple[int, int], int] = {}
-
-    def mask(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        if (i, j) not in cache:
-            hit = oracle_class_product(table, classes[i], classes[j])
-            cache[(i, j)] = sum(1 << idx[c] for c in hit)
-        return cache[(i, j)]
-
-    return mask
+    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, None, jobs)
+    return FourClassReport(n, epsilon, mode, rows)
 
 
 @dataclass(frozen=True)
@@ -553,139 +597,54 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     long_mask = _mask_of(NormalSet.of(long_pair))
     exceptional = [c for c in classes if is_exceptional(c.cycle_type)]
     exc_mask = sum(1 << idx[c] for c in exceptional)
-    full = _full_mask(n)
-    named = [(idx[c], c.name) for c in classes]
 
-    def subset_case(members, mask, targets_mask):
-        missing = targets_mask & ~mask
-        return ProductCheckCase(
-            tuple(c.name for c in members),
-            missing == 0,
-            tuple(name for j, name in named if missing >> j & 1),
-        )
+    def parts(alg: ProductAlgebra) -> tuple[ProductCheckPart, ...]:
+        def case(members, mask, targets_mask):
+            missing = targets_mask & ~mask
+            return ProductCheckCase(
+                tuple(c.name for c in members),
+                missing == 0,
+                tuple(c.name for c in _classes_in(n, missing)),
+            )
 
-    reports = {}
-    for label, pair_mask in _providers(n, mode, jobs):
-        parts = []
+        def chain_case(members, targets_mask):
+            return case(members, alg.chain(idx[c] for c in members), targets_mask)
 
-        cases = [
-            subset_case((a, b), pair_mask(idx[a], idx[b]), long_mask)
-            for a, b in combinations_with_replacement(exceptional, 2)
-        ]
-        parts.append(
+        return (
             ProductCheckPart(
                 1,
                 "a product of two exceptional classes contains both long-cycle classes",
-                tuple(cases),
-            )
-        )
-
-        cases = [
-            subset_case((a, b), pair_mask(idx[a], idx[b]), exc_mask)
-            for a, b in combinations_with_replacement(long_pair, 2)
-        ]
-        parts.append(
+                tuple(
+                    chain_case(pair, long_mask)
+                    for pair in combinations_with_replacement(exceptional, 2)
+                ),
+            ),
             ProductCheckPart(
                 2,
                 "a product of two long-cycle classes contains every exceptional class",
-                tuple(cases),
-            )
-        )
-
-        cases = [
-            subset_case(
-                (a,), _mask_product(n, long_mask, 1 << idx[a], pair_mask), full
-            )
-            for a in long_pair
-        ]
-        parts.append(
+                tuple(
+                    chain_case(pair, exc_mask)
+                    for pair in combinations_with_replacement(long_pair, 2)
+                ),
+            ),
             ProductCheckPart(
                 3,
                 "the set of all long cycles times a long-cycle class covers Alt(n)",
-                tuple(cases),
-            )
-        )
-
-        cases = []
-        for triple in combinations_with_replacement(long_pair, 3):
-            mask = pair_mask(idx[triple[0]], idx[triple[1]])
-            mask = _mask_product(n, mask, 1 << idx[triple[2]], pair_mask)
-            cases.append(subset_case(triple, mask, full))
-        parts.append(
+                tuple(
+                    case((a,), alg.times(long_mask, idx[a]), alg.full)
+                    for a in long_pair
+                ),
+            ),
             ProductCheckPart(
                 4,
                 "the product of any three long-cycle classes covers Alt(n)",
-                tuple(cases),
-            )
+                tuple(
+                    chain_case(triple, alg.full)
+                    for triple in combinations_with_replacement(long_pair, 3)
+                ),
+            ),
         )
-        reports[label] = LongCycleProductReport(n, tuple(parts))
-    if mode == "both" and reports["engine"] != reports["oracle"]:
-        raise ConsistencyError("engine and oracle long-cycle checks disagree")
-    return reports.get("engine", reports.get("oracle"))
 
+    found = _cross_checked(n, mode, "long-cycle checks", parts, None, jobs)
+    return LongCycleProductReport(n, found)
 
-@dataclass(frozen=True)
-class PairCoverageRow:
-    a: str
-    b: str
-    size_product: int
-    covers_long_cycles: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "size_product": self.size_product,
-            "covers_long_cycles": self.covers_long_cycles,
-        }
-
-
-@dataclass(frozen=True)
-class PairCoverageReport:
-    n: int
-    epsilon: Fraction
-    rows: tuple[PairCoverageRow, ...]
-
-    @property
-    def flagged(self) -> tuple[PairCoverageRow, ...]:
-        return tuple(r for r in self.rows if not r.covers_long_cycles)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": str(self.epsilon),
-            "rows": [r.to_dict() for r in self.rows],
-            "flagged": [r.to_dict() for r in self.flagged],
-        }
-
-
-def large_pair_coverage_report(n: int, epsilon: Fraction, jobs: int = 1) -> PairCoverageReport:
-    """Descriptive check: class pairs (neither of long cycles) with size
-    product at least (n!/2)**(1+epsilon) should eventually have products
-    containing both long-cycle classes.  Non-covering pairs are flagged,
-    never failed: the statement is asymptotic."""
-    epsilon = Fraction(epsilon)
-    classes = enumerate_alt_classes(n)
-    idx = class_index(n)
-    order = math.factorial(n) // 2
-    long_mask = _mask_of(NormalSet.of(long_cycle_classes(n)))
-    long_type = long_cycle_classes(n)[0].cycle_type
-    eligible = [c for c in classes if c.cycle_type != long_type]
-    qualifying = [
-        (a, b)
-        for a, b in combinations_with_replacement(eligible, 2)
-        if power_at_least(class_size(a) * class_size(b), order, 1 + epsilon)
-    ]
-    ensure_pair_masks(n, [(idx[a], idx[b]) for a, b in qualifying], jobs)
-    rows = []
-    for a, b in qualifying:
-        mask = _pair_mask(n, idx[a], idx[b])
-        rows.append(
-            PairCoverageRow(
-                a.name,
-                b.name,
-                class_size(a) * class_size(b),
-                mask & long_mask == long_mask,
-            )
-        )
-    return PairCoverageReport(n, epsilon, tuple(rows))

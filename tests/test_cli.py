@@ -140,6 +140,43 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "verify-theorem", "--n", "6", "--epsilon", "zero")
     assert code == 1
+    # library argument checks end in a one-line message, not a traceback
+    for argv in (
+        ["covering", "--n", "8", "--class", "1,1,1,1,1,1,1,1"],
+        ["covering", "--n", "8", "--class", "1,1,1,1,1,1,1,1", "--mode", "oracle"],
+        ["covering", "--n", "2", "--class", "1,1", "--mode", "oracle"],
+        ["delta-report", "--n", "1", "--gamma", "1/2"],
+        ["verify-theorem", "--n", "1", "--epsilon", "1/10"],
+        ["dvir", "--n", "7", "--jobs", "0"],
+        ["excon", "--n", "7", "--jobs", "-3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("error: "), argv
+
+
+def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
+    # an oracle that never reaches the class 7+ must make every
+    # cross-checked command fail loudly
+    import classprod.brute_force as brute_force
+
+    dropped = parse_class("7+")
+    real = brute_force.oracle_class_product
+    monkeypatch.setattr(
+        brute_force, "oracle_class_product", lambda *args: real(*args) - {dropped}
+    )
+    identity = "1,1,1,1,1,1,1"
+    for argv in (
+        ["product", "--a", identity, "--b", "7+"],
+        ["contains", "--a", identity, "--b", "7+", "--g", "7+"],
+        ["covering", "--class", "7+"],
+        ["dvir"],
+        ["excon"],
+        ["verify-theorem", "--epsilon", "1/10"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n", "7", "--mode", "both")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "engine and oracle" in err, argv
 
 
 def test_capability_errors_exit_3(capsys):

@@ -17,15 +17,16 @@ from classprod.alt_group import (
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
 from classprod.errors import ConsistencyError
 from classprod.product_engine import (
+    ProductAlgebra,
     _collapse,
     _counted,
+    _pool_size,
     check_dvir_rodgers,
     contains,
     covering_number,
     dvir_rodgers_applies,
     exactness_check_count,
     frobenius_sum,
-    large_pair_coverage_report,
     long_cycle_product_checks,
     missing_classes,
     power_covers,
@@ -182,15 +183,6 @@ def test_lemma_excon_small():
     assert [p.part for p in both.parts] == [1, 2, 3, 4]
 
 
-def test_large_pair_coverage_report_structure():
-    report = large_pair_coverage_report(9, Fraction(1, 4))
-    assert report.rows
-    order = math.factorial(9) // 2
-    for row in report.rows:
-        assert row.size_product**4 >= order**5  # (1 + 1/4 exponent, exact)
-    assert not report.flagged
-
-
 def test_four_class_sweep_small_is_deterministic():
     r1 = verify_four_class_theorem(7, Fraction(1, 10))
     r2 = verify_four_class_theorem(7, Fraction(1, 10))
@@ -238,3 +230,49 @@ def test_fpf_involution_square_matches_oracle_n8():
     hit = oracle_product_set(table, NormalSet.of([fpf]), NormalSet.of([fpf]))
     for g in enumerate_alt_classes(8):
         assert contains(fpf, fpf, g) == (g in hit)
+
+
+def test_product_algebra_asks_only_for_touched_pairs():
+    # a lazy pair cache must fill only the pairs (i, c) with i in the mask,
+    # and a memoised step must ask for none
+    asked = []
+    classes = enumerate_alt_classes(5)
+
+    def pair_mask(i, j):
+        asked.append((i, j))
+        hit = product_set(NormalSet.of([classes[i]]), NormalSet.of([classes[j]]))
+        return sum(1 << classes.index(c) for c in hit)
+
+    alg = ProductAlgebra(5, pair_mask)
+    mask = alg.times(0b101, 3)
+    assert sorted(asked) == [(0, 3), (2, 3)]
+    assert alg.times(0b101, 3) == mask and len(asked) == 2
+    assert alg.product(0b101, 0b1001) == mask | alg.times(0b101, 0)
+    assert sorted(asked[2:]) == [(0, 0), (0, 2)]  # asked with i <= j
+    assert alg.chain([0, 2, 3]) == alg.times(alg.times(1, 2), 3)
+
+
+def test_pool_size_is_bounded():
+    assert _pool_size(8, 1000, 2) == 2  # never more workers than cores
+    assert _pool_size(16, 5, 16) == 5  # nor than masks to compute
+    assert _pool_size(3, 100, 8) == 3
+    assert _pool_size(4, 3, 8) == 1  # a tiny fill runs serially
+    assert _pool_size(0, 100, 8) == 1
+
+
+def test_parallel_fill_counts_worker_exactness_checks():
+    # a fresh interpreter, so that the workers compute every mask
+    import subprocess
+    import sys
+
+    code = (
+        "from classprod.alt_group import enumerate_alt_classes\n"
+        "from classprod.product_engine import ensure_pair_masks, exactness_check_count\n"
+        "ensure_pair_masks(9, jobs=2)\n"
+        "k = len(enumerate_alt_classes(9))\n"
+        "print(exactness_check_count(), k * k * (k + 1) // 2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counted, expected = proc.stdout.split()
+    assert counted == expected == "3078"
