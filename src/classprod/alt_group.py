@@ -201,7 +201,7 @@ class NormalSet:
     def __post_init__(self):
         for cls in self.classes:
             if cls.n != self.n:
-                raise ValueError(f"class {cls.name} is not a class of Alt({self.n})")
+                raise UsageError(f"class {cls.name} is not a class of Alt({self.n})")
 
     @staticmethod
     def of(classes: Iterable[AltClass], n: Optional[int] = None) -> "NormalSet":
@@ -299,9 +299,9 @@ def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly between 0 and 1")
+        raise UsageError("gamma must lie strictly between 0 and 1")
     if n < 2:
-        raise ValueError("delta report needs n >= 2")
+        raise UsageError("delta report needs n >= 2")
     order = math.factorial(n) // 2
     rows = []
     for cls in enumerate_alt_classes(n):

@@ -445,9 +445,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except ValueError as exc:  # a library check on its arguments
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,7 +2,8 @@
 
 
 class UsageError(ValueError):
-    """Malformed user input: bad partition/class string or flag value."""
+    """Malformed user input: bad partition/class string, flag value or
+    library argument."""
 
 
 class CapabilityError(ValueError):

@@ -41,7 +41,7 @@ from .alt_group import (
     power_at_least,
 )
 from .characters import character_table
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
 
 ENGINE_MAX_N = 14
@@ -95,7 +95,7 @@ def _check_same_n(*classes: AltClass) -> int:
     n = classes[0].n
     for c in classes[1:]:
         if c.n != n:
-            raise ValueError("classes belong to different alternating groups")
+            raise UsageError("classes belong to different alternating groups")
     return n
 
 
@@ -315,7 +315,7 @@ def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1
     ``fill`` (None: all) with ``jobs`` workers, the rest as they are asked for.
     """
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     results = []
     if mode in ("engine", "both"):
         ensure_pair_masks(n, fill, jobs)
@@ -330,7 +330,7 @@ def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1
 def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
     if s.n != t.n:
-        raise ValueError("normal sets over different groups")
+        raise UsageError("normal sets over different groups")
     mask_s, mask_t = _mask_of(s), _mask_of(t)
     mask = _cross_checked(s.n, mode, "products", lambda alg: alg.product(mask_s, mask_t))
     return NormalSet(s.n, frozenset(_classes_in(s.n, mask)))
@@ -344,7 +344,7 @@ def power_covers(cls: AltClass, k: int) -> bool:
 def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:
     """Least k <= k_max whose k-fold product covers Alt(n), if any."""
     if cls == identity_class(cls.n):
-        raise ValueError("covering number is defined for nontrivial classes")
+        raise UsageError("covering number is defined for nontrivial classes")
     c = class_index(cls.n)[cls]
 
     def least_covering_power(alg: ProductAlgebra) -> Optional[int]:
@@ -357,7 +357,7 @@ def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional
 def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltClass, ...]:
     """Classes not reached by the k-fold product of a class with itself."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise UsageError("k must be positive")
     c = class_index(cls.n)[cls]
 
     def missing(alg: ProductAlgebra) -> int:
@@ -517,10 +517,12 @@ def verify_four_class_theorem(
     (n <= 8); ``mode="both"`` insists the two agree.
     """
     epsilon = Fraction(epsilon)
+    if n < 2:
+        raise UsageError("the four-class sweep needs n >= 2")
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise UsageError("epsilon must be positive")
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     classes, quads = _qualifying_quadruples(n, epsilon)
     if not quads:
         return FourClassReport(n, epsilon, mode, ())
@@ -648,3 +650,69 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     found = _cross_checked(n, mode, "long-cycle checks", parts, None, jobs)
     return LongCycleProductReport(n, found)
 
+
+@dataclass(frozen=True)
+class PairCoverageRow:
+    a: str
+    b: str
+    size_product: int
+    covers_long_cycles: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "a": self.a,
+            "b": self.b,
+            "size_product": self.size_product,
+            "covers_long_cycles": self.covers_long_cycles,
+        }
+
+
+@dataclass(frozen=True)
+class PairCoverageReport:
+    n: int
+    epsilon: Fraction
+    rows: tuple[PairCoverageRow, ...]
+
+    @property
+    def flagged(self) -> tuple[PairCoverageRow, ...]:
+        return tuple(r for r in self.rows if not r.covers_long_cycles)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "epsilon": str(self.epsilon),
+            "rows": [r.to_dict() for r in self.rows],
+            "flagged": [r.to_dict() for r in self.flagged],
+        }
+
+
+def large_pair_coverage_report(n: int, epsilon: Fraction, jobs: int = 1) -> PairCoverageReport:
+    """Descriptive check: class pairs (neither of long cycles) with size
+    product at least (n!/2)**(1+epsilon) should eventually have products
+    containing both long-cycle classes.  Non-covering pairs are flagged,
+    never failed: the statement is asymptotic."""
+    epsilon = Fraction(epsilon)
+    classes = enumerate_alt_classes(n)
+    idx = class_index(n)
+    order = math.factorial(n) // 2
+    long_mask = _mask_of(NormalSet.of(long_cycle_classes(n)))
+    long_type = long_cycle_classes(n)[0].cycle_type
+    eligible = [c for c in classes if c.cycle_type != long_type]
+    qualifying = [
+        (a, b)
+        for a, b in combinations_with_replacement(eligible, 2)
+        if power_at_least(class_size(a) * class_size(b), order, 1 + epsilon)
+    ]
+    ensure_pair_masks(n, [(idx[a], idx[b]) for a, b in qualifying], jobs)
+    rows = []
+    for a, b in qualifying:
+        mask = _pair_mask(n, idx[a], idx[b])
+        rows.append(
+            PairCoverageRow(
+                a.name,
+                b.name,
+                class_size(a) * class_size(b),
+                mask & long_mask == long_mask,
+            )
+        )
+    return PairCoverageReport(n, epsilon, tuple(rows))

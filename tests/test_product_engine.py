@@ -27,6 +27,7 @@ from classprod.product_engine import (
     dvir_rodgers_applies,
     exactness_check_count,
     frobenius_sum,
+    large_pair_coverage_report,
     long_cycle_product_checks,
     missing_classes,
     power_covers,
@@ -159,6 +160,26 @@ def test_missing_classes_cube_witness():
     assert not missing_classes(fpf, 4)
 
 
+def test_powers_match_oracle_up_to_7():
+    # the shared powers routine against the independent oracle iteration
+    from classprod.brute_force import oracle_covering_number
+
+    k_max = 6
+    for n in range(3, 8):
+        table = alt_conjugacy_classes(n)
+        for cls in enumerate_alt_classes(n):
+            if cls == identity_class(n):
+                continue
+            single = NormalSet.of([cls])
+            power = single
+            for k in range(1, k_max + 1):
+                if k > 1:
+                    power = oracle_product_set(table, power, single)
+                expected = tuple(c for c in enumerate_alt_classes(n) if c not in power)
+                assert missing_classes(cls, k) == expected, (cls, k)
+            assert covering_number(cls, k_max) == oracle_covering_number(table, cls, k_max)
+
+
 def test_dvir_rodgers_applies_arithmetic():
     nine = AltClass((9,), "+")
     assert dvir_rodgers_applies(nine, nine)  # 8 + 8 > 8
@@ -181,6 +202,15 @@ def test_lemma_excon_small():
     assert all(part.passed for part in report.parts)
     both = long_cycle_product_checks(7, mode="both")
     assert [p.part for p in both.parts] == [1, 2, 3, 4]
+
+
+def test_large_pair_coverage_report_structure():
+    report = large_pair_coverage_report(9, Fraction(1, 4))
+    assert report.rows
+    order = math.factorial(9) // 2
+    for row in report.rows:
+        assert row.size_product**4 >= order**5  # (1 + 1/4 exponent, exact)
+    assert not report.flagged
 
 
 def test_four_class_sweep_small_is_deterministic():
@@ -261,11 +291,14 @@ def test_pool_size_is_bounded():
 
 
 def test_parallel_fill_counts_worker_exactness_checks():
-    # a fresh interpreter, so that the workers compute every mask
+    # a fresh interpreter, so that the workers compute every mask; two
+    # cores reported, so that a pool starts on a one-core machine too
     import subprocess
     import sys
 
     code = (
+        "import os\n"
+        "os.cpu_count = lambda: 2\n"
         "from classprod.alt_group import enumerate_alt_classes\n"
         "from classprod.product_engine import ensure_pair_masks, exactness_check_count\n"
         "ensure_pair_masks(9, jobs=2)\n"
