@@ -4,57 +4,28 @@ Character values of Sym(n) and Alt(n) in exact arithmetic, class-product
 membership through character sums, covering numbers, and the associated
 verification sweeps, cross-checked against a brute-force permutation
 oracle at small n.
+
+The package level holds the calls the README documents, the entry points
+of the CLI's product and sweep commands, and the types and errors they
+take or return; every other function is importable from its own module.
 """
 
 from .alt_group import (
     AltClass,
     NormalSet,
-    class_size,
-    delta,
     delta_bound_report,
-    enumerate_alt_classes,
-    inverse_class,
-    is_even_type,
-    is_exceptional,
-    largest_class,
-    long_cycle_classes,
     parse_class,
     parse_class_or_union,
 )
-from .characters import (
-    AltChar,
-    QuadValue,
-    alt_char_for,
-    alt_degree,
-    alt_irreducibles,
-    alt_value,
-    character_table,
-    degree,
-    l_cycle_value,
-    mn_value,
-    parse_char,
-)
+from .characters import AltChar, QuadValue, alt_value, character_table, parse_char
 from .errors import CapabilityError, ConsistencyError, UsageError
-from .partitions import (
-    Partition,
-    conjugate,
-    diagonal_hook_partition,
-    enumerate_partitions,
-    find_l_hook,
-    hook_lengths,
-    is_self_adjoint,
-    parse_partition,
-    remove_border_strips,
-)
 from .product_engine import (
-    FrobeniusResult,
     check_dvir_rodgers,
     contains,
     covering_number,
-    dvir_rodgers_applies,
     frobenius_sum,
     long_cycle_product_checks,
-    power_covers,
+    missing_classes,
     product_set,
     verify_four_class_theorem,
 )
@@ -66,46 +37,21 @@ __all__ = [
     "AltClass",
     "CapabilityError",
     "ConsistencyError",
-    "FrobeniusResult",
     "NormalSet",
-    "Partition",
     "QuadValue",
     "UsageError",
-    "alt_char_for",
-    "alt_degree",
-    "alt_irreducibles",
     "alt_value",
     "character_table",
     "check_dvir_rodgers",
-    "class_size",
-    "conjugate",
     "contains",
     "covering_number",
-    "degree",
-    "delta",
     "delta_bound_report",
-    "diagonal_hook_partition",
-    "dvir_rodgers_applies",
-    "enumerate_alt_classes",
-    "enumerate_partitions",
-    "find_l_hook",
     "frobenius_sum",
-    "hook_lengths",
-    "inverse_class",
-    "is_even_type",
-    "is_exceptional",
-    "is_self_adjoint",
-    "l_cycle_value",
-    "largest_class",
     "long_cycle_product_checks",
-    "long_cycle_classes",
-    "mn_value",
+    "missing_classes",
     "parse_char",
     "parse_class",
     "parse_class_or_union",
-    "parse_partition",
-    "power_covers",
     "product_set",
-    "remove_border_strips",
     "verify_four_class_theorem",
 ]

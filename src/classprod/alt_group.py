@@ -81,10 +81,6 @@ class AltClass:
         return format_partition(self.cycle_type) + (self.split or "")
 
 
-def format_class(cls: AltClass) -> str:
-    return cls.name
-
-
 def parse_class(text: str) -> AltClass:
     """Parse a single class name such as ``"5,3,1-"``; exceptional types
     must carry an explicit tag."""
@@ -172,14 +168,6 @@ def inverse_class(cls: AltClass) -> AltClass:
     return AltClass(cls.cycle_type, "-" if cls.split == "+" else "+")
 
 
-def long_cycle_length(n: int) -> int:
-    """n for n odd, n-1 for n even: the longest cycle length that keeps a
-    permutation even."""
-    if n < 3:
-        raise ValueError("long cycles need n >= 3")
-    return n if n % 2 else n - 1
-
-
 def long_cycle_type(n: int) -> Partition:
     return (n,) if n % 2 else (n - 1, 1)
 
@@ -212,10 +200,6 @@ class NormalSet:
             n = next(iter(cs)).n
         return NormalSet(n, cs)
 
-    @staticmethod
-    def full(n: int) -> "NormalSet":
-        return NormalSet(n, frozenset(enumerate_alt_classes(n)))
-
     def is_full(self) -> bool:
         return len(self.classes) == len(enumerate_alt_classes(self.n))
 
@@ -233,13 +217,17 @@ class NormalSet:
         return len(self.classes)
 
 
-def largest_class(s: NormalSet) -> AltClass:
-    """A class of maximal size in the set; ties go to the earliest class
-    in canonical order (descending lex cycle type, '+' before '-')."""
-    if not s.classes:
-        raise ValueError("empty normal set has no largest class")
-    index = class_index(s.n)
-    return min(s.classes, key=lambda c: (-class_size(c), index[c]))
+EXPONENT_MAX_PART = 100
+
+
+def check_exponent_parts(value: Fraction, name: str) -> None:
+    """Reject a threshold exponent whose numerator or denominator exceeds
+    EXPONENT_MAX_PART: power_at_least raises integers to both, so larger
+    parts would make one size comparison run for minutes."""
+    if max(value.numerator, value.denominator) > EXPONENT_MAX_PART:
+        raise UsageError(
+            f"{name} {value}: numerator and denominator must be at most {EXPONENT_MAX_PART}"
+        )
 
 
 def power_at_least(value: int, base: int, exponent: Fraction) -> bool:
@@ -302,6 +290,7 @@ def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
         raise UsageError("gamma must lie strictly between 0 and 1")
     if n < 2:
         raise UsageError("delta report needs n >= 2")
+    check_exponent_parts(gamma, "gamma")
     order = math.factorial(n) // 2
     rows = []
     for cls in enumerate_alt_classes(n):

@@ -205,20 +205,6 @@ def oracle_covering_number(table: GroupTable, cls: AltClass, k_max: int):
     return None
 
 
-def random_conjugacy_spot_checks(table: GroupTable, trials: int, seed: int = 0) -> bool:
-    """Conjugate random members by random even permutations and verify the
-    class is preserved."""
-    rng = random.Random(seed)
-    elements = list(table.class_of)
-    for _ in range(trials):
-        x = rng.choice(elements)
-        s = rng.choice(elements)
-        y = compose(compose(s, x), inverse(s))
-        if table.class_of[y] != table.class_of[x]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Exact character table from class multiplication coefficients
 # ---------------------------------------------------------------------------

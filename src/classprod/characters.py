@@ -22,7 +22,6 @@ from .partitions import (
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
-    find_l_hook,
     format_partition,
     hook_length_product,
     is_self_adjoint,
@@ -96,10 +95,6 @@ class QuadValue:
         return cls(0, 1, m)
 
     @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -113,10 +108,6 @@ class QuadValue:
         if self.d < 0:
             return QuadValue(self.a, -self.b, self.d)
         return self
-
-    def galois(self) -> "QuadValue":
-        """Field conjugate sqrt(d) -> -sqrt(d), regardless of sign of d."""
-        return QuadValue(self.a, -self.b, self.d)
 
     @staticmethod
     def _coerce(value) -> Optional["QuadValue"]:
@@ -148,9 +139,6 @@ class QuadValue:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -190,12 +178,6 @@ class QuadValue:
             )
         return self * o._inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -206,63 +188,6 @@ class QuadValue:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def real_sign(self) -> int:
-        """Sign of the value as a real number; requires d > 0 or rational."""
-        if self.d < 0:
-            raise ValueError("not a real number")
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return (1 if self.a > 0 else -1) if lhs > rhs else (1 if self.b > 0 else -1)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).real_sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).real_sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).real_sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).real_sign() >= 0
-
-    def modulus_squared(self) -> Fraction:
-        """|value|^2 as an exact rational; defined for d <= 1 (rational or
-        complex values).  Real irrational values square to irrationals."""
-        if self.b == 0:
-            return self.a * self.a
-        if self.d > 0:
-            raise ValueError("square of a real irrational is irrational")
-        return self.a * self.a - self.b * self.b * self.d
-
-    def modulus_float(self) -> float:
-        """Floating |value|, for diagnostics only."""
-        if self.d < 0:
-            return math.sqrt(float(self.a * self.a - self.b * self.b * self.d))
-        return abs(float(self.a) + float(self.b) * math.sqrt(self.d))
 
     def to_dict(self) -> dict:
         return {"rational": str(self.a), "coeff": str(self.b), "radicand": self.d}
@@ -286,9 +211,6 @@ class QuadValue:
 
     def __repr__(self):
         return f"QuadValue({self.a!r}, {self.b!r}, {self.d!r})"
-
-
-ZERO = QuadValue(0)
 
 
 @lru_cache(maxsize=None)
@@ -322,21 +244,6 @@ def degree(lam: Partition) -> int:
     if num % den:
         raise ArithmeticError(f"hook product {den} does not divide {n}!")
     return num // den
-
-
-def l_cycle_value(lam: Partition) -> int:
-    """Value of the Sym(n) character ``lam`` on a long cycle.
-
-    The long cycle length is n for n odd and n-1 for n even.  The value
-    is 0 without a hook of that length, else ``(-1)**leg`` of the unique
-    such hook.
-    """
-    n = sum(lam)
-    length = n if n % 2 else n - 1
-    hook = find_l_hook(lam, length)
-    if hook is None:
-        return 0
-    return -1 if hook.leg % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -501,31 +408,3 @@ def character_table(n: int) -> CharacterTable:
         tuple(class_size(cls) for cls in classes),
         values,
     )
-
-
-def character_exponent_report(n: int) -> list[tuple[str, str, float]]:
-    """Empirical exponents log|psi(x)| / log psi(1), diagnostics only.
-
-    Scans nontrivial characters whose label carries a long-cycle hook,
-    evaluated on exceptional classes; zero values are skipped.  Floating
-    point is fine here: nothing downstream consumes these numbers.
-    """
-    from .alt_group import enumerate_alt_classes, is_exceptional
-
-    length = n if n % 2 else n - 1
-    rows = []
-    for psi in alt_irreducibles(n):
-        lam = psi.partition
-        if lam in ((n,), (1,) * n) or find_l_hook(lam, length) is None:
-            continue
-        deg = alt_degree(psi)
-        if deg <= 1:
-            continue
-        for cls in enumerate_alt_classes(n):
-            if not is_exceptional(cls.cycle_type):
-                continue
-            mod = alt_value(psi, cls).modulus_float()
-            if mod == 0.0:
-                continue
-            rows.append((psi.name, cls.name, math.log(mod) / math.log(deg)))
-    return rows

@@ -20,6 +20,7 @@ from .alt_group import (
     delta_bound_report,
     enumerate_alt_classes,
     is_exceptional,
+    parse_class,
     parse_class_or_union,
 )
 from .characters import alt_value, degree, parse_char
@@ -50,6 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction() expands exponent notation into a power of ten before any
+    # bound can look at it: "1e-10000000" alone takes seconds
+    if "e" in text.lower():
+        raise UsageError(f"exponent notation is not accepted, write p/q: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -134,12 +139,7 @@ def _cmd_char_value(args) -> int:
     psi = parse_char(args.char)
     if psi.n != args.n:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
-    classes = parse_class_or_union(args.cls)
-    if len(classes) != 1:
-        raise UsageError(
-            f"{args.cls!r} denotes a union of split classes; pick '+' or '-'"
-        )
-    cls = classes[0]
+    cls = parse_class(args.cls)
     if cls.n != args.n:
         raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
     value = alt_value(psi, cls)
@@ -223,10 +223,7 @@ def _cmd_contains(args) -> int:
 
 def _cmd_covering(args) -> int:
     _check_engine_n(args.n, args.mode)
-    classes = parse_class_or_union(args.cls)
-    if len(classes) != 1:
-        raise UsageError("covering number needs a single class; add '+' or '-'")
-    cls = classes[0]
+    cls = parse_class(args.cls)
     if cls.n != args.n:
         raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
     result = covering_number(cls, args.max_k, mode=args.mode)
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covering", help="covering number of a class")
     _add_common(p, mode=True)
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--max-k", type=int, default=8, help="largest power to try")
+    p.add_argument("--max-k", type=_positive_int, default=8, help="largest power to try")
     p.set_defaults(func=_cmd_covering)
 
     p = sub.add_parser("dvir", help="exhaustive long-cycle inclusion sweep at one n")

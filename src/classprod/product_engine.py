@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .alt_group import (
     AltClass,
     NormalSet,
+    check_exponent_parts,
     class_index,
     class_size,
     delta,
@@ -62,16 +63,6 @@ class FrobeniusResult:
     class_triple: tuple[AltClass, AltClass, AltClass]
     sum_value: Fraction
     pair_count: int
-
-    def to_dict(self) -> dict:
-        a, b, g = self.class_triple
-        return {
-            "a": a.name,
-            "b": b.name,
-            "g": g.name,
-            "sum_value": str(self.sum_value),
-            "pair_count": self.pair_count,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -336,13 +327,10 @@ def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     return NormalSet(s.n, frozenset(_classes_in(s.n, mask)))
 
 
-def power_covers(cls: AltClass, k: int) -> bool:
-    """Does the k-fold product of the class with itself cover Alt(n)?"""
-    return not missing_classes(cls, k)
-
-
 def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:
     """Least k <= k_max whose k-fold product covers Alt(n), if any."""
+    if k_max < 1:
+        raise UsageError("k_max must be positive")
     if cls == identity_class(cls.n):
         raise UsageError("covering number is defined for nontrivial classes")
     c = class_index(cls.n)[cls]
@@ -521,6 +509,7 @@ def verify_four_class_theorem(
         raise UsageError("the four-class sweep needs n >= 2")
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
+    check_exponent_parts(epsilon, "epsilon")
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
     classes, quads = _qualifying_quadruples(n, epsilon)
@@ -599,6 +588,8 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     long_mask = _mask_of(NormalSet.of(long_pair))
     exceptional = [c for c in classes if is_exceptional(c.cycle_type)]
     exc_mask = sum(1 << idx[c] for c in exceptional)
+    # parts 1-3 ask only for pairs of exceptional classes; part 4 fills lazily
+    exc_pairs = [(idx[a], idx[b]) for a, b in combinations_with_replacement(exceptional, 2)]
 
     def parts(alg: ProductAlgebra) -> tuple[ProductCheckPart, ...]:
         def case(members, mask, targets_mask):
@@ -647,72 +638,5 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
             ),
         )
 
-    found = _cross_checked(n, mode, "long-cycle checks", parts, None, jobs)
+    found = _cross_checked(n, mode, "long-cycle checks", parts, exc_pairs, jobs)
     return LongCycleProductReport(n, found)
-
-
-@dataclass(frozen=True)
-class PairCoverageRow:
-    a: str
-    b: str
-    size_product: int
-    covers_long_cycles: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "size_product": self.size_product,
-            "covers_long_cycles": self.covers_long_cycles,
-        }
-
-
-@dataclass(frozen=True)
-class PairCoverageReport:
-    n: int
-    epsilon: Fraction
-    rows: tuple[PairCoverageRow, ...]
-
-    @property
-    def flagged(self) -> tuple[PairCoverageRow, ...]:
-        return tuple(r for r in self.rows if not r.covers_long_cycles)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": str(self.epsilon),
-            "rows": [r.to_dict() for r in self.rows],
-            "flagged": [r.to_dict() for r in self.flagged],
-        }
-
-
-def large_pair_coverage_report(n: int, epsilon: Fraction, jobs: int = 1) -> PairCoverageReport:
-    """Descriptive check: class pairs (neither of long cycles) with size
-    product at least (n!/2)**(1+epsilon) should eventually have products
-    containing both long-cycle classes.  Non-covering pairs are flagged,
-    never failed: the statement is asymptotic."""
-    epsilon = Fraction(epsilon)
-    classes = enumerate_alt_classes(n)
-    idx = class_index(n)
-    order = math.factorial(n) // 2
-    long_mask = _mask_of(NormalSet.of(long_cycle_classes(n)))
-    long_type = long_cycle_classes(n)[0].cycle_type
-    eligible = [c for c in classes if c.cycle_type != long_type]
-    qualifying = [
-        (a, b)
-        for a, b in combinations_with_replacement(eligible, 2)
-        if power_at_least(class_size(a) * class_size(b), order, 1 + epsilon)
-    ]
-    ensure_pair_masks(n, [(idx[a], idx[b]) for a, b in qualifying], jobs)
-    rows = []
-    for a, b in qualifying:
-        mask = _pair_mask(n, idx[a], idx[b])
-        rows.append(
-            PairCoverageRow(
-                a.name,
-                b.name,
-                class_size(a) * class_size(b),
-                mask & long_mask == long_mask,
-            )
-        )
-    return PairCoverageReport(n, epsilon, tuple(rows))

@@ -16,6 +16,20 @@ def quad_sum(terms) -> Fraction:
     return rational
 
 
+def exact_sign(value) -> int:
+    """Exact sign of a real QuadValue a + b*sqrt(d) (d > 0, or rational)."""
+    assert value.d > 0, f"{value} is not real"
+    a, b = value.a, value.b
+    sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sign_a == sign_b or not sign_b:
+        return sign_a
+    if not sign_a:
+        return sign_b
+    # opposite signs: the larger of a*a and b*b*d decides
+    diff = a * a - b * b * value.d
+    return sign_a if diff > 0 else sign_b if diff < 0 else 0
+
+
 def row_orthogonality_holds(table) -> bool:
     """Sum over classes of |C| chi_i(C) conj(chi_j(C)) == |G| delta_ij."""
     k = len(table.chars)

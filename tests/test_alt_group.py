@@ -11,14 +11,11 @@ from classprod.alt_group import (
     delta,
     delta_bound_report,
     enumerate_alt_classes,
-    format_class,
     identity_class,
     inverse_class,
     is_even_type,
     is_exceptional,
-    largest_class,
     long_cycle_classes,
-    long_cycle_length,
     long_cycle_type,
     parse_class,
     parse_class_or_union,
@@ -135,8 +132,6 @@ def test_inverse_class():
 
 
 def test_long_cycle_helpers():
-    assert long_cycle_length(9) == 9
-    assert long_cycle_length(10) == 9
     assert long_cycle_type(10) == (9, 1)
     plus, minus = long_cycle_classes(7)
     assert plus.split == "+" and minus.split == "-"
@@ -149,7 +144,7 @@ def test_normal_set_basics():
     classes = enumerate_alt_classes(5)
     s = NormalSet.of(classes[:2])
     assert len(s) == 2 and classes[0] in s
-    assert NormalSet.full(5).is_full()
+    assert NormalSet.of(classes).is_full()
     assert not s.is_full()
     assert s.sorted_classes() == tuple(classes[:2])
     with pytest.raises(ValueError):
@@ -157,17 +152,6 @@ def test_normal_set_basics():
     assert len(NormalSet.of([], n=5)) == 0
     with pytest.raises(ValueError):
         NormalSet.of([classes[0], enumerate_alt_classes(6)[0]])
-
-
-def test_largest_class():
-    assert largest_class(NormalSet.of([identity_class(5)])) == identity_class(5)
-    # Alt(5): sizes 12, 12, 20, 15, 1 -> the 3-cycles win
-    assert largest_class(NormalSet.full(5)) == AltClass((3, 1, 1))
-    # ties between split halves go to '+'
-    pair = NormalSet.of(long_cycle_classes(9))
-    assert largest_class(pair) == AltClass((9,), "+")
-    with pytest.raises(ValueError):
-        largest_class(NormalSet.of([], n=5))
 
 
 def test_power_at_least():
@@ -211,7 +195,7 @@ def test_delta_bound_report_rejects_bad_gamma():
 def test_class_parsing_round_trip():
     for n in range(2, 11):
         for cls in enumerate_alt_classes(n):
-            assert parse_class(format_class(cls)) == cls
+            assert parse_class(cls.name) == cls
     assert parse_class("5,3,1−") == AltClass((5, 3, 1), "-")
     assert parse_class_or_union("5,3,1") == (
         AltClass((5, 3, 1), "+"),
@@ -222,4 +206,4 @@ def test_class_parsing_round_trip():
         parse_class("5,3,1")  # ambiguous without a tag
     with pytest.raises(UsageError):
         parse_class("2,1,1")  # odd type
-    assert format_class(identity_class(3)) == "1,1,1"
+    assert identity_class(3).name == "1,1,1"

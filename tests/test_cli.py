@@ -149,6 +149,12 @@ def test_usage_errors_exit_1(capsys):
         ["verify-theorem", "--n", "1", "--epsilon", "1/10"],
         ["dvir", "--n", "7", "--jobs", "0"],
         ["excon", "--n", "7", "--jobs", "-3"],
+        # exponent parts above 100 would make the exact size tests hang
+        ["verify-theorem", "--n", "6", "--epsilon", "1/1000000"],
+        ["delta-report", "--n", "8", "--gamma", "1/1000000"],
+        ["verify-theorem", "--n", "6", "--epsilon", "1e-10000000"],
+        ["covering", "--n", "5", "--class", "5+", "--max-k", "0"],
+        ["covering", "--n", "5", "--class", "5+", "--max-k", "-3"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and len(err.splitlines()) == 1, argv

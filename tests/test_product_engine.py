@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -27,10 +28,8 @@ from classprod.product_engine import (
     dvir_rodgers_applies,
     exactness_check_count,
     frobenius_sum,
-    large_pair_coverage_report,
     long_cycle_product_checks,
     missing_classes,
-    power_covers,
     product_set,
     verify_four_class_theorem,
 )
@@ -143,9 +142,9 @@ def test_split_long_cycle_classes_enter_products_together():
 
 def test_power_covers_and_covering_number():
     fpf = AltClass((2, 2, 2, 2))
-    assert not power_covers(fpf, 1)
-    assert not power_covers(fpf, 3)
-    assert power_covers(fpf, 4)
+    assert missing_classes(fpf, 1)
+    assert missing_classes(fpf, 3)
+    assert not missing_classes(fpf, 4)
     assert covering_number(fpf, 5) == 4
     assert covering_number(AltClass((2, 2, 1)), 1) is None
     with pytest.raises(ValueError):
@@ -204,13 +203,36 @@ def test_lemma_excon_small():
     assert [p.part for p in both.parts] == [1, 2, 3, 4]
 
 
+def test_excon_fills_only_the_pairs_it_asks_for(monkeypatch):
+    # parts 1-3 fill the pairs of exceptional classes up front and part 4
+    # the pairs its chains touch: 38 of the 171 class pairs at n=9
+    import classprod.product_engine as engine
+
+    monkeypatch.setattr(engine, "_PAIR_CACHE", {})
+    monkeypatch.setattr(
+        engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
+    )
+    assert all(part.passed for part in long_cycle_product_checks(9).parts)
+    assert len(engine._PAIR_CACHE) == 38
+
+
 def test_large_pair_coverage_report_structure():
-    report = large_pair_coverage_report(9, Fraction(1, 4))
-    assert report.rows
+    # at n=9, epsilon=1/4, every class pair (neither of long cycles) whose
+    # size product reaches |G|^(1+epsilon) reaches both long-cycle classes
+    from itertools import combinations_with_replacement
+
     order = math.factorial(9) // 2
-    for row in report.rows:
-        assert row.size_product**4 >= order**5  # (1 + 1/4 exponent, exact)
-    assert not report.flagged
+    long_pair = long_cycle_classes(9)
+    eligible = [c for c in enumerate_alt_classes(9) if c.cycle_type != long_cycle_type(9)]
+    qualifying = [
+        (a, b)
+        for a, b in combinations_with_replacement(eligible, 2)
+        if (class_size(a) * class_size(b)) ** 4 >= order**5  # exponent 5/4, exact
+    ]
+    assert qualifying
+    for a, b in qualifying:
+        product = product_set(NormalSet.of([a]), NormalSet.of([b]))
+        assert all(g in product for g in long_pair), (a.name, b.name)
 
 
 def test_four_class_sweep_small_is_deterministic():
@@ -251,7 +273,7 @@ def test_engine_rejects_mixed_n():
     with pytest.raises(ValueError):
         contains(identity_class(4), identity_class(5), identity_class(5))
     with pytest.raises(ValueError):
-        product_set(NormalSet.full(4), NormalSet.full(5))
+        product_set(NormalSet.of(enumerate_alt_classes(4)), NormalSet.of(enumerate_alt_classes(5)))
 
 
 def test_fpf_involution_square_matches_oracle_n8():
