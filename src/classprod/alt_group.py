@@ -21,7 +21,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     format_partition,
-    parse_partition,
+    parse_tagged_partition,
     validate_partition,
 )
 
@@ -96,12 +96,7 @@ def parse_class(text: str) -> AltClass:
 def parse_class_or_union(text: str) -> tuple[AltClass, ...]:
     """Parse a class name, expanding a bare exceptional type to the pair
     of split classes it denotes."""
-    text = text.strip()
-    split = None
-    if text.endswith(("+", "-", "−")):
-        split = "-" if text[-1] in ("-", "−") else "+"
-        text = text[:-1]
-    ct = parse_partition(text)
+    ct, split = parse_tagged_partition(text)
     try:
         if split is not None:
             return (AltClass(ct, split),)

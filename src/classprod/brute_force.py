@@ -149,7 +149,7 @@ def alt_conjugacy_classes(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("n must be positive")
     if n > ORACLE_MAX_N:
-        raise CapabilityError(f"brute force is capped at n = {ORACLE_MAX_N}, got {n}")
+        raise CapabilityError(f"brute-force mode supports n <= {ORACLE_MAX_N}, got {n}")
     import itertools
 
     members: dict[AltClass, list[Perm]] = {c: [] for c in enumerate_alt_classes(n)}

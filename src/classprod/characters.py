@@ -25,7 +25,7 @@ from .partitions import (
     format_partition,
     hook_length_product,
     is_self_adjoint,
-    parse_partition,
+    parse_tagged_partition,
     remove_border_strips,
     validate_partition,
 )
@@ -297,12 +297,7 @@ def alt_char_for(lam: Partition, split: Optional[str] = None) -> AltChar:
 
 def parse_char(text: str) -> AltChar:
     """Parse a character name such as ``"3,2,1+"`` (ASCII or U+2212 minus)."""
-    text = text.strip()
-    split = None
-    if text.endswith(("+", "-", "−")):
-        split = "-" if text[-1] in ("-", "−") else "+"
-        text = text[:-1]
-    lam = parse_partition(text)
+    lam, split = parse_tagged_partition(text)
     try:
         return alt_char_for(lam, split)
     except ValueError as exc:
@@ -316,18 +311,14 @@ def alt_irreducibles(n: int) -> tuple[AltChar, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     chars = []
-    seen = set()
+    # descending order meets the larger of lam and its conjugate first
     for lam in enumerate_partitions(n):
-        if lam in seen:
-            continue
         mu = conjugate(lam)
-        seen.add(lam)
-        seen.add(mu)
         if lam == mu and n >= 2:
             chars.append(AltChar(lam, "+"))
             chars.append(AltChar(lam, "-"))
-        else:
-            chars.append(AltChar(min(lam, mu)))
+        elif lam >= mu:
+            chars.append(AltChar(mu))
     return tuple(chars)
 
 

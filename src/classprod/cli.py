@@ -28,6 +28,7 @@ from .errors import CapabilityError, ConsistencyError, UsageError
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .product_engine import (
     ENGINE_MAX_N,
+    MODES,
     check_dvir_rodgers,
     covering_number,
     long_cycle_product_checks,
@@ -75,13 +76,8 @@ def _check_n(n: int, cap: int, what: str) -> None:
         raise CapabilityError(f"{what} supports n <= {cap}, got {n}")
 
 
-def _check_engine_n(n: int, mode: str) -> None:
+def _check_engine_n(n: int) -> None:
     _check_n(n, ENGINE_MAX_N, "the character-sum engine")
-    if mode in ("oracle", "both"):
-        # imported here so that engine-mode commands never load the oracle
-        from .brute_force import ORACLE_MAX_N
-
-        _check_n(n, ORACLE_MAX_N, "brute-force mode")
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -188,13 +184,15 @@ def _cmd_delta(args) -> int:
     classes = parse_class_or_union(args.cls)
     if classes[0].n != args.n:
         raise UsageError(f"class is not a class of Alt({args.n})")
+    # both split classes: the bare type names their union
+    name = classes[0].name if len(classes) == 1 else format_partition(classes[0].cycle_type)
     d = delta(classes[0])
-    _emit(args, {"n": args.n, "class": args.cls.strip(), "delta": d}, [str(d)])
+    _emit(args, {"n": args.n, "class": name, "delta": d}, [str(d)])
     return EXIT_OK
 
 
 def _cmd_product(args) -> int:
-    _check_engine_n(args.n, args.mode)
+    _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     names = [c.name for c in product_set(s, t, mode=args.mode)]
@@ -207,7 +205,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_contains(args) -> int:
-    _check_engine_n(args.n, args.mode)
+    _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     targets = _normal_set(args.g, args.n)
@@ -222,7 +220,7 @@ def _cmd_contains(args) -> int:
 
 
 def _cmd_covering(args) -> int:
-    _check_engine_n(args.n, args.mode)
+    _check_engine_n(args.n)
     cls = parse_class(args.cls)
     if cls.n != args.n:
         raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
@@ -234,8 +232,8 @@ def _cmd_covering(args) -> int:
         "covering_number": result,
     }
     lines = [str(result) if result is not None else "none"]
-    if args.mode != "oracle" and result is not None and result > 1:
-        witnesses = [c.name for c in missing_classes(cls, result - 1)]
+    if result is not None and result > 1:
+        witnesses = [c.name for c in missing_classes(cls, result - 1, mode=args.mode)]
         payload["missing_at_k_minus_1"] = witnesses
         lines.append(
             f"power {result - 1} still misses: {', '.join(witnesses)}"
@@ -245,9 +243,7 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_dvir(args) -> int:
-    _check_engine_n(args.n, args.mode)
-    if args.n < 3:
-        raise UsageError("the sweep needs n >= 3")
+    _check_engine_n(args.n)
     report = check_dvir_rodgers(args.n, jobs=args.jobs, mode=args.mode)
     lines = [
         f"n={report.n}: {report.pairs_checked} qualifying pairs, "
@@ -259,7 +255,7 @@ def _cmd_dvir(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    _check_engine_n(args.n, args.mode)
+    _check_engine_n(args.n)
     report = verify_four_class_theorem(
         args.n, _parse_fraction(args.epsilon), jobs=args.jobs, mode=args.mode
     )
@@ -287,9 +283,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_excon(args) -> int:
-    _check_engine_n(args.n, args.mode)
-    if args.n < 3:
-        raise UsageError("the long-cycle checks need n >= 3")
+    _check_engine_n(args.n)
     report = long_cycle_product_checks(args.n, jobs=args.jobs, mode=args.mode)
     lines = []
     for part in report.parts:
@@ -332,7 +326,7 @@ def _add_common(p: argparse.ArgumentParser, mode: bool = False, jobs: bool = Fal
     if mode:
         p.add_argument(
             "--mode",
-            choices=("engine", "oracle", "both"),
+            choices=MODES,
             default="engine",
             help="character-sum engine, brute force (n <= 8), or cross-check",
         )

@@ -48,6 +48,17 @@ def parse_partition(text: str) -> Partition:
         raise UsageError(str(exc)) from None
 
 
+def parse_tagged_partition(text: str) -> tuple[Partition, Optional[str]]:
+    """Parse a partition with an optional trailing split tag, ``+`` or
+    ``-`` (U+2212 also reads as ``-``), as in ``"5,3,1-"``."""
+    text = text.strip()
+    split = None
+    if text.endswith(("+", "-", "−")):
+        split = "+" if text[-1] == "+" else "-"
+        text = text[:-1]
+    return parse_partition(text), split
+
+
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 

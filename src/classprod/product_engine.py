@@ -8,13 +8,14 @@ full Alt(n) character table in exact arithmetic: terms are accumulated
 per radicand, the radical parts must cancel, and the resulting pair count
 must be a nonnegative integer.  Any failure raises ConsistencyError.
 
-Pairwise class products are cached as bitmasks over the canonical class
-order; the cache may be filled by parallel workers, and each evaluation is
-pure, so results are independent of scheduling.  Every larger product
-(product sets, powers, the named sweeps) is a chain of one step in
-ProductAlgebra, "normal set times class", over a pair-mask function.  The
-one provider ``_cross_checked`` runs a computation over the engine's
-algebra, the oracle's or both, and raises ConsistencyError if they differ.
+Pairwise class products are bitmasks over the canonical class order, each
+computed once by the ProductAlgebra that holds it; the engine's may be
+filled by parallel workers, and each evaluation is pure, so results are
+independent of scheduling.  Every larger product (product sets, powers,
+the named sweeps) is a chain of one step in ProductAlgebra, "normal set
+times class".  The one provider ``_cross_checked`` runs a computation over
+the engine's algebra, the oracle's or both, and raises ConsistencyError if
+they differ.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .partitions import format_partition
 ENGINE_MAX_N = 14
 MODES = ("engine", "oracle", "both")
 
-_PAIR_CACHE: dict[tuple[int, int, int], int] = {}
 _EXACTNESS_CHECKS = 0
 
 
@@ -159,20 +159,10 @@ def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
     return mask
 
 
-def _pair_mask(n: int, ia: int, ib: int) -> int:
-    """The cached mask of a class pair, for ia <= ib."""
-    key = (n, ia, ib)
-    mask = _PAIR_CACHE.get(key)
-    if mask is None:
-        mask = _compute_pair_mask(n, ia, ib)
-        _PAIR_CACHE[key] = mask
-    return mask
-
-
-def _pair_mask_task(key: tuple[int, int, int]) -> tuple[tuple[int, int, int], int, int]:
+def _pair_mask_task(n: int, key: tuple[int, int]) -> tuple[tuple[int, int], int, int]:
     """A worker's mask, with the exactness checks it ran for the parent to count."""
     before = _EXACTNESS_CHECKS
-    mask = _compute_pair_mask(*key)
+    mask = _compute_pair_mask(n, *key)
     return key, mask, _EXACTNESS_CHECKS - before
 
 
@@ -185,32 +175,30 @@ def _pool_size(jobs: int, tasks: int, cpus: int) -> int:
 def ensure_pair_masks(
     n: int, pairs: Optional[Iterable[tuple[int, int]]] = None, jobs: int = 1
 ) -> None:
-    """Precompute class-pair product masks, optionally in parallel.
+    """Precompute the engine's masks of the class pairs (i, j), i <= j, in
+    ``pairs`` (None: all), optionally in parallel.
 
     Workers evaluate disjoint pairs; every evaluation is deterministic,
-    so the merged cache does not depend on scheduling.
+    so the merged masks do not depend on scheduling.
     """
     global _EXACTNESS_CHECKS
-    k = len(enumerate_alt_classes(n))
+    alg = _engine_algebra(n)
     if pairs is None:
-        pairs = combinations_with_replacement(range(k), 2)
-    keys = [
-        (n, min(i, j), max(i, j))
-        for i, j in pairs
-    ]
-    missing = sorted({key for key in keys if key not in _PAIR_CACHE})
+        pairs = combinations_with_replacement(range(len(enumerate_alt_classes(n))), 2)
+    missing = sorted(set(pairs) - alg.pairs.keys())
     workers = _pool_size(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         character_table(n)  # built before fork so workers inherit it
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(missing) // (workers * 4))
         with ctx.Pool(workers) as pool:
-            for key, mask, checks in pool.imap_unordered(_pair_mask_task, missing, chunk):
-                _PAIR_CACHE[key] = mask
+            tasks = pool.imap_unordered(partial(_pair_mask_task, n), missing, chunk)
+            for key, mask, checks in tasks:
+                alg.pairs[key] = mask
                 _EXACTNESS_CHECKS += checks
         return
-    for key in missing:
-        _PAIR_CACHE[key] = _compute_pair_mask(*key)
+    for i, j in missing:
+        alg.pair(i, j)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -236,17 +224,26 @@ def _classes_in(n: int, mask: int) -> tuple[AltClass, ...]:
 
 
 class ProductAlgebra:
-    """Normal-set products of Alt(n) as class bitmasks, over one function
-    ``pair_mask(i, j)`` called with i <= j (normal sets commute).
+    """Normal-set products of Alt(n) as class bitmasks.  ``pairs`` holds
+    the mask of each class pair (i, j), i <= j (normal sets commute), that
+    has been asked for; ``pair_mask(i, j)`` computes a missing one.
     ``times(mask, c)`` asks only for the pairs of c with the classes in the
-    mask, so a lazy pair cache fills only the pairs a product touches; its
-    results are memoised, so a chain met again asks for none.
+    mask, so only the pairs a product touches are computed; its results
+    are memoised, so a chain met again asks for none.
     """
 
     def __init__(self, n: int, pair_mask: Callable[[int, int], int]):
         self.full = (1 << len(enumerate_alt_classes(n))) - 1
+        self.pairs: dict[tuple[int, int], int] = {}
         self._pair_mask = pair_mask
         self._memo: dict[tuple[int, int], int] = {}
+
+    def pair(self, i: int, j: int) -> int:
+        """The product of the classes with indices i and j."""
+        key = (i, j) if i <= j else (j, i)
+        if key not in self.pairs:
+            self.pairs[key] = self._pair_mask(*key)
+        return self.pairs[key]
 
     def times(self, mask: int, c: int) -> int:
         """The normal set ``mask`` times the class with index c."""
@@ -254,7 +251,7 @@ class ProductAlgebra:
         if key not in self._memo:
             out = 0
             for i in _bit_indices(mask):
-                out |= self._pair_mask(min(i, c), max(i, c))
+                out |= self.pair(i, c)
             self._memo[key] = out
         return self._memo[key]
 
@@ -284,7 +281,7 @@ class ProductAlgebra:
 @lru_cache(maxsize=None)
 def _engine_algebra(n: int) -> ProductAlgebra:
     """One engine algebra per n, so its memo outlives a single call."""
-    return ProductAlgebra(n, partial(_pair_mask, n))
+    return ProductAlgebra(n, partial(_compute_pair_mask, n))
 
 
 def _oracle_algebra(n: int) -> ProductAlgebra:
@@ -292,27 +289,27 @@ def _oracle_algebra(n: int) -> ProductAlgebra:
 
     table = alt_conjugacy_classes(n)
     classes = enumerate_alt_classes(n)
-
-    @lru_cache(maxsize=None)
-    def pair_mask(i: int, j: int) -> int:
-        return _mask_of(NormalSet(n, oracle_class_product(table, classes[i], classes[j])))
-
-    return ProductAlgebra(n, pair_mask)
+    return ProductAlgebra(
+        n, lambda i, j: _mask_of(NormalSet(n, oracle_class_product(table, classes[i], classes[j])))
+    )
 
 
 def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1):
     """``compute(algebra)`` over the engine, the brute-force oracle, or both
-    (whose results must be equal).  The engine first fills the pairs in
-    ``fill`` (None: all) with ``jobs`` workers, the rest as they are asked for.
+    (whose results must be equal).  The oracle's algebra comes first, so a
+    group too large for it fails before any engine work.  The engine first
+    fills the pairs in ``fill`` (None: all) with ``jobs`` workers, the rest
+    as they are asked for.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
+    oracle = _oracle_algebra(n) if mode in ("oracle", "both") else None
     results = []
     if mode in ("engine", "both"):
         ensure_pair_masks(n, fill, jobs)
         results.append(compute(_engine_algebra(n)))
-    if mode in ("oracle", "both"):
-        results.append(compute(_oracle_algebra(n)))
+    if oracle is not None:
+        results.append(compute(oracle))
     if mode == "both" and results[0] != results[1]:
         raise ConsistencyError(f"engine and oracle {what} disagree at n={n}")
     return results[0]
@@ -408,6 +405,8 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
     of its two Alt(n) classes.  For every type pair meeting the delta
     condition, both long-cycle classes must appear in the product.
     """
+    if n < 3:
+        raise UsageError("the long-cycle inclusion sweep needs n >= 3")
     idx = class_index(n)
     targets = [(c.name, idx[c]) for c in long_cycle_classes(n)]
     qualifying = [
@@ -420,6 +419,7 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
         for t1, t2 in qualifying
         for i in _bit_indices(t1[2])
         for j in _bit_indices(t2[2])
+        if i <= j  # a split type times itself: (-, +) is the mask of (+, -)
     ]
 
     def violations(alg: ProductAlgebra) -> tuple[tuple[str, str, str], ...]:
@@ -510,11 +510,7 @@ def verify_four_class_theorem(
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
-    if mode not in MODES:
-        raise UsageError(f"unknown mode {mode!r}")
     classes, quads = _qualifying_quadruples(n, epsilon)
-    if not quads:
-        return FourClassReport(n, epsilon, mode, ())
 
     def verdicts(alg: ProductAlgebra) -> tuple[QuadrupleVerdict, ...]:
         rows = []
@@ -530,7 +526,7 @@ def verify_four_class_theorem(
             )
         return tuple(rows)
 
-    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, None, jobs)
+    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, None if quads else (), jobs)
     return FourClassReport(n, epsilon, mode, rows)
 
 
@@ -582,6 +578,8 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     These hold for all sufficiently large n; at desk scale the report is
     descriptive, recording pass/fail per case.
     """
+    if n < 3:
+        raise UsageError("the long-cycle checks need n >= 3")
     classes = enumerate_alt_classes(n)
     idx = class_index(n)
     long_pair = long_cycle_classes(n)

@@ -55,6 +55,15 @@ def test_delta_command(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize(
+    "typed, name", [(" 5,3\u2212", "5,3-"), ("5, 3+ ", "5,3+"), (" 5 ,3", "5,3")]
+)
+def test_delta_prints_the_canonical_name(capsys, typed, name):
+    # one split class prints its tagged name; a bare split type names both
+    code, out, _ = run_cli(capsys, "delta", "--n", "8", "--class", typed, "--format", "json")
+    assert code == 0 and json.loads(out) == {"n": 8, "class": name, "delta": 6}
+
+
 def test_contains_both_modes(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -155,6 +164,9 @@ def test_usage_errors_exit_1(capsys):
         ["verify-theorem", "--n", "6", "--epsilon", "1e-10000000"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "0"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "-3"],
+        # the long-cycle sweeps need n >= 3
+        ["dvir", "--n", "2"],
+        ["excon", "--n", "2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and len(err.splitlines()) == 1, argv
@@ -185,8 +197,21 @@ def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
         assert "engine and oracle" in err, argv
 
 
+def test_covering_prints_the_same_witnesses_in_every_mode(capsys):
+    argv = ["covering", "--n", "8", "--class", "2,2,2,2", "--max-k", "5", "--format", "json"]
+    outs = set()
+    for mode in ("engine", "oracle", "both"):
+        code, out, _ = run_cli(capsys, *argv, "--mode", mode)
+        assert code == 0, mode
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["missing_at_k_minus_1"]
+
+
 def test_capability_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "covering", "--n", "9", "--class", "9+", "--mode", "oracle")
+    assert code == 3 and "n <= 8" in err
+    code, _, err = run_cli(capsys, "product", "--n", "9", "--a", "9+", "--b", "9+", "--mode", "both")
     assert code == 3 and "n <= 8" in err
     code, _, err = run_cli(capsys, "product", "--n", "20", "--a", "20", "--b", "20")
     assert code == 3

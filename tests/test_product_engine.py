@@ -16,7 +16,7 @@ from classprod.alt_group import (
     long_cycle_type,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
-from classprod.errors import ConsistencyError
+from classprod.errors import ConsistencyError, UsageError
 from classprod.product_engine import (
     ProductAlgebra,
     _collapse,
@@ -196,6 +196,14 @@ def test_check_dvir_rodgers_small():
     assert check_dvir_rodgers(7, mode="oracle").passed
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_long_cycle_sweeps_need_n_at_least_3(n):
+    with pytest.raises(UsageError, match="n >= 3"):
+        check_dvir_rodgers(n)
+    with pytest.raises(UsageError, match="n >= 3"):
+        long_cycle_product_checks(n)
+
+
 def test_lemma_excon_small():
     report = long_cycle_product_checks(9)
     assert all(part.passed for part in report.parts)
@@ -208,12 +216,11 @@ def test_excon_fills_only_the_pairs_it_asks_for(monkeypatch):
     # the pairs its chains touch: 38 of the 171 class pairs at n=9
     import classprod.product_engine as engine
 
-    monkeypatch.setattr(engine, "_PAIR_CACHE", {})
     monkeypatch.setattr(
         engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
     )
     assert all(part.passed for part in long_cycle_product_checks(9).parts)
-    assert len(engine._PAIR_CACHE) == 38
+    assert len(engine._engine_algebra(9).pairs) == 38
 
 
 def test_large_pair_coverage_report_structure():
@@ -302,6 +309,11 @@ def test_product_algebra_asks_only_for_touched_pairs():
     assert alg.product(0b101, 0b1001) == mask | alg.times(0b101, 0)
     assert sorted(asked[2:]) == [(0, 0), (0, 2)]  # asked with i <= j
     assert alg.chain([0, 2, 3]) == alg.times(alg.times(1, 2), 3)
+    # a pair is asked for once, in order, and kept in ``pairs``
+    alg = ProductAlgebra(5, pair_mask)
+    asked.clear()
+    assert alg.pair(3, 0) == alg.pair(0, 3) == alg.pairs[(0, 3)]
+    assert asked == [(0, 3)] and list(alg.pairs) == [(0, 3)]
 
 
 def test_pool_size_is_bounded():
