@@ -4,9 +4,12 @@ The number of factorizations g = xy with x in A and y in B equals
 |A||B|/|G| times the sum over irreducible characters of
 chi(a) chi(b) conj(chi(g)) / chi(1); the class of g lies in the normal
 set AB exactly when that sum is nonzero.  Every sum is evaluated over the
-full Alt(n) character table in exact arithmetic: terms are accumulated
-per radicand, the radical parts must cancel, and the resulting pair count
-must be a nonnegative integer.  Any failure raises ConsistencyError.
+full Alt(n) character table in exact integer arithmetic: each value is
+(p + q*sqrt(d))/2 with integers p, q and one radicand d per character, so
+a sum is a few integer dot products.  The radical part of each radicand
+must cancel, each pair count must be a nonnegative integer, and the
+counts of a class pair must conserve mass.  Any failure raises
+ConsistencyError.
 
 Pairwise class products are bitmasks over the canonical class order, each
 computed once by the ProductAlgebra that holds it; the engine's may be
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, islice
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from .alt_group import (
@@ -42,7 +46,7 @@ from .alt_group import (
     long_cycle_classes,
     power_at_least,
 )
-from .characters import character_table
+from .characters import CharacterTable, character_table
 from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
 
@@ -53,8 +57,8 @@ _EXACTNESS_CHECKS = 0
 
 
 def exactness_check_count() -> int:
-    """How many character sums have passed the collapse/integrality checks
-    in this process."""
+    """How many character sums have passed the radical, integrality and
+    mass checks in this process."""
     return _EXACTNESS_CHECKS
 
 
@@ -65,23 +69,6 @@ class FrobeniusResult:
     pair_count: int
 
 
-@lru_cache(maxsize=None)
-def _columns(n: int):
-    """Per-class data laid out for the hot loop: for each class j a tuple
-    of conj(value)/degree per character, plus raw value columns."""
-    tbl = character_table(n)
-    k = len(tbl.chars)
-    raw = [tuple(tbl.values[i][j] for i in range(k)) for j in range(len(tbl.classes))]
-    weighted = [
-        tuple(
-            tbl.values[i][j].conjugate() * Fraction(1, tbl.degrees[i])
-            for i in range(k)
-        )
-        for j in range(len(tbl.classes))
-    ]
-    return tbl, raw, weighted
-
-
 def _check_same_n(*classes: AltClass) -> int:
     n = classes[0].n
     for c in classes[1:]:
@@ -90,56 +77,157 @@ def _check_same_n(*classes: AltClass) -> int:
     return n
 
 
-def _collapse(rational: Fraction, buckets: dict[int, Fraction]) -> Fraction:
-    if any(buckets.values()):
-        bad = {d: str(c) for d, c in buckets.items() if c}
-        raise ConsistencyError(f"character sum kept radical parts: {bad}")
-    return rational
+@dataclass(frozen=True)
+class _RadicandRows:
+    """The characters whose irrational values lie over one sqrt(d)."""
+
+    d: int
+    rows: tuple[int, ...]  # character indices
+    at: slice  # their positions in _Lifted.rad_rows
+    cols: tuple[tuple[int, ...], ...]  # per class g: conjugated q, then p, on these rows
+    support: tuple[int, ...]  # the classes g where one of these rows is irrational
 
 
-def _sum_over_chars(vec_ab, weighted_g) -> Fraction:
-    rational = Fraction(0)
-    buckets: dict[int, Fraction] = {}
-    for vab, wg in zip(vec_ab, weighted_g):
-        if vab is None or wg.is_zero:
-            continue
-        term = vab * wg
-        rational += term.a
-        if term.b:
-            buckets[term.d] = buckets.get(term.d, Fraction(0)) + term.b
-    return _collapse(rational, buckets)
+@dataclass(frozen=True)
+class _Lifted:
+    """An Alt(n) character table lifted to integers for the hot loop.
+
+    Entry (i, j) is (p + q*sqrt(d_i))/2 with integers p and q and one
+    radicand d_i per row.  Row i has weight L / chi_i(1), L the lcm of the
+    degrees, so that sum_i chi_i(a) chi_i(b) conj(chi_i(g)) / chi_i(1) is
+    R / (8L), where R is the integer sum over i of the weight times
+    (2 chi_i(a)) (2 chi_i(b)) (2 conj(chi_i(g))).
+    """
+
+    p: tuple[tuple[int, ...], ...]  # p[j][i] for class j, character i
+    q: tuple[tuple[int, ...], ...]  # q[j][r] over the rows in ``rad_rows``
+    weights: tuple[int, ...]
+    rad_rows: tuple[int, ...]  # the irrational rows, grouped by radicand
+    rad_d: tuple[int, ...]  # their radicands
+    radicands: tuple[_RadicandRows, ...]
+    cols: tuple[tuple[int, ...], ...]  # per class g: p, then conjugated q
+    scale: int  # 8L
+    order: int
+    sizes: tuple[int, ...]
 
 
-def _pair_vector(raw, ia: int, ib: int):
-    col_a, col_b = raw[ia], raw[ib]
-    return [
-        None if (va.is_zero or vb.is_zero) else va * vb
-        for va, vb in zip(col_a, col_b)
-    ]
+def _doubled(x: Fraction) -> int:
+    num, den = 2 * x.numerator, x.denominator
+    if num % den:
+        raise ConsistencyError(f"character value part {x} is not in (1/2)Z")
+    return num // den
 
 
-def _counted(sum_value: Fraction, sa: int, sb: int, order: int) -> int:
+def _lift(tbl: CharacterTable) -> _Lifted:
+    k, m = len(tbl.chars), len(tbl.classes)
+    row_d = []
+    for psi, row in zip(tbl.chars, tbl.values):
+        ds = sorted({v.d for v in row if v.b})
+        if len(ds) > 1:
+            raise ConsistencyError(f"character {psi.name} takes values over radicands {ds}")
+        row_d.append(ds[0] if ds else 1)
+    rad_rows = tuple(sorted((i for i in range(k) if row_d[i] != 1), key=lambda i: (row_d[i], i)))
+    rad_d = tuple(row_d[i] for i in rad_rows)
+    p = tuple(tuple(_doubled(tbl.values[i][j].a) for i in range(k)) for j in range(m))
+    q = tuple(tuple(_doubled(tbl.values[i][j].b) for i in rad_rows) for j in range(m))
+    # the complex conjugate flips q where the radicand is negative
+    qbar = [tuple(-x if d < 0 else x for x, d in zip(qj, rad_d)) for qj in q]
+    radicands = []
+    for d in sorted(set(rad_d)):
+        first = rad_d.index(d)
+        at = slice(first, first + rad_d.count(d))
+        rows = rad_rows[at]
+        radicands.append(
+            _RadicandRows(
+                d,
+                rows,
+                at,
+                tuple(qbar[j][at] + tuple(p[j][i] for i in rows) for j in range(m)),
+                tuple(j for j in range(m) if any(qbar[j][at])),
+            )
+        )
+    lcm = math.lcm(*tbl.degrees)
+    return _Lifted(
+        p=p,
+        q=q,
+        weights=tuple(lcm // deg for deg in tbl.degrees),
+        rad_rows=rad_rows,
+        rad_d=rad_d,
+        radicands=tuple(radicands),
+        cols=tuple(p[j] + qbar[j] for j in range(m)),
+        scale=8 * lcm,
+        order=tbl.order,
+        sizes=tbl.class_sizes,
+    )
+
+
+@lru_cache(maxsize=None)
+def _lifted(n: int) -> _Lifted:
+    return _lift(character_table(n))
+
+
+def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
+    """The integer sums R of the classes a, b (indices) with every class g,
+    in class order; raises ConsistencyError unless every radical part
+    cancels."""
+    pa, pb, qa, qb, w = lay.p[ia], lay.p[ib], lay.q[ia], lay.q[ib], lay.weights
+    # u + v*sqrt(d) = weight * (2 chi(a)) * (2 chi(b)), row by row
+    u = [wi * x * y for wi, x, y in zip(w, pa, pb)]
+    v = []
+    for r, (i, d) in enumerate(zip(lay.rad_rows, lay.rad_d)):
+        u[i] += w[i] * d * qa[r] * qb[r]
+        v.append(w[i] * (pa[i] * qb[r] + qa[r] * pb[i]))
+    rational = u + [d * x for d, x in zip(lay.rad_d, v)]
+    sums = [sum(map(mul, rational, col)) for col in lay.cols]
+    for rad in lay.radicands:
+        vec = [u[i] for i in rad.rows] + v[rad.at]
+        # the radical part sum(u*conj(q) + v*p) is 0 term by term where v
+        # and conj(q) vanish on these rows
+        for jg in range(len(sums)) if any(v[rad.at]) else rad.support:
+            kept = sum(map(mul, vec, rad.cols[jg]))
+            if kept:
+                raise ConsistencyError(
+                    f"character sum at class {jg} kept a radical part "
+                    f"{Fraction(kept, lay.scale)}*sqrt({rad.d})"
+                )
+    return sums
+
+
+def _counted(sums: list[int], sa: int, sb: int, den: int, sizes: Iterable[int]) -> list[int]:
+    """Pair counts sa*sb*R/den from the sums R of one class pair; each must
+    be a nonnegative integer, and the counts must conserve mass:
+    sum over g of |C_g| * count(g) = sa*sb.  One exactness check per sum."""
     global _EXACTNESS_CHECKS
-    count = Fraction(sa * sb, order) * sum_value
-    if count.denominator != 1 or count < 0:
-        raise ConsistencyError(f"pair count {count} is not a nonnegative integer")
-    if (count == 0) != (sum_value == 0):
-        raise ConsistencyError("zero sum and zero count disagree")
-    _EXACTNESS_CHECKS += 1
-    return count.numerator
+    counts = []
+    for r in sums:
+        num = sa * sb * r
+        if num < 0 or num % den:
+            raise ConsistencyError(
+                f"pair count {Fraction(num, den)} is not a nonnegative integer"
+            )
+        counts.append(num // den)
+    total = sum(map(mul, sizes, counts))
+    if total != sa * sb:
+        raise ConsistencyError(f"pair counts give mass {total}, not |A||B| = {sa * sb}")
+    _EXACTNESS_CHECKS += len(counts)
+    return counts
+
+
+def _pair_counts(n: int, ia: int, ib: int) -> tuple[_Lifted, list[int], list[int]]:
+    """The layout, the sums and the checked pair counts of one class pair."""
+    lay = _lifted(n)
+    sums = _pair_sums(lay, ia, ib)
+    sa, sb = lay.sizes[ia], lay.sizes[ib]
+    return lay, sums, _counted(sums, sa, sb, lay.scale * lay.order, lay.sizes)
 
 
 def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
     """Exact factorization count data for g = xy, x in A, y in B."""
     n = _check_same_n(a, b, g)
-    tbl, raw, weighted = _columns(n)
     idx = class_index(n)
-    vec = _pair_vector(raw, idx[a], idx[b])
-    total = _sum_over_chars(vec, weighted[idx[g]])
-    count = _counted(
-        total, tbl.class_sizes[idx[a]], tbl.class_sizes[idx[b]], tbl.order
-    )
-    return FrobeniusResult((a, b, g), total, count)
+    lay, sums, counts = _pair_counts(n, idx[a], idx[b])
+    jg = idx[g]
+    return FrobeniusResult((a, b, g), Fraction(sums[jg], lay.scale), counts[jg])
 
 
 def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
@@ -148,15 +236,8 @@ def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
 
 
 def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
-    tbl, raw, weighted = _columns(n)
-    vec = _pair_vector(raw, ia, ib)
-    sa, sb = tbl.class_sizes[ia], tbl.class_sizes[ib]
-    mask = 0
-    for jg in range(len(tbl.classes)):
-        total = _sum_over_chars(vec, weighted[jg])
-        if _counted(total, sa, sb, tbl.order):
-            mask |= 1 << jg
-    return mask
+    _, _, counts = _pair_counts(n, ia, ib)
+    return sum(1 << jg for jg, count in enumerate(counts) if count)
 
 
 def _pair_mask_task(n: int, key: tuple[int, int]) -> tuple[tuple[int, int], int, int]:
@@ -188,7 +269,7 @@ def ensure_pair_masks(
     missing = sorted(set(pairs) - alg.pairs.keys())
     workers = _pool_size(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        character_table(n)  # built before fork so workers inherit it
+        _lifted(n)  # built before fork so workers inherit it
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(missing) // (workers * 4))
         with ctx.Pool(workers) as pool:
@@ -473,23 +554,27 @@ class FourClassReport:
         }
 
 
+def _reaches(n: int, epsilon: Fraction) -> Callable[[int], bool]:
+    """Does a size product reach (n!/2)**(1+epsilon)?  Cached per product."""
+    order = math.factorial(n) // 2
+    threshold = Fraction(1) + Fraction(epsilon)
+    return lru_cache(maxsize=None)(lambda p: power_at_least(p, order, threshold))
+
+
 def _qualifying_quadruples(n: int, epsilon: Fraction):
     """Class quadruples whose six pairwise size products all reach
     (n!/2)**(1+epsilon), with the least of them: the product of the two
     smallest sizes.  The test is monotone in the product, so that one
-    decides all six, and its outcome is cached per product."""
-    classes = enumerate_alt_classes(n)
-    sizes = [class_size(c) for c in classes]
-    order = math.factorial(n) // 2
-    threshold = Fraction(1) + Fraction(epsilon)
-    reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, order, threshold))
+    decides all six."""
+    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
+    reaches = _reaches(n, epsilon)
     out = []
-    for quad in combinations_with_replacement(range(len(classes)), 4):
+    for quad in combinations_with_replacement(range(len(sizes)), 4):
         smallest, second = sorted(sizes[i] for i in quad)[:2]
         if reaches(smallest * second):
             out.append((quad, smallest * second))
     out.sort(key=lambda item: (-item[1], item[0]))
-    return classes, out
+    return out
 
 
 def verify_four_class_theorem(
@@ -510,11 +595,16 @@ def verify_four_class_theorem(
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
-    classes, quads = _qualifying_quadruples(n, epsilon)
+    classes = enumerate_alt_classes(n)
+    # some quadruple qualifies iff four copies of the largest class do, so
+    # the fill is known without the enumeration, which waits for the
+    # oracle's cap check (and runs once per algebra)
+    largest = max(class_size(c) for c in classes)
+    fill = None if _reaches(n, epsilon)(largest * largest) else ()
 
     def verdicts(alg: ProductAlgebra) -> tuple[QuadrupleVerdict, ...]:
         rows = []
-        for quad, min_product in quads:
+        for quad, min_product in _qualifying_quadruples(n, epsilon):
             mask = alg.chain(quad)
             rows.append(
                 QuadrupleVerdict(
@@ -526,7 +616,7 @@ def verify_four_class_theorem(
             )
         return tuple(rows)
 
-    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, None if quads else (), jobs)
+    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, fill, jobs)
     return FourClassReport(n, epsilon, mode, rows)
 
 

@@ -16,6 +16,15 @@ def quad_sum(terms) -> Fraction:
     return rational
 
 
+def frobenius_reference(table, a: int, b: int, g: int) -> Fraction:
+    """Sum over characters of chi(a) chi(b) conj(chi(g)) / chi(1), in
+    QuadValue arithmetic, for the classes with indices a, b and g."""
+    return quad_sum(
+        row[a] * row[b] * row[g].conjugate() * Fraction(1, deg)
+        for row, deg in zip(table.values, table.degrees)
+    )
+
+
 def exact_sign(value) -> int:
     """Exact sign of a real QuadValue a + b*sqrt(d) (d > 0, or rational)."""
     assert value.d > 0, f"{value} is not real"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,33 @@ def test_jobs_do_not_change_output():
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
     assert json.loads(serial.stdout)["passed"] is True
+
+
+CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "catalogue.json"
+
+
+def _catalogue_entry(group, kind, n, mode):
+    commands = json.loads(CATALOGUE.read_text())["commands"]
+    return next(
+        e for e in commands
+        if (e["group"], e["kind"], e["n"]) == (group, kind, n)
+        and (mode is None or e["argv"][e["argv"].index("--mode") + 1] == mode)
+    )
+
+
+@pytest.mark.parametrize(
+    "group, kind, n, mode",
+    [
+        ("four-class-n10", "verify-theorem", 10, None),
+        ("queries", "covering", 13, "engine"),
+        ("queries", "contains", 14, "engine"),
+        ("crosscheck-n8", "product", 8, "both"),
+    ],
+)
+def test_stdout_matches_the_recorded_benchmark_digest(capsys, group, kind, n, mode):
+    # the benchmark checks every command's stdout against these digests;
+    # a few of them here make output drift fail before the benchmark runs
+    entry = _catalogue_entry(group, kind, n, mode)
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], entry["argv"]

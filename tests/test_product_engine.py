@@ -16,11 +16,14 @@ from classprod.alt_group import (
     long_cycle_type,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
-from classprod.errors import ConsistencyError, UsageError
+from classprod.characters import QuadValue, character_table, parse_char
+from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.product_engine import (
     ProductAlgebra,
-    _collapse,
     _counted,
+    _lift,
+    _lifted,
+    _pair_sums,
     _pool_size,
     check_dvir_rodgers,
     contains,
@@ -33,6 +36,7 @@ from classprod.product_engine import (
     product_set,
     verify_four_class_theorem,
 )
+from helpers import frobenius_reference
 
 
 def test_frobenius_identity_triple():
@@ -263,17 +267,107 @@ def test_four_class_sweep_matches_oracle_n7():
     assert all(q.covered for q in report.quadruples)
 
 
+def _table_with(n, i, j, value):
+    """character_table(n) with entry (i, j) replaced."""
+    from dataclasses import replace
+
+    tbl = character_table(n)
+    values = [list(row) for row in tbl.values]
+    values[i][j] = value
+    return replace(tbl, values=tuple(map(tuple, values)))
+
+
 def test_exactness_guards():
-    with pytest.raises(ConsistencyError):
-        _collapse(Fraction(1), {5: Fraction(1, 2)})
-    assert _collapse(Fraction(3), {5: Fraction(0)}) == Fraction(3)
-    with pytest.raises(ConsistencyError):
-        _counted(Fraction(1, 5), 6, 6, 12)  # 36/12 * 1/5 is not an integer
-    with pytest.raises(ConsistencyError):
-        _counted(Fraction(-1), 6, 6, 12)  # negative count
+    # a radical part that does not cancel: sqrt(5) taken off the value of
+    # the + character of 3,1,1 on the class 5+
+    tbl = character_table(5)
+    i = tbl.chars.index(parse_char("3,1,1+"))
+    j = tbl.classes.index(AltClass((5,), "+"))
+    e = tbl.classes.index(identity_class(5))
+    bad = _lift(_table_with(5, i, j, tbl.values[i][j] - QuadValue(0, 1, 5)))
+    with pytest.raises(ConsistencyError, match="radical part"):
+        _pair_sums(bad, e, e)
+    # one that the pair brings in, on a class where the table is rational:
+    # the same character given the value 1 (not 0) on the 3-cycles, with 5+ * 5+
+    three = tbl.classes.index(AltClass((3, 1, 1)))
+    bad = _lift(_table_with(5, i, three, QuadValue(1)))
+    with pytest.raises(ConsistencyError, match="radical part"):
+        _pair_sums(bad, j, j)
+    # sum of chi(1)**2 = |G|, scaled by 8L
+    assert _pair_sums(_lifted(5), e, e)[e] == 8 * math.lcm(*tbl.degrees) * 60
+    # counts 1*1*R/2 over classes of sizes 1 and 2: R = (2, 0) conserves
+    assert _counted([2, 0], 1, 1, 2, (1, 2)) == [1, 0]
+    with pytest.raises(ConsistencyError, match="nonnegative integer"):
+        _counted([1, 0], 1, 1, 2, (1, 2))  # count 1/2
+    with pytest.raises(ConsistencyError, match="nonnegative integer"):
+        _counted([6, -2], 1, 1, 2, (1, 2))  # counts 3 and -1 conserve mass
     before = exactness_check_count()
     frobenius_sum(identity_class(4), identity_class(4), identity_class(4))
     assert exactness_check_count() > before
+
+
+def test_pair_counts_must_conserve_mass():
+    with pytest.raises(ConsistencyError, match="mass"):
+        _counted([2, 2], 1, 1, 2, (1, 2))  # 1*1 + 2*1 != 1*1
+    with pytest.raises(ConsistencyError, match="mass"):
+        _counted([0, 0], 1, 1, 2, (1, 2))
+
+
+def test_lifted_layout_rebuilds_the_table():
+    # every value is (p + q*sqrt(d))/2 with integers p, q and one radicand d per row
+    for n in range(2, 15):
+        tbl, lay = character_table(n), _lifted(n)
+        row_d = dict(zip(lay.rad_rows, lay.rad_d))
+        for i, row in enumerate(tbl.values):
+            assert {v.d for v in row if v.b} <= {row_d.get(i, 1)}
+            for j, value in enumerate(row):
+                q = lay.q[j][lay.rad_rows.index(i)] if i in row_d else 0
+                rebuilt = QuadValue(Fraction(lay.p[j][i], 2), Fraction(q, 2), row_d.get(i, 1))
+                assert rebuilt == value, (n, i, j)
+        assert all(w * deg == lay.scale // 8 for w, deg in zip(lay.weights, tbl.degrees))
+
+
+def test_lift_rejects_two_radicands_in_a_row():
+    tbl = character_table(5)
+    i = tbl.chars.index(parse_char("3,1,1+"))
+    j = tbl.classes.index(identity_class(5))
+    with pytest.raises(ConsistencyError, match="radicands"):
+        _lift(_table_with(5, i, j, QuadValue(3, 1, 2)))
+
+
+def _frobenius_matches_reference(n, triples):
+    tbl = character_table(n)
+    for a, b, g in triples:
+        reference = frobenius_reference(tbl, a, b, g)
+        result = frobenius_sum(tbl.classes[a], tbl.classes[b], tbl.classes[g])
+        assert result.sum_value == reference, (n, a, b, g)
+        assert result.pair_count == reference * tbl.class_sizes[a] * tbl.class_sizes[b] / tbl.order
+
+
+def test_frobenius_sum_matches_quadvalue_reference_exhaustively_up_to_8():
+    from itertools import product
+
+    for n in range(2, 9):
+        _frobenius_matches_reference(n, product(range(len(enumerate_alt_classes(n))), repeat=3))
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_frobenius_sum_matches_quadvalue_reference_sampled(n):
+    k = len(enumerate_alt_classes(n))
+    rng = random.Random(f"frobenius-{n}")
+    _frobenius_matches_reference(n, [tuple(rng.randrange(k) for _ in range(3)) for _ in range(200)])
+
+
+def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
+    import classprod.product_engine as engine
+
+    def enumerated(*args):
+        raise AssertionError("quadruples enumerated before the oracle cap check")
+
+    monkeypatch.setattr(engine, "_qualifying_quadruples", enumerated)
+    for mode in ("oracle", "both"):
+        with pytest.raises(CapabilityError):
+            verify_four_class_theorem(9, Fraction(1, 10), mode=mode)
 
 
 def test_engine_rejects_mixed_n():
@@ -330,16 +424,24 @@ def test_parallel_fill_counts_worker_exactness_checks():
     import subprocess
     import sys
 
+    from classprod.product_engine import _compute_pair_mask
+
     code = (
         "import os\n"
         "os.cpu_count = lambda: 2\n"
         "from classprod.alt_group import enumerate_alt_classes\n"
-        "from classprod.product_engine import ensure_pair_masks, exactness_check_count\n"
+        "from classprod.product_engine import _engine_algebra, ensure_pair_masks, exactness_check_count\n"
         "ensure_pair_masks(9, jobs=2)\n"
         "k = len(enumerate_alt_classes(9))\n"
         "print(exactness_check_count(), k * k * (k + 1) // 2)\n"
+        "print(sorted(_engine_algebra(9).pairs.items()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    counted, expected = proc.stdout.split()
+    counts, masks = proc.stdout.splitlines()
+    counted, expected = counts.split()
     assert counted == expected == "3078"
+    # the workers' masks are the serial fill's
+    k = len(enumerate_alt_classes(9))
+    serial = {(i, j): _compute_pair_mask(9, i, j) for i in range(k) for j in range(i, k)}
+    assert masks == str(sorted(serial.items()))
