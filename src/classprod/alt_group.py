@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .errors import UsageError
@@ -76,8 +76,10 @@ class AltClass:
     def n(self) -> int:
         return sum(self.cycle_type)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        # kept in the instance __dict__; eq, hash and the frozen fields
+        # ignore it
         return format_partition(self.cycle_type) + (self.split or "")
 
 

@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 usage error, 2 internal consistency failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .alt_group import (
@@ -80,9 +80,41 @@ def _check_engine_n(n: int) -> None:
     _check_n(n, ENGINE_MAX_N, "the character-sum engine")
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    what payloads hold: str, bool, None, int, and lists, tuples and
+    str-keyed dicts of these.  Anything else raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(isinstance(v, str) for v in value):
+            return "[" + inner + sep.join(map(encode_basestring_ascii, value)) + indent + "]"
+        return "[" + inner + sep.join([_json(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str makes sorted() or the encoder raise TypeError
+        items = sorted(value.items())
+        texts = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in items]
+        return "{" + inner + sep.join(texts) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)

@@ -24,7 +24,6 @@ they differ.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,16 +267,19 @@ def ensure_pair_masks(
         pairs = combinations_with_replacement(range(len(enumerate_alt_classes(n))), 2)
     missing = sorted(set(pairs) - alg.pairs.keys())
     workers = _pool_size(jobs, len(missing), os.cpu_count() or 1)
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _lifted(n)  # built before fork so workers inherit it
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(missing) // (workers * 4))
-        with ctx.Pool(workers) as pool:
-            tasks = pool.imap_unordered(partial(_pair_mask_task, n), missing, chunk)
-            for key, mask, checks in tasks:
-                alg.pairs[key] = mask
-                _EXACTNESS_CHECKS += checks
-        return
+    if workers > 1:
+        import multiprocessing  # only a pool needs it, not every command's start-up
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _lifted(n)  # built before fork so workers inherit it
+            ctx = multiprocessing.get_context("fork")
+            chunk = max(1, len(missing) // (workers * 4))
+            with ctx.Pool(workers) as pool:
+                tasks = pool.imap_unordered(partial(_pair_mask_task, n), missing, chunk)
+                for key, mask, checks in tasks:
+                    alg.pairs[key] = mask
+                    _EXACTNESS_CHECKS += checks
+            return
     for i, j in missing:
         alg.pair(i, j)
 
@@ -365,7 +367,9 @@ def _engine_algebra(n: int) -> ProductAlgebra:
     return ProductAlgebra(n, partial(_compute_pair_mask, n))
 
 
+@lru_cache(maxsize=None)
 def _oracle_algebra(n: int) -> ProductAlgebra:
+    """One oracle algebra per n, like the engine's."""
     from .brute_force import alt_conjugacy_classes, oracle_class_product
 
     table = alt_conjugacy_classes(n)
@@ -565,14 +569,24 @@ def _qualifying_quadruples(n: int, epsilon: Fraction):
     """Class quadruples whose six pairwise size products all reach
     (n!/2)**(1+epsilon), with the least of them: the product of the two
     smallest sizes.  The test is monotone in the product, so that one
-    decides all six."""
+    decides all six.
+
+    The classes are ordered by size; a quadruple is then positions
+    p <= q <= r <= t, and it qualifies iff the pair (p, q) does, so each
+    qualifying pair brings every (r, t) with q <= r <= t untested.
+    """
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
+    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     reaches = _reaches(n, epsilon)
     out = []
-    for quad in combinations_with_replacement(range(len(sizes)), 4):
-        smallest, second = sorted(sizes[i] for i in quad)[:2]
-        if reaches(smallest * second):
-            out.append((quad, smallest * second))
+    for p, q in combinations_with_replacement(range(len(order)), 2):
+        a, b = order[p], order[q]
+        least = sizes[a] * sizes[b]
+        if reaches(least):
+            out.extend(
+                (tuple(sorted((a, b, order[r], order[t]))), least)
+                for r, t in combinations_with_replacement(range(q, len(order)), 2)
+            )
     out.sort(key=lambda item: (-item[1], item[0]))
     return out
 
@@ -596,22 +610,28 @@ def verify_four_class_theorem(
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
     classes = enumerate_alt_classes(n)
+    names = [c.name for c in classes]
     # some quadruple qualifies iff four copies of the largest class do, so
     # the fill is known without the enumeration, which waits for the
-    # oracle's cap check (and runs once per algebra)
+    # oracle's cap check (the first call of ``verdicts``) and serves both
+    # algebras
     largest = max(class_size(c) for c in classes)
     fill = None if _reaches(n, epsilon)(largest * largest) else ()
 
+    @lru_cache(maxsize=None)
+    def qualifying():
+        return _qualifying_quadruples(n, epsilon)
+
     def verdicts(alg: ProductAlgebra) -> tuple[QuadrupleVerdict, ...]:
         rows = []
-        for quad, min_product in _qualifying_quadruples(n, epsilon):
-            mask = alg.chain(quad)
+        for quad, min_product in qualifying():
+            missing = alg.full & ~alg.chain(quad)
             rows.append(
                 QuadrupleVerdict(
-                    tuple(classes[i].name for i in quad),
+                    tuple(names[i] for i in quad),
                     min_product,
-                    mask == alg.full,
-                    tuple(c.name for c in _classes_in(n, alg.full & ~mask)),
+                    not missing,
+                    tuple(names[j] for j in _bit_indices(missing)),
                 )
             )
         return tuple(rows)

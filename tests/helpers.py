@@ -1,7 +1,9 @@
 """Shared exact-arithmetic helpers for the test suite."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 
 def quad_sum(terms) -> Fraction:
@@ -123,3 +125,27 @@ def skew_strip_removals(lam, length):
         height = len({i for i, _ in cells}) - 1
         results.add((mu, height))
     return results
+
+
+def qualifying_quadruples_reference(n: int, epsilons) -> list[list]:
+    """The four-class sweep's quadruples by the direct filter, for each
+    epsilon: every class quadruple whose least pairwise size product (that
+    of its two smallest classes) reaches (n!/2)**(1+epsilon), with that
+    product, in descending product order."""
+    from classprod.alt_group import class_size, enumerate_alt_classes, power_at_least
+
+    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
+    least = []
+    for quad in combinations_with_replacement(range(len(sizes)), 4):
+        smallest, second = sorted(sizes[i] for i in quad)[:2]
+        least.append((quad, smallest * second))
+    order = math.factorial(n) // 2
+    sweeps = []
+    for epsilon in epsilons:
+        reaches = lru_cache(maxsize=None)(
+            lambda p: power_at_least(p, order, 1 + Fraction(epsilon))
+        )
+        out = [(quad, product) for quad, product in least if reaches(product)]
+        out.sort(key=lambda item: (-item[1], item[0]))
+        sweeps.append(out)
+    return sweeps

@@ -179,6 +179,7 @@ def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
     # an oracle that never reaches the class 7+ must make every
     # cross-checked command fail loudly
     import classprod.brute_force as brute_force
+    from classprod.product_engine import _oracle_algebra
 
     dropped = parse_class("7+")
     real = brute_force.oracle_class_product
@@ -186,17 +187,23 @@ def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
         brute_force, "oracle_class_product", lambda *args: real(*args) - {dropped}
     )
     identity = "1,1,1,1,1,1,1"
-    for argv in (
-        ["product", "--a", identity, "--b", "7+"],
-        ["contains", "--a", identity, "--b", "7+", "--g", "7+"],
-        ["covering", "--class", "7+"],
-        ["dvir"],
-        ["excon"],
-        ["verify-theorem", "--epsilon", "1/10"],
-    ):
-        code, out, err = run_cli(capsys, *argv, "--n", "7", "--mode", "both")
-        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
-        assert "engine and oracle" in err, argv
+    # the oracle algebra is cached per n: build it over the patched oracle,
+    # and do not leave that one behind
+    _oracle_algebra.cache_clear()
+    try:
+        for argv in (
+            ["product", "--a", identity, "--b", "7+"],
+            ["contains", "--a", identity, "--b", "7+", "--g", "7+"],
+            ["covering", "--class", "7+"],
+            ["dvir"],
+            ["excon"],
+            ["verify-theorem", "--epsilon", "1/10"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--n", "7", "--mode", "both")
+            assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+            assert "engine and oracle" in err, argv
+    finally:
+        _oracle_algebra.cache_clear()
 
 
 def test_covering_prints_the_same_witnesses_in_every_mode(capsys):
@@ -208,6 +215,45 @@ def test_covering_prints_the_same_witnesses_in_every_mode(capsys):
         outs.add(out)
     assert len(outs) == 1
     assert json.loads(outs.pop())["missing_at_k_minus_1"]
+
+
+def test_covering_both_computes_each_oracle_pair_once(capsys, monkeypatch):
+    # covering_number and missing_classes share the cached oracle algebra
+    import classprod.brute_force as brute_force
+    from classprod.product_engine import _oracle_algebra
+
+    asked = []
+    real = brute_force.oracle_class_product
+
+    def counted(table, a, b):
+        asked.append((a, b))
+        return real(table, a, b)
+
+    monkeypatch.setattr(brute_force, "oracle_class_product", counted)
+    _oracle_algebra.cache_clear()
+    try:
+        argv = ["covering", "--n", "8", "--class", "2,2,2,2", "--max-k", "5", "--mode", "both"]
+        code, _, _ = run_cli(capsys, *argv)
+    finally:
+        _oracle_algebra.cache_clear()
+    assert code == 0
+    assert len(asked) == len(set(asked)) == 9
+
+
+def test_cli_import_leaves_the_pool_the_oracle_and_sympy_unloaded():
+    # every command pays for what importing the CLI loads
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import classprod.cli\n"
+        "unwanted = ('multiprocessing', 'classprod.brute_force', 'sympy')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_capability_errors_exit_3(capsys):

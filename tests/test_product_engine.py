@@ -25,6 +25,7 @@ from classprod.product_engine import (
     _lifted,
     _pair_sums,
     _pool_size,
+    _qualifying_quadruples,
     check_dvir_rodgers,
     contains,
     covering_number,
@@ -36,7 +37,7 @@ from classprod.product_engine import (
     product_set,
     verify_four_class_theorem,
 )
-from helpers import frobenius_reference
+from helpers import frobenius_reference, qualifying_quadruples_reference
 
 
 def test_frobenius_identity_triple():
@@ -368,6 +369,50 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
             verify_four_class_theorem(9, Fraction(1, 10), mode=mode)
+
+
+def test_both_modes_share_one_enumeration(monkeypatch):
+    import classprod.product_engine as engine
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _qualifying_quadruples(*args)
+
+    monkeypatch.setattr(engine, "_qualifying_quadruples", counted)
+    report = verify_four_class_theorem(8, Fraction(1, 20), mode="both")
+    assert report.quadruples and len(calls) == 1
+
+
+SWEEP_EPSILONS = [
+    Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)
+]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_size_order_enumeration_matches_the_direct_filter(n):
+    # empty sweeps included: n = 3, and epsilon = 1 for n >= 3
+    sweeps = qualifying_quadruples_reference(n, SWEEP_EPSILONS)
+    for epsilon, expected in zip(SWEEP_EPSILONS, sweeps):
+        assert _qualifying_quadruples(n, epsilon) == expected, (n, epsilon, len(expected))
+
+
+def test_four_class_sweep_keeps_every_exactness_check():
+    # a fresh interpreter, so that the sweep fills every pair: 24 classes
+    # at n = 10, so 24 * 24 * 25 / 2 sums, one check each
+    import subprocess
+    import sys
+
+    code = (
+        "from fractions import Fraction\n"
+        "from classprod.product_engine import exactness_check_count, verify_four_class_theorem\n"
+        "verify_four_class_theorem(10, Fraction(1, 10))\n"
+        "print(exactness_check_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7200"]
 
 
 def test_engine_rejects_mixed_n():
