@@ -5,6 +5,17 @@ at n <= 8 (20160 elements).  Permutations are tuples of images on the
 points 0..n-1, composed right-to-left: ``compose(p, q)(i) == p(q(i))``.
 The convention matters because split-class membership of products depends
 on it; it is frozen here and used consistently everywhere.
+
+Each permutation is classified from one walk of its cycles: the number of
+cycles gives the parity (odd permutations are dropped there), their sorted
+lengths give the cycle type, and the class is looked up among
+``enumerate_alt_classes(n)``.  For an exceptional type the split tag is
+read off the same cycles.  Laid end to end, longest first, they spell the
+canonical conjugator: position i of the canonical representative (whose
+cycles fill 0..n-1 in order, longest first) goes to the i-th point of
+that sequence.  An even conjugator means the '+' class, an odd one the
+'-' class.  The conjugator is fixed up to the centralizer, which the
+odd-length, hence even, cycles generate, so its sign is well defined.
 """
 
 from __future__ import annotations
@@ -14,15 +25,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, permutations
+from typing import Optional
 
-from .alt_group import (
-    AltClass,
-    NormalSet,
-    enumerate_alt_classes,
-    is_exceptional,
-)
+from .alt_group import AltClass, NormalSet, enumerate_alt_classes
 from .characters import QuadValue, _squarefree_decompose
-from .errors import CapabilityError, ConsistencyError
+from .errors import CapabilityError, ConsistencyError, UsageError
 from .partitions import Partition
 
 Perm = tuple[int, ...]
@@ -39,14 +47,12 @@ def compose(p: Perm, q: Perm) -> Perm:
     """Right-to-left product: apply q first, then p."""
     if len(p) != len(q):
         raise ValueError("permutations act on different point sets")
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, img in enumerate(p):
-        inv[img] = i
-    return tuple(inv)
+    # the point sent to j is the one that sorts to position j by its image
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def cycles(p: Perm) -> list[list[int]]:
@@ -67,14 +73,6 @@ def cycles(p: Perm) -> list[list[int]]:
     return out
 
 
-def cycle_type(p: Perm) -> Partition:
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
-def perm_sign(p: Perm) -> int:
-    return -1 if (len(p) - len(cycles(p))) % 2 else 1
-
-
 def canonical_representative(ct: Partition) -> Perm:
     """The permutation whose cycles fill 0..n-1 in order, longest first.
 
@@ -90,33 +88,36 @@ def canonical_representative(ct: Partition) -> Perm:
     return tuple(images)
 
 
-def split_tag(p: Perm) -> str:
-    """Which split class an exceptional permutation belongs to.
+@lru_cache(maxsize=None)
+def _classes_by_type(n: int) -> dict[Partition, tuple[AltClass, ...]]:
+    """The classes of Alt(n) keyed by cycle type: one class for a type that
+    does not split, the '+' and then the '-' class for one that does."""
+    out: dict[Partition, tuple[AltClass, ...]] = {}
+    for cls in enumerate_alt_classes(n):
+        out[cls.cycle_type] = out.get(cls.cycle_type, ()) + (cls,)
+    return out
 
-    Any conjugator carrying the canonical representative to p differs
-    from any other by an element of the centralizer, which is generated
-    by the (odd-length, hence even) cycles themselves; the conjugator's
-    sign is therefore well defined and decides the class.
-    """
-    ct = cycle_type(p)
-    if not is_exceptional(ct):
-        raise ValueError(f"type {ct} does not split")
-    by_len = {len(c): c for c in cycles(p)}
-    sigma = [0] * len(p)
-    start = 0
-    for length in ct:
-        target = by_len[length]
-        for k in range(length):
-            sigma[start + k] = target[k]
-        start += length
-    return "+" if perm_sign(tuple(sigma)) == 1 else "-"
+
+def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Optional[AltClass]:
+    """The Alt(n) class of p, or None when p is odd, from one walk of p."""
+    cycs = cycles(p)
+    if (len(p) - len(cycs)) % 2:
+        return None
+    cycs.sort(key=len, reverse=True)
+    found = by_type[tuple(map(len, cycs))]
+    if len(found) == 1:
+        return found[0]
+    # exceptional: the lengths are distinct, so the cycles laid end to end
+    # are the canonical conjugator, and its parity picks '+' or '-'
+    sigma = tuple(chain.from_iterable(cycs))
+    return found[(len(sigma) - len(cycles(sigma))) % 2]
 
 
 def classify(p: Perm) -> AltClass:
-    ct = cycle_type(p)
-    if is_exceptional(ct):
-        return AltClass(ct, split_tag(p))
-    return AltClass(ct)
+    cls = _even_class(p, _classes_by_type(len(p)))
+    if cls is None:
+        raise ValueError(f"{p} is odd, not an element of Alt({len(p)})")
+    return cls
 
 
 @dataclass(frozen=True)
@@ -143,23 +144,22 @@ class GroupTable:
 def alt_conjugacy_classes(n: int) -> GroupTable:
     """Enumerate Alt(n) and partition it into conjugacy classes.
 
-    Classification is direct: cycle type, plus the conjugator-sign test
-    for exceptional types.  Capped at n = 8 to bound memory and time.
+    Each permutation is walked once (see the module docstring); members
+    keep the lexicographic order of ``itertools.permutations``.  Capped
+    at n = 8 to bound memory and time.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UsageError("n must be positive")
     if n > ORACLE_MAX_N:
         raise CapabilityError(f"brute-force mode supports n <= {ORACLE_MAX_N}, got {n}")
-    import itertools
-
+    by_type = _classes_by_type(n)
     members: dict[AltClass, list[Perm]] = {c: [] for c in enumerate_alt_classes(n)}
     class_of: dict[Perm, AltClass] = {}
-    for p in itertools.permutations(range(n)):
-        if perm_sign(p) != 1:
-            continue
-        cls = classify(p)
-        members[cls].append(p)
-        class_of[p] = cls
+    for p in permutations(range(n)):
+        cls = _even_class(p, by_type)
+        if cls is not None:
+            members[cls].append(p)
+            class_of[p] = cls
     return GroupTable(
         n,
         enumerate_alt_classes(n),
@@ -181,8 +181,9 @@ def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> i
 def oracle_class_product(table: GroupTable, a: AltClass, b: AltClass) -> frozenset[AltClass]:
     """Classes meeting AB.  One fixed a suffices: AB is normal, so every
     class intersecting AB intersects aB."""
-    rep = table.representative(a)
-    return frozenset(table.class_of[compose(rep, y)] for y in table.members[b])
+    image = table.representative(a).__getitem__
+    class_of = table.class_of
+    return frozenset(class_of[tuple(map(image, y))] for y in table.members[b])
 
 
 def oracle_product_set(table: GroupTable, s: NormalSet, t: NormalSet) -> NormalSet:

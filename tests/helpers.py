@@ -149,3 +149,107 @@ def qualifying_quadruples_reference(n: int, epsilons) -> list[list]:
         out.sort(key=lambda item: (-item[1], item[0]))
         sweeps.append(out)
     return sweeps
+
+
+# ---------------------------------------------------------------------------
+# Reference brute-force classification: one element at a time, several cycle
+# walks each (sign, then cycle type, then the split tag's conjugator).
+# ---------------------------------------------------------------------------
+
+
+def compose_reference(p, q):
+    """Right-to-left product: apply q first, then p."""
+    if len(p) != len(q):
+        raise ValueError("permutations act on different point sets")
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def inverse_reference(p):
+    inv = [0] * len(p)
+    for i, img in enumerate(p):
+        inv[img] = i
+    return tuple(inv)
+
+
+def cycles_reference(p):
+    """Disjoint cycles, each starting at its smallest point, ordered by
+    that point."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = p[x]
+        out.append(cyc)
+    return out
+
+
+def cycle_type(p):
+    return tuple(sorted((len(c) for c in cycles_reference(p)), reverse=True))
+
+
+def perm_sign(p):
+    return -1 if (len(p) - len(cycles_reference(p))) % 2 else 1
+
+
+def split_tag(p):
+    """Which split class an exceptional permutation belongs to: the sign of
+    a conjugator carrying the canonical representative to p."""
+    from classprod.alt_group import is_exceptional
+
+    ct = cycle_type(p)
+    if not is_exceptional(ct):
+        raise ValueError(f"type {ct} does not split")
+    by_len = {len(c): c for c in cycles_reference(p)}
+    sigma = [0] * len(p)
+    start = 0
+    for length in ct:
+        target = by_len[length]
+        for k in range(length):
+            sigma[start + k] = target[k]
+        start += length
+    return "+" if perm_sign(tuple(sigma)) == 1 else "-"
+
+
+def classify_reference(p):
+    from classprod.alt_group import AltClass, is_exceptional
+
+    ct = cycle_type(p)
+    if is_exceptional(ct):
+        return AltClass(ct, split_tag(p))
+    return AltClass(ct)
+
+
+def alt_conjugacy_classes_reference(n: int):
+    """Alt(n) enumerated and classified element by element: sign first,
+    then cycle type and, for exceptional types, the split tag."""
+    import itertools
+
+    from classprod.alt_group import enumerate_alt_classes
+    from classprod.brute_force import GroupTable
+
+    members = {c: [] for c in enumerate_alt_classes(n)}
+    class_of = {}
+    for p in itertools.permutations(range(n)):
+        if perm_sign(p) != 1:
+            continue
+        cls = classify_reference(p)
+        members[cls].append(p)
+        class_of[p] = cls
+    return GroupTable(
+        n,
+        enumerate_alt_classes(n),
+        {c: tuple(ps) for c, ps in members.items()},
+        class_of,
+    )
+
+
+def oracle_class_product_reference(table, a, b):
+    """Classes meeting AB, from one fixed element of A."""
+    rep = table.representative(a)
+    return frozenset(table.class_of[compose_reference(rep, y)] for y in table.members[b])

@@ -14,24 +14,32 @@ from classprod.alt_group import (
     long_cycle_classes,
 )
 from classprod.brute_force import (
+    ORACLE_MAX_N,
     alt_conjugacy_classes,
     canonical_representative,
     classify,
     compose,
-    cycle_type,
     cycles,
     identity,
     inverse,
     oracle_character_table,
+    oracle_class_product,
     oracle_covering_number,
     oracle_pair_count,
     oracle_product_set,
-    perm_sign,
-    split_tag,
 )
 from classprod.characters import QuadValue, character_table, degree
-from classprod.errors import CapabilityError
-from helpers import quad_sum
+from classprod.errors import CapabilityError, UsageError
+from helpers import (
+    alt_conjugacy_classes_reference,
+    compose_reference,
+    cycle_type,
+    inverse_reference,
+    oracle_class_product_reference,
+    perm_sign,
+    quad_sum,
+    split_tag,
+)
 
 
 def from_cycles(n, *cycs):
@@ -52,6 +60,13 @@ def test_compose_convention():
     assert compose(p, q) == from_cycles(5, (0, 1, 2, 3, 4))
 
 
+def test_compose_refuses_mismatched_lengths():
+    with pytest.raises(ValueError):
+        compose((0, 1, 2), (0, 1))
+    with pytest.raises(ValueError):
+        compose((0, 1), (0, 1, 2))
+
+
 def test_compose_is_associative():
     rng = random.Random(7)
     perms = [tuple(rng.sample(range(6), 6)) for _ in range(30)]
@@ -66,6 +81,9 @@ def test_cycles_and_sign():
     assert perm_sign(p) == -1
     assert perm_sign(identity(6)) == 1
     assert [len(c) for c in cycles(p)] == [3, 2, 1]
+    assert classify(from_cycles(6, (0, 1, 2), (3, 4, 5))) == AltClass((3, 3))
+    with pytest.raises(ValueError):
+        classify(p)  # odd
 
 
 def test_canonical_representative():
@@ -83,6 +101,8 @@ def test_split_tag_convention():
     assert split_tag(flipped) == "-"
     with pytest.raises(ValueError):
         split_tag(from_cycles(4, (0, 1), (2, 3)))  # not exceptional
+    assert classify(w) == AltClass((3, 1), "+")
+    assert classify(flipped) == AltClass((3, 1), "-")
 
 
 def test_orbit_sizes_small():
@@ -90,8 +110,8 @@ def test_orbit_sizes_small():
     assert sorted(len(m) for m in alt_conjugacy_classes(5).members.values()) == [1, 12, 12, 15, 20]
 
 
-def test_orbit_sizes_match_class_size_up_to_7():
-    for n in range(1, 8):
+def test_orbit_sizes_match_class_size_up_to_the_cap():
+    for n in range(1, ORACLE_MAX_N + 1):
         table = alt_conjugacy_classes(n)
         assert table.order == max(math.factorial(n) // 2, 1)
         for cls in table.classes:
@@ -116,7 +136,7 @@ def test_classification_respects_conjugacy():
 
 
 def test_classify_matches_canonical_representative():
-    for n in range(2, 8):
+    for n in range(2, ORACLE_MAX_N + 1):
         for cls in enumerate_alt_classes(n):
             if cls.split == "-":
                 continue
@@ -124,9 +144,32 @@ def test_classify_matches_canonical_representative():
             assert classify(rep) == AltClass(cls.cycle_type, cls.split and "+")
 
 
+@pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
+def test_one_walk_enumeration_matches_the_reference(n):
+    # the element-by-element classification (sign, cycle type, split tag),
+    # products through the reference composition
+    table, ref = alt_conjugacy_classes(n), alt_conjugacy_classes_reference(n)
+    assert table.classes == ref.classes
+    assert list(table.members.items()) == list(ref.members.items())
+    assert list(table.class_of.items()) == list(ref.class_of.items())
+    for a in table.classes:
+        rep = table.representative(a)
+        assert inverse(rep) == inverse_reference(rep)
+        for b in table.classes:
+            other = table.representative(b)
+            assert compose(rep, other) == compose_reference(rep, other)
+            assert oracle_class_product(table, a, b) == oracle_class_product_reference(ref, a, b)
+
+
 def test_capability_cap():
     with pytest.raises(CapabilityError):
         alt_conjugacy_classes(9)
+
+
+def test_nonpositive_n_is_a_usage_error():
+    for n in (0, -1):
+        with pytest.raises(UsageError, match="n must be positive"):
+            alt_conjugacy_classes(n)
 
 
 def test_oracle_pair_count_trivial():
@@ -154,7 +197,7 @@ def test_oracle_covering_number_fpf_n8():
 
 
 def test_inverse_class_matches_oracle():
-    for n in range(2, 8):
+    for n in range(2, ORACLE_MAX_N + 1):
         table = alt_conjugacy_classes(n)
         for cls in table.classes:
             rep = table.representative(cls)

@@ -309,6 +309,9 @@ def _catalogue_entry(group, kind, n, mode):
         ("queries", "covering", 13, "engine"),
         ("queries", "contains", 14, "engine"),
         ("crosscheck-n8", "product", 8, "both"),
+        ("crosscheck-n8", "verify-theorem", 8, "both"),
+        ("crosscheck-n8", "dvir", 8, "both"),
+        ("crosscheck-n8", "covering", 8, "both"),
     ],
 )
 def test_stdout_matches_the_recorded_benchmark_digest(capsys, group, kind, n, mode):
