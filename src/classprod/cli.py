@@ -286,31 +286,76 @@ def _cmd_dvir(args) -> int:
     return EXIT_OK
 
 
+# one row of ``_json(report.to_dict())["quadruples"]``, at its indent
+_QUADRUPLE_JSON = (
+    '    {\n      "classes": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
+    '      "covered": %s,\n      "min_pair_product": %d,\n      "missing": %s\n    }'
+)
+_ROWS_PER_WRITE = 2048
+
+
+def _masked(names: list[str], mask: int) -> list[str]:
+    """The names of the classes in a class bitmask, in canonical order."""
+    return [name for j, name in enumerate(names) if mask >> j & 1]
+
+
+def _write_four_class_json(report) -> None:
+    """Write ``_json(report.to_dict())`` and a newline without building the
+    dict: each class name is encoded once, each row fills one template,
+    and the text goes to stdout a bounded number of rows at a time."""
+    names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
+    # (covered, missing) text per missing-class mask; few masks recur
+    verdicts = {0: ("true", "[]")}
+
+    def verdict(mask: int) -> tuple[str, str]:
+        if mask not in verdicts:
+            missing = ",\n        ".join(_masked(names, mask))
+            verdicts[mask] = ("false", "[\n        " + missing + "\n      ]")
+        return verdicts[mask]
+
+    write = sys.stdout.write
+    rows = report.rows
+    write(
+        f'{{\n  "covered": {report.covered_count},\n'
+        f'  "epsilon": {encode_basestring_ascii(str(report.epsilon))},\n'
+        f'  "mode": {encode_basestring_ascii(report.mode)},\n'
+        f'  "n": {report.n},\n  "quadruples": ' + ("[\n" if rows else "[]")
+    )
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        texts = []
+        for (a, b, c, d), least, mask in rows[start : start + _ROWS_PER_WRITE]:
+            covered, missing = verdict(mask)
+            texts.append(
+                _QUADRUPLE_JSON % (names[a], names[b], names[c], names[d], covered, least, missing)
+            )
+        write((",\n" if start else "") + ",\n".join(texts))
+    write(("\n  ]" if rows else "") + f',\n  "total": {len(rows)}\n}}\n')
+
+
 def _cmd_verify_theorem(args) -> int:
     _check_engine_n(args.n)
     report = verify_four_class_theorem(
         args.n, _parse_fraction(args.epsilon), jobs=args.jobs, mode=args.mode
     )
-    total = len(report.quadruples)
-    lines = [
+    if args.format == "json":
+        _write_four_class_json(report)
+        return EXIT_OK
+    names = [c.name for c in enumerate_alt_classes(report.n)]
+    print(
         f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
-        f"{report.covered_count}/{total} qualifying quadruples cover Alt({report.n})"
-    ]
+        f"{report.covered_count}/{len(report.rows)} qualifying quadruples cover Alt({report.n})"
+    )
     shown = 0
-    for q in report.quadruples:
-        if not q.covered:
-            lines.append(
-                f"NOT COVERED: {' * '.join(q.classes)} misses {', '.join(q.missing)}"
-            )
+    for quad, least, mask in report.rows:
+        if mask:
+            missing = ", ".join(_masked(names, mask))
+            print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
         elif shown < args.show:
-            lines.append(
-                f"covered: {' * '.join(q.classes)} (min pair product {q.min_pair_product})"
-            )
+            print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
             shown += 1
     omitted = report.covered_count - shown
     if omitted > 0:
-        lines.append(f"... {omitted} further covered quadruples omitted (use --format json)")
-    _emit(args, report.to_dict(), lines)
+        print(f"... {omitted} further covered quadruples omitted (use --format json)")
     return EXIT_OK
 
 

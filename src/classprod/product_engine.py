@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, islice
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .alt_group import (
     AltClass,
@@ -520,8 +520,7 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
     return DvirRodgersReport(n, len(qualifying), found)
 
 
-@dataclass(frozen=True)
-class QuadrupleVerdict:
+class QuadrupleVerdict(NamedTuple):
     classes: tuple[str, str, str, str]
     min_pair_product: int
     covered: bool
@@ -538,21 +537,44 @@ class QuadrupleVerdict:
 
 @dataclass(frozen=True)
 class FourClassReport:
+    """The four-class sweep: one row per qualifying quadruple, as its class
+    indices (canonical order), its least pairwise size product and the
+    mask of the classes its product misses (0: it covers Alt(n))."""
+
     n: int
     epsilon: Fraction
     mode: str
-    quadruples: tuple[QuadrupleVerdict, ...]
+    rows: tuple[tuple[tuple[int, int, int, int], int, int], ...]
+    covered_count: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        covered = sum(1 for _, _, missing in self.rows if not missing)
+        object.__setattr__(self, "covered_count", covered)
 
     @property
-    def covered_count(self) -> int:
-        return sum(1 for q in self.quadruples if q.covered)
+    def quadruples(self) -> tuple[QuadrupleVerdict, ...]:
+        """The rows with class names, built on each access."""
+        names = [c.name for c in enumerate_alt_classes(self.n)]
+        named: dict[int, tuple[str, ...]] = {}  # per missing mask; few recur
+
+        def missing_names(mask: int) -> tuple[str, ...]:
+            if mask not in named:
+                named[mask] = tuple(names[j] for j in _bit_indices(mask))
+            return named[mask]
+
+        return tuple(
+            QuadrupleVerdict(
+                (names[a], names[b], names[c], names[d]), least, not mask, missing_names(mask)
+            )
+            for (a, b, c, d), least, mask in self.rows
+        )
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "epsilon": str(self.epsilon),
             "mode": self.mode,
-            "total": len(self.quadruples),
+            "total": len(self.rows),
             "covered": self.covered_count,
             "quadruples": [q.to_dict() for q in self.quadruples],
         }
@@ -610,7 +632,6 @@ def verify_four_class_theorem(
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
     classes = enumerate_alt_classes(n)
-    names = [c.name for c in classes]
     # some quadruple qualifies iff four copies of the largest class do, so
     # the fill is known without the enumeration, which waits for the
     # oracle's cap check (the first call of ``verdicts``) and serves both
@@ -622,19 +643,9 @@ def verify_four_class_theorem(
     def qualifying():
         return _qualifying_quadruples(n, epsilon)
 
-    def verdicts(alg: ProductAlgebra) -> tuple[QuadrupleVerdict, ...]:
-        rows = []
-        for quad, min_product in qualifying():
-            missing = alg.full & ~alg.chain(quad)
-            rows.append(
-                QuadrupleVerdict(
-                    tuple(names[i] for i in quad),
-                    min_product,
-                    not missing,
-                    tuple(names[j] for j in _bit_indices(missing)),
-                )
-            )
-        return tuple(rows)
+    def verdicts(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        full, chain = alg.full, alg.chain
+        return tuple((quad, least, full & ~chain(quad)) for quad, least in qualifying())
 
     rows = _cross_checked(n, mode, "four-class sweeps", verdicts, fill, jobs)
     return FourClassReport(n, epsilon, mode, rows)

@@ -127,6 +127,13 @@ def skew_strip_removals(lam, length):
     return results
 
 
+# the four-class sweep's epsilons in tests: with n = 2..12 they give empty
+# sweeps (n = 3, and epsilon = 1 for n >= 3) and n = 11's uncovered quadruple
+SWEEP_EPSILONS = [
+    Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)
+]
+
+
 def qualifying_quadruples_reference(n: int, epsilons) -> list[list]:
     """The four-class sweep's quadruples by the direct filter, for each
     epsilon: every class quadruple whose least pairwise size product (that

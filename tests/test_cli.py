@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from classprod.alt_group import enumerate_alt_classes, parse_class
 from classprod.characters import parse_char
 from classprod.cli import main
+from classprod.product_engine import verify_four_class_theorem
+from helpers import SWEEP_EPSILONS
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +141,57 @@ def test_verify_theorem_deterministic(capsys):
     assert payload["total"] == payload["covered"] + sum(
         1 for q in payload["quadruples"] if not q["covered"]
     )
+
+
+def _assert_same_text(out: str, expected: str, what) -> None:
+    """Equal texts; a mismatch names its first differing line (pytest's own
+    diff of megabytes of text would run for minutes)."""
+    if out != expected:
+        got, want = out.splitlines(), expected.splitlines()
+        i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(want))
+        pytest.fail(f"{what}: line {i + 1} is {got[i:i + 1]}, expected {want[i:i + 1]}")
+
+
+@pytest.mark.parametrize(
+    "n, mode, epsilons",
+    [pytest.param(n, "engine", SWEEP_EPSILONS, id=f"{n}-engine") for n in range(2, 13)]
+    + [pytest.param(8, mode, [Fraction(1, 10)], id=f"8-{mode}") for mode in ("oracle", "both")],
+)
+def test_four_class_json_matches_the_stdlib_encoder(capsys, n, mode, epsilons):
+    # the CLI writes this payload row by row, without report.to_dict()
+    for epsilon in epsilons:
+        report = verify_four_class_theorem(n, epsilon, mode=mode)
+        code, out, _ = run_cli(
+            capsys, "verify-theorem", "--n", str(n), "--epsilon", str(epsilon),
+            "--mode", mode, "--format", "json",
+        )
+        assert code == 0
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        _assert_same_text(out, expected, (n, mode, epsilon))
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["--n", "11", "--epsilon", "1/10", "--show", "0"],
+            "f7e8ac64fd38b3355de0576d72c4de518ef9a0a75ace1aad166a6fe32e328ce7",
+        ),
+        (
+            ["--n", "11", "--epsilon", "1/10", "--show", "3"],
+            "6c03dc7181e507fb608bde74a06f2c2ecfb7ea12197dba3969c0488d2c92769c",
+        ),
+        (
+            ["--n", "8", "--epsilon", "1/20", "--mode", "both"],
+            "2a3d2f61d8c1572fe0794ef41991c68ac28e48828d93494d12e72950fef9e6ad",
+        ),
+    ],
+)
+def test_four_class_text_is_unchanged(capsys, argv, sha256):
+    # digests of the text printed when the report was a tuple of verdicts
+    code, out, _ = run_cli(capsys, "verify-theorem", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from classprod.characters import QuadValue, character_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.product_engine import (
     ProductAlgebra,
+    QuadrupleVerdict,
     _counted,
     _lift,
     _lifted,
@@ -37,7 +39,7 @@ from classprod.product_engine import (
     product_set,
     verify_four_class_theorem,
 )
-from helpers import frobenius_reference, qualifying_quadruples_reference
+from helpers import SWEEP_EPSILONS, frobenius_reference, qualifying_quadruples_reference
 
 
 def test_frobenius_identity_triple():
@@ -258,6 +260,25 @@ def test_four_class_sweep_small_is_deterministic():
     assert mins == sorted(mins, reverse=True)
 
 
+def test_four_class_report_names_its_rows_and_compares_by_value():
+    report = verify_four_class_theorem(11, Fraction(1, 10))
+    five, cover = AltClass((5, 1, 1, 1, 1, 1, 1)), AltClass((3, 2, 2, 2, 2))
+    assert [q for q in report.quadruples if not q.covered] == [
+        QuadrupleVerdict(
+            (five.name,) * 3 + (cover.name,),
+            class_size(five) ** 2,
+            False,
+            (identity_class(11).name,),
+        )
+    ]
+    assert report.covered_count == len(report.quadruples) - 1
+    assert verify_four_class_theorem(11, Fraction(1, 10)) == report
+    quad, least, missing = report.rows[0]
+    changed = replace(report, rows=((quad, least, missing | 1),) + report.rows[1:])
+    assert changed != report
+    assert changed.covered_count == report.covered_count - 1
+
+
 def test_four_class_sweep_huge_epsilon_is_empty():
     report = verify_four_class_theorem(7, Fraction(5))
     assert report.quadruples == ()
@@ -270,8 +291,6 @@ def test_four_class_sweep_matches_oracle_n7():
 
 def _table_with(n, i, j, value):
     """character_table(n) with entry (i, j) replaced."""
-    from dataclasses import replace
-
     tbl = character_table(n)
     values = [list(row) for row in tbl.values]
     values[i][j] = value
@@ -383,11 +402,6 @@ def test_both_modes_share_one_enumeration(monkeypatch):
     monkeypatch.setattr(engine, "_qualifying_quadruples", counted)
     report = verify_four_class_theorem(8, Fraction(1, 20), mode="both")
     assert report.quadruples and len(calls) == 1
-
-
-SWEEP_EPSILONS = [
-    Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)
-]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
