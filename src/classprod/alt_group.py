@@ -11,14 +11,14 @@ cycles fill the points in order, longest cycle first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import UsageError
 from .partitions import (
     Partition,
+    TaggedLabel,
     enumerate_partitions,
     format_partition,
     parse_tagged_partition,
@@ -50,27 +50,35 @@ def centralizer_order_sym(rho: Partition) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class AltClass:
-    """A conjugacy class of Alt(n): an even cycle type, plus a split tag
-    when (and only when) the type is exceptional."""
+def _refuse_assignment(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
 
+
+class _AltClassFields(NamedTuple):
     cycle_type: Partition
     split: Optional[str] = None
 
-    def __post_init__(self):
-        ct = validate_partition(self.cycle_type)
-        object.__setattr__(self, "cycle_type", ct)
+
+class AltClass(TaggedLabel, _AltClassFields):
+    """A conjugacy class of Alt(n): an even cycle type, plus a split tag
+    when (and only when) the type is exceptional."""
+
+    def __new__(cls, cycle_type: Iterable[int], split: Optional[str] = None):
+        ct = validate_partition(cycle_type)
         if not is_even_type(ct):
             raise ValueError(f"cycle type {ct} is odd, not a class of Alt(n)")
         if is_exceptional(ct):
-            if self.split not in ("+", "-"):
+            if split not in ("+", "-"):
                 raise ValueError(
                     f"exceptional type {ct} requires a '+'/'-' tag "
                     "(a bare name denotes the union of both classes)"
                 )
-        elif self.split is not None:
+        elif split is not None:
             raise ValueError(f"type {ct} does not split")
+        return super().__new__(cls, ct, split)
+
+    # the instance __dict__ holds only the cached name
+    __setattr__ = __delattr__ = _refuse_assignment
 
     @property
     def n(self) -> int:
@@ -78,8 +86,7 @@ class AltClass:
 
     @cached_property
     def name(self) -> str:
-        # kept in the instance __dict__; eq, hash and the frozen fields
-        # ignore it
+        # kept in the instance __dict__, outside the tuple's fields
         return format_partition(self.cycle_type) + (self.split or "")
 
 
@@ -176,17 +183,37 @@ def long_cycle_classes(n: int) -> tuple[AltClass, AltClass]:
     return (AltClass(ct, "+"), AltClass(ct, "-"))
 
 
-@dataclass(frozen=True)
 class NormalSet:
-    """A union of Alt(n) conjugacy classes (possibly empty)."""
+    """A union of Alt(n) conjugacy classes (possibly empty); immutable,
+    equal to a NormalSet of the same n and classes."""
+
+    __slots__ = ("n", "classes")
 
     n: int
     classes: frozenset[AltClass]
 
-    def __post_init__(self):
-        for cls in self.classes:
-            if cls.n != self.n:
-                raise UsageError(f"class {cls.name} is not a class of Alt({self.n})")
+    def __init__(self, n: int, classes: frozenset[AltClass]):
+        for cls in classes:
+            if cls.n != n:
+                raise UsageError(f"class {cls.name} is not a class of Alt({n})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __reduce__(self):
+        return NormalSet, (self.n, self.classes)
+
+    def __repr__(self):
+        return f"NormalSet(n={self.n!r}, classes={self.classes!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalSet):
+            return NotImplemented
+        return (self.n, self.classes) == (other.n, other.classes)
+
+    def __hash__(self):
+        return hash((self.n, self.classes))
 
     @staticmethod
     def of(classes: Iterable[AltClass], n: Optional[int] = None) -> "NormalSet":
@@ -238,8 +265,7 @@ def power_at_least(value: int, base: int, exponent: Fraction) -> bool:
     return value**exponent.denominator >= base**exponent.numerator
 
 
-@dataclass(frozen=True)
-class DeltaBoundRow:
+class DeltaBoundRow(NamedTuple):
     cls: AltClass
     size: int
     delta: int
@@ -256,8 +282,7 @@ class DeltaBoundRow:
         }
 
 
-@dataclass(frozen=True)
-class DeltaBoundReport:
+class DeltaBoundReport(NamedTuple):
     n: int
     gamma: Fraction
     rows: tuple[DeltaBoundRow, ...]

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .alt_group import AltClass, NormalSet, enumerate_alt_classes
 from .characters import QuadValue, _squarefree_decompose
@@ -120,8 +119,7 @@ def classify(p: Perm) -> AltClass:
     return cls
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     """Alt(n) fully enumerated: every even permutation and its class."""
 
     n: int

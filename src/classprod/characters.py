@@ -12,13 +12,13 @@ downstream membership test is an exact zero-test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .partitions import (
     Partition,
+    TaggedLabel,
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
@@ -246,8 +246,12 @@ def degree(lam: Partition) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class AltChar:
+class _AltCharFields(NamedTuple):
+    partition: Partition
+    split: Optional[str] = None
+
+
+class AltChar(TaggedLabel, _AltCharFields):
     """An irreducible character of Alt(n).
 
     ``partition`` is the canonical label: the lexicographically smaller
@@ -255,26 +259,26 @@ class AltChar:
     self-adjoint labels (n >= 2), which restrict as a pair of characters.
     """
 
-    partition: Partition
-    split: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = validate_partition(self.partition)
-        object.__setattr__(self, "partition", parts)
+    def __new__(cls, partition: Iterable[int], split: Optional[str] = None):
+        parts = validate_partition(partition)
         lam = validate_alt_char_label(parts)
         if lam != parts:
             raise ValueError(
                 f"{parts} is not the canonical label; use {lam} "
                 "(or the alt_char_for factory)"
             )
-        self_adj = is_self_adjoint(self.partition) and sum(self.partition) >= 2
+        self_adj = is_self_adjoint(parts) and sum(parts) >= 2
         if self_adj:
-            if self.split not in ("+", "-"):
+            if split not in ("+", "-"):
                 raise ValueError(
-                    f"self-adjoint label {self.partition} needs a '+'/'-' tag"
+                    f"self-adjoint label {parts} needs a '+'/'-' tag"
                 )
-        elif self.split is not None:
-            raise ValueError(f"label {self.partition} does not split")
+        elif split is not None:
+            raise ValueError(f"label {parts} does not split")
+        return super().__new__(cls, parts, split)
+
 
     @property
     def n(self) -> int:
@@ -362,8 +366,7 @@ def alt_value(psi: AltChar, cls: "AltClass") -> QuadValue:
     return (QuadValue(chi) + root) * Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """The full character table of Alt(n) with exact entries.
 
     ``values[i][j]`` is ``chars[i]`` evaluated on ``classes[j]``; rows and

@@ -341,9 +341,10 @@ def _cmd_verify_theorem(args) -> int:
         _write_four_class_json(report)
         return EXIT_OK
     names = [c.name for c in enumerate_alt_classes(report.n)]
+    covered = report.covered_count
     print(
         f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
-        f"{report.covered_count}/{len(report.rows)} qualifying quadruples cover Alt({report.n})"
+        f"{covered}/{len(report.rows)} qualifying quadruples cover Alt({report.n})"
     )
     shown = 0
     for quad, least, mask in report.rows:
@@ -353,7 +354,7 @@ def _cmd_verify_theorem(args) -> int:
         elif shown < args.show:
             print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
             shown += 1
-    omitted = report.covered_count - shown
+    omitted = covered - shown
     if omitted > 0:
         print(f"... {omitted} further covered quadruples omitted (use --format json)")
     return EXIT_OK

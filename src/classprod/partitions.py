@@ -9,9 +9,8 @@ output and test fixtures are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, UsageError
 
@@ -59,6 +58,30 @@ def parse_tagged_partition(text: str) -> tuple[Partition, Optional[str]]:
     return parse_partition(text), split
 
 
+class TaggedLabel:
+    """Base for the NamedTuple records of a partition and a split tag, the
+    Alt(n) classes and characters, whose constructors check their fields.
+
+    ``_replace`` builds through the constructor, so a derived value is
+    checked too, and a value equals only a value of its own type: not a
+    plain tuple, nor a class whose fields equal a character's.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 
@@ -74,8 +97,7 @@ def is_self_adjoint(lam: Partition) -> bool:
     return lam == conjugate(lam)
 
 
-@dataclass(frozen=True)
-class HookInfo:
+class HookInfo(NamedTuple):
     """One cell of a Young diagram together with its hook data.
 
     ``arm`` counts cells strictly to the right in the same row, ``leg``
@@ -149,8 +171,7 @@ def find_l_hook(lam: Partition, length: int) -> Optional[HookInfo]:
     return matches[0]
 
 
-@dataclass(frozen=True)
-class StripRemoval:
+class StripRemoval(NamedTuple):
     """Result of removing one border strip: what is left, and the strip's
     height (rows spanned minus one)."""
 

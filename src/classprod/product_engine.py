@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, islice
@@ -61,8 +60,7 @@ def exactness_check_count() -> int:
     return _EXACTNESS_CHECKS
 
 
-@dataclass(frozen=True)
-class FrobeniusResult:
+class FrobeniusResult(NamedTuple):
     class_triple: tuple[AltClass, AltClass, AltClass]
     sum_value: Fraction
     pair_count: int
@@ -76,8 +74,7 @@ def _check_same_n(*classes: AltClass) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class _RadicandRows:
+class _RadicandRows(NamedTuple):
     """The characters whose irrational values lie over one sqrt(d)."""
 
     d: int
@@ -87,8 +84,7 @@ class _RadicandRows:
     support: tuple[int, ...]  # the classes g where one of these rows is irrational
 
 
-@dataclass(frozen=True)
-class _Lifted:
+class _Lifted(NamedTuple):
     """An Alt(n) character table lifted to integers for the hot loop.
 
     Entry (i, j) is (p + q*sqrt(d_i))/2 with integers p and q and one
@@ -449,8 +445,7 @@ def dvir_rodgers_applies(a: AltClass, b: AltClass) -> bool:
     return delta(a) + delta(b) > bound
 
 
-@dataclass(frozen=True)
-class DvirRodgersReport:
+class DvirRodgersReport(NamedTuple):
     n: int
     pairs_checked: int
     violations: tuple[tuple[str, str, str], ...]
@@ -526,17 +521,8 @@ class QuadrupleVerdict(NamedTuple):
     covered: bool
     missing: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "min_pair_product": self.min_pair_product,
-            "covered": self.covered,
-            "missing": list(self.missing),
-        }
 
-
-@dataclass(frozen=True)
-class FourClassReport:
+class FourClassReport(NamedTuple):
     """The four-class sweep: one row per qualifying quadruple, as its class
     indices (canonical order), its least pairwise size product and the
     mask of the classes its product misses (0: it covers Alt(n))."""
@@ -545,23 +531,16 @@ class FourClassReport:
     epsilon: Fraction
     mode: str
     rows: tuple[tuple[tuple[int, int, int, int], int, int], ...]
-    covered_count: int = field(init=False, compare=False)
 
-    def __post_init__(self):
-        covered = sum(1 for _, _, missing in self.rows if not missing)
-        object.__setattr__(self, "covered_count", covered)
+    @property
+    def covered_count(self) -> int:
+        """The rows whose product covers Alt(n), counted on each access."""
+        return sum(1 for _, _, missing in self.rows if not missing)
 
     @property
     def quadruples(self) -> tuple[QuadrupleVerdict, ...]:
         """The rows with class names, built on each access."""
-        names = [c.name for c in enumerate_alt_classes(self.n)]
-        named: dict[int, tuple[str, ...]] = {}  # per missing mask; few recur
-
-        def missing_names(mask: int) -> tuple[str, ...]:
-            if mask not in named:
-                named[mask] = tuple(names[j] for j in _bit_indices(mask))
-            return named[mask]
-
+        names, missing_names = _row_names(self.n)
         return tuple(
             QuadrupleVerdict(
                 (names[a], names[b], names[c], names[d]), least, not mask, missing_names(mask)
@@ -570,14 +549,37 @@ class FourClassReport:
         )
 
     def to_dict(self) -> dict:
+        names, missing_names = _row_names(self.n)
         return {
             "n": self.n,
             "epsilon": str(self.epsilon),
             "mode": self.mode,
             "total": len(self.rows),
             "covered": self.covered_count,
-            "quadruples": [q.to_dict() for q in self.quadruples],
+            "quadruples": [
+                {
+                    "classes": [names[a], names[b], names[c], names[d]],
+                    "min_pair_product": least,
+                    "covered": not mask,
+                    "missing": list(missing_names(mask)),
+                }
+                for (a, b, c, d), least, mask in self.rows
+            ],
         }
+
+
+def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
+    """The class names of Alt(n) in canonical order, and the names of the
+    classes in a mask, named once per mask (few recur in a sweep)."""
+    names = [c.name for c in enumerate_alt_classes(n)]
+    named: dict[int, tuple[str, ...]] = {}
+
+    def missing_names(mask: int) -> tuple[str, ...]:
+        if mask not in named:
+            named[mask] = tuple(names[j] for j in _bit_indices(mask))
+        return named[mask]
+
+    return names, missing_names
 
 
 def _reaches(n: int, epsilon: Fraction) -> Callable[[int], bool]:
@@ -651,8 +653,7 @@ def verify_four_class_theorem(
     return FourClassReport(n, epsilon, mode, rows)
 
 
-@dataclass(frozen=True)
-class ProductCheckCase:
+class ProductCheckCase(NamedTuple):
     classes: tuple[str, ...]
     passed: bool
     missing: tuple[str, ...]
@@ -665,8 +666,7 @@ class ProductCheckCase:
         }
 
 
-@dataclass(frozen=True)
-class ProductCheckPart:
+class ProductCheckPart(NamedTuple):
     part: int
     statement: str
     cases: tuple[ProductCheckCase, ...]
@@ -684,8 +684,7 @@ class ProductCheckPart:
         }
 
 
-@dataclass(frozen=True)
-class LongCycleProductReport:
+class LongCycleProductReport(NamedTuple):
     n: int
     parts: tuple[ProductCheckPart, ...]
 

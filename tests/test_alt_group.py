@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,10 @@ from classprod.alt_group import (
     parse_class_or_union,
     power_at_least,
 )
-from classprod.characters import alt_irreducibles
+from classprod.characters import AltChar, alt_irreducibles, character_table
 from classprod.errors import UsageError
 from classprod.partitions import enumerate_partitions
+from classprod.product_engine import verify_four_class_theorem
 
 
 def double_factorial(n):
@@ -152,6 +154,52 @@ def test_normal_set_basics():
     assert len(NormalSet.of([], n=5)) == 0
     with pytest.raises(ValueError):
         NormalSet.of([classes[0], enumerate_alt_classes(6)[0]])
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: AltClass((5,), "+"), ("cycle_type", "split", "n", "name")),
+        (lambda: AltChar((2, 2), "+"), ("partition", "split", "n", "name")),
+        (lambda: NormalSet.of(long_cycle_classes(5)), ("n", "classes")),
+        (lambda: character_table.__wrapped__(5), ("values", "order")),
+        (lambda: verify_four_class_theorem(7, Fraction(1, 10)), ("rows", "covered_count")),
+    ],
+    ids=["AltClass", "AltChar", "NormalSet", "CharacterTable", "FourClassReport"],
+)
+def test_records_are_immutable_values(make, fields):
+    value, again = make(), make()
+    assert value is not again
+    for field in fields:
+        getattr(value, field)  # a cached name is computed before pickling
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert value == again and hash(value) == hash(again)
+    assert not value != again
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_class_and_character_records_are_distinct_types():
+    identity, trivial = AltClass((1, 1, 1)), AltChar((1, 1, 1))
+    assert tuple(identity) == tuple(trivial) == ((1, 1, 1), None)
+    assert identity != trivial and trivial != identity
+    assert identity != ((1, 1, 1), None) and ((1, 1, 1), None) != identity
+    assert trivial != ((1, 1, 1), None)
+    assert len({identity, trivial, ((1, 1, 1), None)}) == 3
+    # a derived value goes through the same checks as a new one
+    assert AltClass((5,), "+")._replace(split="-") == AltClass((5,), "-")
+    with pytest.raises(ValueError):
+        AltClass((3, 1, 1))._replace(split="+")
+    with pytest.raises(ValueError):
+        AltChar((2, 2), "+")._replace(split=None)
+
+
+def test_record_reprs_are_unchanged():
+    assert repr(AltClass((3, 1, 1))) == "AltClass(cycle_type=(3, 1, 1), split=None)"
+    assert repr(NormalSet.of([AltClass((3, 1, 1))])) == (
+        "NormalSet(n=5, classes=frozenset({AltClass(cycle_type=(3, 1, 1), split=None)}))"
+    )
+    assert repr(NormalSet.of([], n=5)) == "NormalSet(n=5, classes=frozenset())"
 
 
 def test_power_at_least():

@@ -310,6 +310,28 @@ def test_cli_import_leaves_the_pool_the_oracle_and_sympy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_commands_run_without_importing_dataclasses():
+    # the records are NamedTuples: no command pays for dataclasses (and the
+    # inspect, ast and tokenize it imports), and the engine needs no oracle
+    import subprocess
+    import sys
+
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "def loaded(*argv):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0\n"
+        "    return [m for m in ('dataclasses', 'classprod.brute_force') if m in sys.modules]\n"
+        "print(loaded('product', '--n', '9', '--a', '9+', '--b', '3,3,3', '--mode', 'engine'))\n"
+        "print(loaded('covering', '--n', '6', '--class', '3,3', '--mode', 'both'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['classprod.brute_force']"]
+
+
 def test_capability_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "covering", "--n", "9", "--class", "9+", "--mode", "oracle")
     assert code == 3 and "n <= 8" in err
@@ -360,6 +382,9 @@ def _catalogue_entry(group, kind, n, mode):
     "group, kind, n, mode",
     [
         ("four-class-n10", "verify-theorem", 10, None),
+        ("queries", "classes", 14, None),
+        ("queries", "char-value", 14, None),
+        ("queries", "product", 14, "engine"),
         ("queries", "covering", 13, "engine"),
         ("queries", "contains", 14, "engine"),
         ("crosscheck-n8", "product", 8, "both"),

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -274,7 +273,7 @@ def test_four_class_report_names_its_rows_and_compares_by_value():
     assert report.covered_count == len(report.quadruples) - 1
     assert verify_four_class_theorem(11, Fraction(1, 10)) == report
     quad, least, missing = report.rows[0]
-    changed = replace(report, rows=((quad, least, missing | 1),) + report.rows[1:])
+    changed = report._replace(rows=((quad, least, missing | 1),) + report.rows[1:])
     assert changed != report
     assert changed.covered_count == report.covered_count - 1
 
@@ -294,7 +293,7 @@ def _table_with(n, i, j, value):
     tbl = character_table(n)
     values = [list(row) for row in tbl.values]
     values[i][j] = value
-    return replace(tbl, values=tuple(map(tuple, values)))
+    return tbl._replace(values=tuple(map(tuple, values)))
 
 
 def test_exactness_guards():
