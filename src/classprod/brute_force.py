@@ -1,41 +1,53 @@
 """Ground-truth oracle: explicit permutation arithmetic for small n.
 
-Everything here works by exhaustive enumeration over Alt(n) and is capped
-at n <= 8 (20160 elements).  Permutations are tuples of images on the
+Everything here works by explicit permutations and is capped at n <= 8
+(Alt(8) has 20160 elements).  Permutations are tuples of images on the
 points 0..n-1, composed right-to-left: ``compose(p, q)(i) == p(q(i))``.
 The convention matters because split-class membership of products depends
 on it; it is frozen here and used consistently everywhere.
 
-Each permutation is classified from one walk of its cycles: the number of
-cycles gives the parity (odd permutations are dropped there), their sorted
-lengths give the cycle type, and the class is looked up among
-``enumerate_alt_classes(n)``.  For an exceptional type the split tag is
-read off the same cycles.  Laid end to end, longest first, they spell the
-canonical conjugator: position i of the canonical representative (whose
-cycles fill 0..n-1 in order, longest first) goes to the i-th point of
-that sequence.  An even conjugator means the '+' class, an odd one the
-'-' class.  The conjugator is fixed up to the centralizer, which the
-odd-length, hence even, cycles generate, so its sign is well defined.
+A class product is computed from the members of one class only:
+``class_members`` conjugates a representative by two generators of
+Alt(n) until the orbit closes, and insists that the orbit has the size
+``class_size`` predicts.  Each orbit files its members in one memo from
+permutation to class, which classifies later products by lookup.
+
+A permutation the memo does not know is classified from one walk of its
+cycles: the number of cycles gives the parity (odd permutations are
+dropped there), their sorted lengths give the cycle type, and the class
+is looked up among ``enumerate_alt_classes(n)``.  For an exceptional type
+the split tag is read off the same cycles.  Laid end to end, longest
+first, they spell the canonical conjugator: position i of the canonical
+representative (whose cycles fill 0..n-1 in order, longest first) goes to
+the i-th point of that sequence.  An even conjugator means the '+' class,
+an odd one the '-' class.  The conjugator is fixed up to the centralizer,
+which the odd-length, hence even, cycles generate, so its sign is well
+defined.  ``alt_conjugacy_classes`` walks every permutation this way to
+enumerate the whole group, for pair counts and for the tests.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .alt_group import AltClass, NormalSet, enumerate_alt_classes
-from .characters import QuadValue, _squarefree_decompose
+from .alt_group import AltClass, NormalSet, class_size, enumerate_alt_classes
 from .errors import CapabilityError, ConsistencyError, UsageError
 from .partitions import Partition
 
 Perm = tuple[int, ...]
 
 ORACLE_MAX_N = 8
-TABLE_MAX_N = 7
+
+
+def check_oracle_n(n: int) -> None:
+    """Refuse an n the oracle does not serve."""
+    if n < 1:
+        raise UsageError("n must be positive")
+    if n > ORACLE_MAX_N:
+        raise CapabilityError(f"brute-force mode supports n <= {ORACLE_MAX_N}, got {n}")
 
 
 def identity(n: int) -> Perm:
@@ -146,10 +158,7 @@ def alt_conjugacy_classes(n: int) -> GroupTable:
     keep the lexicographic order of ``itertools.permutations``.  Capped
     at n = 8 to bound memory and time.
     """
-    if n < 1:
-        raise UsageError("n must be positive")
-    if n > ORACLE_MAX_N:
-        raise CapabilityError(f"brute-force mode supports n <= {ORACLE_MAX_N}, got {n}")
+    check_oracle_n(n)
     by_type = _classes_by_type(n)
     members: dict[AltClass, list[Perm]] = {c: [] for c in enumerate_alt_classes(n)}
     class_of: dict[Perm, AltClass] = {}
@@ -176,19 +185,80 @@ def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> i
     return count
 
 
-def oracle_class_product(table: GroupTable, a: AltClass, b: AltClass) -> frozenset[AltClass]:
-    """Classes meeting AB.  One fixed a suffices: AB is normal, so every
-    class intersecting AB intersects aB."""
-    image = table.representative(a).__getitem__
-    class_of = table.class_of
-    return frozenset(class_of[tuple(map(image, y))] for y in table.members[b])
+def _alt_generators(n: int) -> tuple[Perm, ...]:
+    """(0 1 2) and the n-cycle (n odd) or the (n-1)-cycle fixing 0 (n
+    even), which generate Alt(n) for n >= 3."""
+    if n < 3:
+        return ()
+    three = (1, 2, 0) + tuple(range(3, n))
+    if n % 2:
+        return three, tuple(range(1, n)) + (0,)
+    return three, (0,) + tuple(range(2, n)) + (1,)
+
+
+def _representative(cls: AltClass) -> Perm:
+    """The canonical representative, conjugated by (0 1) for a '-' class."""
+    rep = canonical_representative(cls.cycle_type)
+    if cls.split != "-":
+        return rep
+    swap = (1, 0) + tuple(range(2, cls.n))
+    return compose(compose(swap, rep), swap)
+
+
+# every permutation filed by an orbit of class_members, and its class
+_class_of: dict[Perm, AltClass] = {}
+
+
+def _times(q: Perm):
+    """p -> compose(p, q) in one C call (itemgetter returns a bare point
+    for a single index, so n = 1 is wrapped)."""
+    pick = itemgetter(*q)
+    return pick if len(q) > 1 else lambda p: (pick(p),)
+
+
+@lru_cache(maxsize=None)
+def class_members(cls: AltClass) -> tuple[Perm, ...]:
+    """The members of cls: the orbit of its representative under
+    conjugation by the generators of Alt(n), representative first."""
+    check_oracle_n(cls.n)
+    gens = [(g, _times(inverse(g))) for g in _alt_generators(cls.n)]
+    orbit = [_representative(cls)]
+    seen = set(orbit)
+    for p in orbit:  # grows while it is walked
+        for g, times_g_inv in gens:
+            q = itemgetter(*times_g_inv(p))(g)  # g p g^-1
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    if len(orbit) != class_size(cls):
+        raise ConsistencyError(
+            f"orbit of {cls.name} has {len(orbit)} elements, expected {class_size(cls)}"
+        )
+    _class_of.update(dict.fromkeys(orbit, cls))
+    return tuple(orbit)
+
+
+def oracle_class_product(a: AltClass, b: AltClass) -> frozenset[AltClass]:
+    """Classes meeting AB, from the members of the smaller class times one
+    element of the other.  AB = BA is normal, so every class meeting it
+    meets Ab and Ba for any fixed a in A and b in B."""
+    if a.n != b.n:
+        raise UsageError("classes of different groups")
+    small, other = (a, b) if class_size(a) <= class_size(b) else (b, a)
+    times_rep = _times(_representative(other))
+    by_type = _classes_by_type(a.n)
+    hit = set()
+    for p in map(times_rep, class_members(small)):
+        cls = _class_of.get(p)
+        hit.add(cls if cls is not None else _even_class(p, by_type))
+    return frozenset(hit)
 
 
 def oracle_product_set(table: GroupTable, s: NormalSet, t: NormalSet) -> NormalSet:
     hit: set[AltClass] = set()
     for a in s:
         for b in t:
-            hit |= oracle_class_product(table, a, b)
+            hit |= oracle_class_product(a, b)
     return NormalSet(table.n, frozenset(hit))
 
 
@@ -202,151 +272,3 @@ def oracle_covering_number(table: GroupTable, cls: AltClass, k_max: int):
         if current.is_full():
             return k
     return None
-
-
-# ---------------------------------------------------------------------------
-# Exact character table from class multiplication coefficients
-# ---------------------------------------------------------------------------
-
-
-def _class_algebra_matrices(table: GroupTable) -> list[list[list[int]]]:
-    """a[i][j][k] = number of pairs (x, y) in C_i x C_j with x y = g_k,
-    for a fixed representative g_k."""
-    classes = table.classes
-    k = len(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    reps = [table.representative(c) for c in classes]
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, ci in enumerate(classes):
-        for kk, rep in enumerate(reps):
-            for x in table.members[ci]:
-                j = index[table.class_of[compose(inverse(x), rep)]]
-                a[i][j][kk] += 1
-    return a
-
-
-def _quad_roots(coeffs: list[int]) -> list[QuadValue]:
-    """Roots of an integer polynomial of degree <= 2."""
-    if len(coeffs) == 2:
-        b, c = coeffs
-        return [QuadValue(Fraction(-c, b))]
-    a, b, c = coeffs
-    disc = b * b - 4 * a * c
-    if disc == 0:
-        return [QuadValue(Fraction(-b, 2 * a))]
-    s, d = _squarefree_decompose(abs(disc))
-    d = d if disc > 0 else -d
-    return [
-        QuadValue(Fraction(-b, 2 * a), Fraction(sign * s, 2 * a), d)
-        for sign in (1, -1)
-    ]
-
-
-def _nullspace_vector(matrix: list[list[QuadValue]]) -> list[QuadValue]:
-    """A nonzero kernel vector of a square matrix over one quadratic field;
-    insists the kernel is one-dimensional."""
-    k = len(matrix)
-    rows = [row[:] for row in matrix]
-    pivot_cols = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, k) if not rows[i][col].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = QuadValue(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(k):
-            if i != r and not rows[i][col].is_zero:
-                factor = rows[i][col]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    free = [c for c in range(k) if c not in pivot_cols]
-    if len(free) != 1:
-        raise ConsistencyError(f"eigenspace dimension {len(free)}, expected 1")
-    vec = [QuadValue(0)] * k
-    vec[free[0]] = QuadValue(1)
-    for row, col in zip(rows, pivot_cols):
-        vec[col] = -row[free[0]]
-    return vec
-
-
-def oracle_character_table(table: GroupTable) -> tuple[tuple[QuadValue, ...], ...]:
-    """The character table of Alt(n), computed without the recursion used
-    by the engine: simultaneous eigenvectors of the class multiplication
-    matrices (central characters), rescaled by the degrees.
-
-    Rows are sorted by (degree, entries); columns follow table.classes.
-    Capped at n = 7.
-    """
-    n = table.n
-    if n > TABLE_MAX_N:
-        raise CapabilityError(f"oracle character table capped at n = {TABLE_MAX_N}")
-    import sympy
-
-    classes = table.classes
-    k = len(classes)
-    order = table.order
-    sizes = [table.size(c) for c in classes]
-    id_idx = classes.index(AltClass((1,) * n))
-    a = _class_algebra_matrices(table)
-
-    rng = random.Random(1729)
-    for _ in range(80):
-        weights = [rng.randrange(1, 10) for _ in range(k)]
-        combo = [
-            [sum(w * a[i][j][kk] for i, w in enumerate(weights)) for kk in range(k)]
-            for j in range(k)
-        ]
-        x = sympy.Symbol("x")
-        poly = sympy.Matrix(combo).charpoly(x)
-        _, factors = sympy.factor_list(poly.as_expr(), x)
-        if any(mult > 1 or sympy.degree(f, x) > 2 for f, mult in factors):
-            continue
-        roots: list[QuadValue] = []
-        for f, _ in factors:
-            coeffs = [int(c) for c in sympy.Poly(f, x).all_coeffs()]
-            roots.extend(_quad_roots(coeffs))
-        if len(roots) != k or len(set(roots)) != k:
-            continue
-        rows = []
-        for root in roots:
-            shifted = [
-                [QuadValue(combo[i][j]) - (root if i == j else QuadValue(0)) for j in range(k)]
-                for i in range(k)
-            ]
-            vec = _nullspace_vector(shifted)
-            if vec[id_idx].is_zero:
-                raise ConsistencyError("central character vanishes on the identity")
-            scale = QuadValue(1) / vec[id_idx]
-            omega = [v * scale for v in vec]
-            # chi(1)^2 = |G| / sum_j |omega_j|^2 / |C_j| ; the sum collapses
-            # to a rational once conjugate columns cancel.
-            buckets: dict[int, Fraction] = {}
-            rational = Fraction(0)
-            for oj, size in zip(omega, sizes):
-                term = oj * oj.conjugate() * Fraction(1, size)
-                rational += term.a
-                if term.b:
-                    buckets[term.d] = buckets.get(term.d, Fraction(0)) + term.b
-            if any(buckets.values()):
-                raise ConsistencyError("norm sum failed to collapse to a rational")
-            deg_sq = Fraction(order) / rational
-            if deg_sq.denominator != 1:
-                raise ConsistencyError("non-integral squared degree")
-            deg = math.isqrt(deg_sq.numerator)
-            if deg * deg != deg_sq.numerator:
-                raise ConsistencyError("squared degree is not a perfect square")
-            rows.append(
-                tuple(
-                    oj * Fraction(deg, size) for oj, size in zip(omega, sizes)
-                )
-            )
-        if len(rows) == k:
-            key = lambda row: (
-                row[id_idx].a,
-                [(v.a, v.b, v.d) for v in row],
-            )
-            return tuple(sorted(rows, key=key))
-    raise ConsistencyError("no random class-sum combination separated the characters")

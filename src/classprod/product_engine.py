@@ -366,12 +366,15 @@ def _engine_algebra(n: int) -> ProductAlgebra:
 @lru_cache(maxsize=None)
 def _oracle_algebra(n: int) -> ProductAlgebra:
     """One oracle algebra per n, like the engine's."""
-    from .brute_force import alt_conjugacy_classes, oracle_class_product
+    from . import brute_force
 
-    table = alt_conjugacy_classes(n)
+    brute_force.check_oracle_n(n)
     classes = enumerate_alt_classes(n)
     return ProductAlgebra(
-        n, lambda i, j: _mask_of(NormalSet(n, oracle_class_product(table, classes[i], classes[j])))
+        n,
+        lambda i, j: _mask_of(
+            NormalSet(n, brute_force.oracle_class_product(classes[i], classes[j]))
+        ),
     )
 
 

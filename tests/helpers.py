@@ -1,9 +1,15 @@
 """Shared exact-arithmetic helpers for the test suite."""
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+
+from classprod.alt_group import AltClass
+from classprod.brute_force import GroupTable, compose, inverse
+from classprod.characters import QuadValue, _squarefree_decompose
+from classprod.errors import CapabilityError, ConsistencyError
 
 
 def quad_sum(terms) -> Fraction:
@@ -238,7 +244,6 @@ def alt_conjugacy_classes_reference(n: int):
     import itertools
 
     from classprod.alt_group import enumerate_alt_classes
-    from classprod.brute_force import GroupTable
 
     members = {c: [] for c in enumerate_alt_classes(n)}
     class_of = {}
@@ -260,3 +265,153 @@ def oracle_class_product_reference(table, a, b):
     """Classes meeting AB, from one fixed element of A."""
     rep = table.representative(a)
     return frozenset(table.class_of[compose_reference(rep, y)] for y in table.members[b])
+
+
+# ---------------------------------------------------------------------------
+# Exact character table from class multiplication coefficients
+# ---------------------------------------------------------------------------
+
+TABLE_MAX_N = 7
+
+
+def _class_algebra_matrices(table: GroupTable) -> list[list[list[int]]]:
+    """a[i][j][k] = number of pairs (x, y) in C_i x C_j with x y = g_k,
+    for a fixed representative g_k."""
+    classes = table.classes
+    k = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
+    reps = [table.representative(c) for c in classes]
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i, ci in enumerate(classes):
+        for kk, rep in enumerate(reps):
+            for x in table.members[ci]:
+                j = index[table.class_of[compose(inverse(x), rep)]]
+                a[i][j][kk] += 1
+    return a
+
+
+def _quad_roots(coeffs: list[int]) -> list[QuadValue]:
+    """Roots of an integer polynomial of degree <= 2."""
+    if len(coeffs) == 2:
+        b, c = coeffs
+        return [QuadValue(Fraction(-c, b))]
+    a, b, c = coeffs
+    disc = b * b - 4 * a * c
+    if disc == 0:
+        return [QuadValue(Fraction(-b, 2 * a))]
+    s, d = _squarefree_decompose(abs(disc))
+    d = d if disc > 0 else -d
+    return [
+        QuadValue(Fraction(-b, 2 * a), Fraction(sign * s, 2 * a), d)
+        for sign in (1, -1)
+    ]
+
+
+def _nullspace_vector(matrix: list[list[QuadValue]]) -> list[QuadValue]:
+    """A nonzero kernel vector of a square matrix over one quadratic field;
+    insists the kernel is one-dimensional."""
+    k = len(matrix)
+    rows = [row[:] for row in matrix]
+    pivot_cols = []
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, k) if not rows[i][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = QuadValue(1) / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(k):
+            if i != r and not rows[i][col].is_zero:
+                factor = rows[i][col]
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    free = [c for c in range(k) if c not in pivot_cols]
+    if len(free) != 1:
+        raise ConsistencyError(f"eigenspace dimension {len(free)}, expected 1")
+    vec = [QuadValue(0)] * k
+    vec[free[0]] = QuadValue(1)
+    for row, col in zip(rows, pivot_cols):
+        vec[col] = -row[free[0]]
+    return vec
+
+
+def oracle_character_table(table: GroupTable) -> tuple[tuple[QuadValue, ...], ...]:
+    """The character table of Alt(n), computed without the recursion used
+    by the engine: simultaneous eigenvectors of the class multiplication
+    matrices (central characters), rescaled by the degrees.
+
+    Rows are sorted by (degree, entries); columns follow table.classes.
+    Capped at n = 7.
+    """
+    n = table.n
+    if n > TABLE_MAX_N:
+        raise CapabilityError(f"oracle character table capped at n = {TABLE_MAX_N}")
+    import sympy
+
+    classes = table.classes
+    k = len(classes)
+    order = table.order
+    sizes = [table.size(c) for c in classes]
+    id_idx = classes.index(AltClass((1,) * n))
+    a = _class_algebra_matrices(table)
+
+    rng = random.Random(1729)
+    for _ in range(80):
+        weights = [rng.randrange(1, 10) for _ in range(k)]
+        combo = [
+            [sum(w * a[i][j][kk] for i, w in enumerate(weights)) for kk in range(k)]
+            for j in range(k)
+        ]
+        x = sympy.Symbol("x")
+        poly = sympy.Matrix(combo).charpoly(x)
+        _, factors = sympy.factor_list(poly.as_expr(), x)
+        if any(mult > 1 or sympy.degree(f, x) > 2 for f, mult in factors):
+            continue
+        roots: list[QuadValue] = []
+        for f, _ in factors:
+            coeffs = [int(c) for c in sympy.Poly(f, x).all_coeffs()]
+            roots.extend(_quad_roots(coeffs))
+        if len(roots) != k or len(set(roots)) != k:
+            continue
+        rows = []
+        for root in roots:
+            shifted = [
+                [QuadValue(combo[i][j]) - (root if i == j else QuadValue(0)) for j in range(k)]
+                for i in range(k)
+            ]
+            vec = _nullspace_vector(shifted)
+            if vec[id_idx].is_zero:
+                raise ConsistencyError("central character vanishes on the identity")
+            scale = QuadValue(1) / vec[id_idx]
+            omega = [v * scale for v in vec]
+            # chi(1)^2 = |G| / sum_j |omega_j|^2 / |C_j| ; the sum collapses
+            # to a rational once conjugate columns cancel.
+            buckets: dict[int, Fraction] = {}
+            rational = Fraction(0)
+            for oj, size in zip(omega, sizes):
+                term = oj * oj.conjugate() * Fraction(1, size)
+                rational += term.a
+                if term.b:
+                    buckets[term.d] = buckets.get(term.d, Fraction(0)) + term.b
+            if any(buckets.values()):
+                raise ConsistencyError("norm sum failed to collapse to a rational")
+            deg_sq = Fraction(order) / rational
+            if deg_sq.denominator != 1:
+                raise ConsistencyError("non-integral squared degree")
+            deg = math.isqrt(deg_sq.numerator)
+            if deg * deg != deg_sq.numerator:
+                raise ConsistencyError("squared degree is not a perfect square")
+            rows.append(
+                tuple(
+                    oj * Fraction(deg, size) for oj, size in zip(omega, sizes)
+                )
+            )
+        if len(rows) == k:
+            key = lambda row: (
+                row[id_idx].a,
+                [(v.a, v.b, v.d) for v in row],
+            )
+            return tuple(sorted(rows, key=key))
+    raise ConsistencyError("no random class-sum combination separated the characters")

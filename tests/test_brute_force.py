@@ -17,24 +17,25 @@ from classprod.brute_force import (
     ORACLE_MAX_N,
     alt_conjugacy_classes,
     canonical_representative,
+    class_members,
     classify,
     compose,
     cycles,
     identity,
     inverse,
-    oracle_character_table,
     oracle_class_product,
     oracle_covering_number,
     oracle_pair_count,
     oracle_product_set,
 )
 from classprod.characters import QuadValue, character_table, degree
-from classprod.errors import CapabilityError, UsageError
+from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from helpers import (
     alt_conjugacy_classes_reference,
     compose_reference,
     cycle_type,
     inverse_reference,
+    oracle_character_table,
     oracle_class_product_reference,
     perm_sign,
     quad_sum,
@@ -158,7 +159,42 @@ def test_one_walk_enumeration_matches_the_reference(n):
         for b in table.classes:
             other = table.representative(b)
             assert compose(rep, other) == compose_reference(rep, other)
-            assert oracle_class_product(table, a, b) == oracle_class_product_reference(ref, a, b)
+            assert oracle_class_product(a, b) == oracle_class_product_reference(ref, a, b)
+
+
+@pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
+def test_class_members_are_the_enumerated_class(n):
+    table = alt_conjugacy_classes(n)
+    for cls in table.classes:
+        members = class_members(cls)
+        assert set(members) == set(table.members[cls])
+        assert len(members) == class_size(cls)
+
+
+def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch):
+    # (0 1 2) alone does not generate Alt(8): every orbit comes out short
+    import classprod.brute_force as brute_force
+    from classprod.cli import main
+    from classprod.product_engine import _oracle_algebra
+
+    three = from_cycles(8, (0, 1, 2))
+    monkeypatch.setattr(brute_force, "_alt_generators", lambda n: (three,))
+
+    def forget_orbits():
+        class_members.cache_clear()
+        brute_force._class_of.clear()
+        _oracle_algebra.cache_clear()
+
+    forget_orbits()
+    try:
+        with pytest.raises(ConsistencyError, match="orbit of 6,2 has"):
+            class_members(AltClass((6, 2)))
+        code = main(["product", "--n", "8", "--a", "6,2", "--b", "5,3-", "--mode", "oracle"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+        assert "orbit of 5,3- has" in err
+    finally:
+        forget_orbits()
 
 
 def test_capability_cap():

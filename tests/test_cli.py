@@ -279,9 +279,9 @@ def test_covering_both_computes_each_oracle_pair_once(capsys, monkeypatch):
     asked = []
     real = brute_force.oracle_class_product
 
-    def counted(table, a, b):
+    def counted(a, b):
         asked.append((a, b))
-        return real(table, a, b)
+        return real(a, b)
 
     monkeypatch.setattr(brute_force, "oracle_class_product", counted)
     _oracle_algebra.cache_clear()
@@ -330,6 +330,28 @@ def test_commands_run_without_importing_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['classprod.brute_force']"]
+
+
+def test_oracle_commands_do_not_enumerate_the_group():
+    # the oracle multiplies the members of one class by one element of the
+    # other, so no command walks all of Alt(8)
+    import subprocess
+    import sys
+
+    code = (
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "from classprod.brute_force import alt_conjugacy_classes\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert main(['product', '--n', '8', '--a', '6,2', '--b', '5,3-', '--mode', 'both']) == 0\n"
+        "    assert main(['contains', '--n', '8', '--a', '3,3,1,1', '--b', '7,1+',\n"
+        "                 '--g', '3,2,2,1', '--mode', 'both']) == 0\n"
+        "print(alt_conjugacy_classes.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_capability_errors_exit_3(capsys):
@@ -388,6 +410,8 @@ def _catalogue_entry(group, kind, n, mode):
         ("queries", "covering", 13, "engine"),
         ("queries", "contains", 14, "engine"),
         ("crosscheck-n8", "product", 8, "both"),
+        ("crosscheck-n8", "contains", 8, "both"),
+        ("crosscheck-n8", "excon", 8, "both"),
         ("crosscheck-n8", "verify-theorem", 8, "both"),
         ("crosscheck-n8", "dvir", 8, "both"),
         ("crosscheck-n8", "covering", 8, "both"),
