@@ -1,12 +1,15 @@
 """Exact character values for Sym(n) and Alt(n).
 
-Sym(n) values come from the Murnaghan-Nakayama recursion (memoized: the
-recursion revisits subproblems exponentially often without the cache) and
-degrees from the hook length formula.  Alt(n) characters are labeled by
-partition pairs ``{lam, lam'}``, with a split pair ``+``/``-`` whenever
-``lam`` is self-adjoint; split values on the one critical cycle type are
-quadratic irrationals, kept symbolic in :class:`QuadValue` so that every
-downstream membership test is an exact zero-test.
+Sym(n) values come from the Murnaghan-Nakayama recursion on an abacus
+(memoized: the recursion revisits subproblems exponentially often without
+the cache) and degrees from the hook length formula.  Alt(n) characters
+are labeled by partition pairs ``{lam, lam'}``, with a split pair
+``+``/``-`` whenever ``lam`` is self-adjoint; split values on the one
+critical cycle type are quadratic irrationals.  ``integer_table(n)`` holds
+every Alt(n) value once, as integers (p, q, d) with value (p + q*sqrt(d))/2;
+the product engine reads it directly, and ``character_table(n)`` shows it
+as :class:`QuadValue` entries, kept symbolic so that every membership test
+is an exact zero-test.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .partitions import (
     hook_length_product,
     is_self_adjoint,
     parse_tagged_partition,
-    remove_border_strips,
     validate_partition,
 )
 from .errors import UsageError
@@ -52,6 +54,12 @@ def _squarefree_decompose(m: int) -> tuple[int, int]:
                 d *= p
         p += 1 if p == 2 else 2
     return s, d * m
+
+
+@lru_cache(maxsize=None)
+def _half(p: int) -> Fraction:
+    """p/2, normalised once per integer (table entries repeat few values)."""
+    return Fraction(p, 2)
 
 
 class QuadValue:
@@ -86,6 +94,14 @@ class QuadValue:
         self.a = a
         self.b = b
         self.d = d
+
+    @classmethod
+    def _halves(cls, p: int, q: int, d: int) -> "QuadValue":
+        """(p + q*sqrt(d))/2 from parts already in normal form (d squarefree,
+        d == 1 exactly when q == 0), without renormalising them."""
+        value = object.__new__(cls)
+        value.a, value.b, value.d = _half(p), _half(q), d
+        return value
 
     @classmethod
     def sqrt_integer(cls, m: int) -> "QuadValue":
@@ -213,26 +229,68 @@ class QuadValue:
         return f"QuadValue({self.a!r}, {self.b!r}, {self.d!r})"
 
 
+# The Murnaghan-Nakayama recursion runs on an abacus: a partition of size
+# at most n is its beta-set for n beads, as a bitmask (bead b at bit b).
+# Removing a border strip of length L moves a bead from b to a gap at b - L,
+# and the strip's height is the number of beads strictly between the two.
+# A cycle type is interned with all its suffixes; suffix id 0 is the empty
+# one, and _SUFFIXES[sid] holds the suffix's first part, the id of the rest
+# and the memo of its values by bead mask, which every column shares.
+_SUFFIX_IDS: dict[Partition, int] = {(): 0}
+_SUFFIXES: list[tuple[int, int, dict[int, int]]] = [(0, 0, {})]
+
+
+def _suffix_id(rho: Partition) -> int:
+    sid = _SUFFIX_IDS.get(rho)
+    if sid is None:
+        rest = _suffix_id(rho[1:])
+        sid = _SUFFIX_IDS[rho] = len(_SUFFIXES)
+        _SUFFIXES.append((rho[0], rest, {}))
+    return sid
+
+
+def _abacus(lam: Partition, n: int) -> int:
+    """The beta-set of ``lam`` (at most n parts) with n beads."""
+    mask = (1 << (n - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + n - 1 - i)
+    return mask
+
+
+def _mn(mask: int, sid: int) -> int:
+    """The Sym character of the abacus ``mask`` on the suffix ``sid``."""
+    if not sid:
+        return 1
+    length, rest, memo = _SUFFIXES[sid]
+    value = memo.get(mask)
+    if value is None:
+        value = 0
+        movable = mask & (~mask << length)  # beads with a gap L below
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            gap = bead >> length
+            term = _mn(mask ^ bead ^ gap, rest)
+            # beads strictly between the gap and the bead: the strip's height
+            value += -term if (mask & (bead - (gap << 1))).bit_count() & 1 else term
+        memo[mask] = value
+    return value
+
+
 @lru_cache(maxsize=None)
 def mn_value(lam: Partition, rho: Partition) -> int:
     """Character of Sym(n) labeled by ``lam``, evaluated on cycle type ``rho``.
 
-    Murnaghan-Nakayama recursion: strip a border strip of length
-    ``rho[0]`` in every possible way, recurse on the remainder with sign
-    ``(-1)**height``.
+    Murnaghan-Nakayama recursion on the abacus of ``lam``: strip a border
+    strip of length ``rho[0]`` in every possible way, recurse on the
+    remainder with sign ``(-1)**height``.
     """
-    if sum(lam) != sum(rho):
+    n = sum(lam)
+    if n != sum(rho):
         raise ValueError(
-            f"partition sizes differ: |{lam}| = {sum(lam)}, |{rho}| = {sum(rho)}"
+            f"partition sizes differ: |{lam}| = {n}, |{rho}| = {sum(rho)}"
         )
-    if not lam:
-        return 1
-    head, rest = rho[0], rho[1:]
-    total = 0
-    for removal in remove_border_strips(lam, head):
-        term = mn_value(removal.remainder, rest)
-        total += -term if removal.height % 2 else term
-    return total
+    return _mn(_abacus(lam, n), _suffix_id(rho))
 
 
 @lru_cache(maxsize=None)
@@ -336,16 +394,32 @@ def alt_degree(psi: AltChar) -> int:
     return d // 2
 
 
+def _critical_parts(chi: int, hooks: Partition, same_tag: bool) -> tuple[int, int, int]:
+    """The value of a split character on a class of its critical cycle type
+    (the diagonal hooks of its label) as integer parts (p, q, d) of
+    (p + q*sqrt(d))/2: (chi +- sqrt(chi * product of the hooks)) / 2, with
+    +sqrt when the character's tag is the class's (chi, the Sym value
+    there, is +-1).  A square radicand folds into a rational value (first
+    at Alt(9) and Alt(10))."""
+    radicand = chi * math.prod(hooks)
+    s, d = _squarefree_decompose(abs(radicand))
+    if radicand < 0:
+        d = -d
+    if not same_tag:
+        s = -s
+    return (chi + s, 0, 1) if d == 1 else (chi, s, d)
+
+
 def alt_value(psi: AltChar, cls: "AltClass") -> QuadValue:
     """Exact value of an Alt(n) irreducible character on a conjugacy class.
 
     Non-split characters restrict from Sym(n) unchanged.  A split pair
     agrees with half the Sym value except on the class pair whose cycle
-    type equals the diagonal-hook partition of the label, where the
-    values are (chi +- sqrt(chi * product of diagonal hooks)) / 2; the
-    ``+`` character takes the +sqrt value on the ``+`` class (the class
-    of the canonical representative) and the conjugate value on the
-    other, and symmetrically for the ``-`` character.
+    type equals the diagonal-hook partition of the label (see
+    ``_critical_parts``); the ``+`` character takes the +sqrt value on the
+    ``+`` class (the class of the canonical representative) and the
+    conjugate value on the other, and symmetrically for the ``-``
+    character.
     """
     lam = psi.partition
     ct = cls.cycle_type
@@ -357,13 +431,7 @@ def alt_value(psi: AltChar, cls: "AltClass") -> QuadValue:
     crit = diagonal_hook_partition(lam)
     if ct != crit:
         return QuadValue(Fraction(chi, 2))
-    radicand = chi
-    for h in crit:
-        radicand *= h
-    root = QuadValue.sqrt_integer(radicand)
-    if psi.split != cls.split:
-        root = -root
-    return (QuadValue(chi) + root) * Fraction(1, 2)
+    return QuadValue._halves(*_critical_parts(chi, crit, psi.split == cls.split))
 
 
 class CharacterTable(NamedTuple):
@@ -385,20 +453,64 @@ class CharacterTable(NamedTuple):
         return math.factorial(self.n) // 2 if self.n >= 2 else 1
 
 
+class IntegerTable(NamedTuple):
+    """The character table of Alt(n) in integer parts: ``values[i][j]`` is
+    (p, q, d) with ``chars[i]`` on ``classes[j]`` equal to
+    (p + q*sqrt(d))/2, d squarefree, and d == 1 exactly when q == 0.
+    Rows and columns follow the canonical enumeration orders."""
+
+    n: int
+    chars: tuple[AltChar, ...]
+    classes: tuple["AltClass", ...]
+    degrees: tuple[int, ...]
+    class_sizes: tuple[int, ...]
+    values: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    order = CharacterTable.order
+
+
 @lru_cache(maxsize=None)
-def character_table(n: int) -> CharacterTable:
+def integer_table(n: int) -> IntegerTable:
+    """Every Alt(n) character value, from one abacus per partition and one
+    Murnaghan-Nakayama evaluation per even cycle type."""
     from .alt_group import class_size, enumerate_alt_classes
 
     chars = alt_irreducibles(n)
     classes = enumerate_alt_classes(n)
-    values = tuple(
-        tuple(alt_value(psi, cls) for cls in classes) for psi in chars
-    )
-    return CharacterTable(
+    sids = {ct: _suffix_id(ct) for ct in dict.fromkeys(c.cycle_type for c in classes)}
+    rows = []
+    lam = chis = None
+    for psi in chars:
+        if psi.partition != lam:  # a split pair shares its Sym values
+            lam = psi.partition
+            mask = _abacus(lam, n)
+            chis = {ct: _mn(mask, sid) for ct, sid in sids.items()}
+        if psi.split is None:
+            rows.append(tuple((2 * chis[c.cycle_type], 0, 1) for c in classes))
+            continue
+        crit = diagonal_hook_partition(lam)
+        rows.append(
+            tuple(
+                _critical_parts(chis[crit], crit, psi.split == c.split)
+                if c.cycle_type == crit
+                else (chis[c.cycle_type], 0, 1)
+                for c in classes
+            )
+        )
+    return IntegerTable(
         n,
         chars,
         classes,
         tuple(alt_degree(psi) for psi in chars),
         tuple(class_size(cls) for cls in classes),
-        values,
+        tuple(rows),
     )
+
+
+@lru_cache(maxsize=None)
+def character_table(n: int) -> CharacterTable:
+    """``integer_table(n)`` with each entry as a QuadValue."""
+    tbl = integer_table(n)
+    halves = QuadValue._halves
+    values = tuple(tuple(halves(*entry) for entry in row) for row in tbl.values)
+    return CharacterTable(tbl.n, tbl.chars, tbl.classes, tbl.degrees, tbl.class_sizes, values)

@@ -1,4 +1,4 @@
-"""Integer partitions, Young diagrams, hooks, and border strips.
+"""Integer partitions, Young diagrams and hooks.
 
 A partition is a plain tuple of weakly decreasing positive integers.  The
 same tuple doubles as a Young diagram (rows of cells, English notation)
@@ -169,43 +169,6 @@ def find_l_hook(lam: Partition, length: int) -> Optional[HookInfo]:
             f"found {len(matches)}"
         )
     return matches[0]
-
-
-class StripRemoval(NamedTuple):
-    """Result of removing one border strip: what is left, and the strip's
-    height (rows spanned minus one)."""
-
-    remainder: Partition
-    height: int
-
-
-@lru_cache(maxsize=None)
-def remove_border_strips(lam: Partition, length: int) -> tuple[StripRemoval, ...]:
-    """All ways to remove a connected border strip of the given length.
-
-    Implemented on first-column hook lengths (beta-numbers): a strip of
-    length L is removable exactly when some beta-number b has b-L
-    nonnegative and absent from the beta-set; the strip's height is the
-    number of beta-numbers strictly between b-L and b.  Results are
-    ordered by the row of the strip's topmost cell.
-    """
-    if length < 1:
-        raise ValueError("strip length must be positive")
-    m = len(lam)
-    beta = [lam[i] + m - 1 - i for i in range(m)]
-    beta_set = set(beta)
-    removals = []
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((nb if x == b else x for x in beta), reverse=True)
-        parts = [v - (m - 1 - j) for j, v in enumerate(new_beta)]
-        while parts and parts[-1] == 0:
-            parts.pop()
-        removals.append(StripRemoval(tuple(parts), height))
-    return tuple(removals)
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ from .alt_group import (
     long_cycle_classes,
     power_at_least,
 )
-from .characters import CharacterTable, character_table
+from .characters import IntegerTable, integer_table
 from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
 
@@ -85,7 +85,7 @@ class _RadicandRows(NamedTuple):
 
 
 class _Lifted(NamedTuple):
-    """An Alt(n) character table lifted to integers for the hot loop.
+    """The integer Alt(n) character table laid out for the hot loop.
 
     Entry (i, j) is (p + q*sqrt(d_i))/2 with integers p and q and one
     radicand d_i per row.  Row i has weight L / chi_i(1), L the lcm of the
@@ -106,25 +106,20 @@ class _Lifted(NamedTuple):
     sizes: tuple[int, ...]
 
 
-def _doubled(x: Fraction) -> int:
-    num, den = 2 * x.numerator, x.denominator
-    if num % den:
-        raise ConsistencyError(f"character value part {x} is not in (1/2)Z")
-    return num // den
-
-
-def _lift(tbl: CharacterTable) -> _Lifted:
+def _layout(tbl: IntegerTable) -> _Lifted:
+    """The hot-loop layout of an integer character table; each row may
+    take irrational values over one radicand only."""
     k, m = len(tbl.chars), len(tbl.classes)
     row_d = []
     for psi, row in zip(tbl.chars, tbl.values):
-        ds = sorted({v.d for v in row if v.b})
+        ds = sorted({d for _, q, d in row if q})
         if len(ds) > 1:
             raise ConsistencyError(f"character {psi.name} takes values over radicands {ds}")
         row_d.append(ds[0] if ds else 1)
     rad_rows = tuple(sorted((i for i in range(k) if row_d[i] != 1), key=lambda i: (row_d[i], i)))
     rad_d = tuple(row_d[i] for i in rad_rows)
-    p = tuple(tuple(_doubled(tbl.values[i][j].a) for i in range(k)) for j in range(m))
-    q = tuple(tuple(_doubled(tbl.values[i][j].b) for i in rad_rows) for j in range(m))
+    p = tuple(tuple(row[j][0] for row in tbl.values) for j in range(m))
+    q = tuple(tuple(tbl.values[i][j][1] for i in rad_rows) for j in range(m))
     # the complex conjugate flips q where the radicand is negative
     qbar = [tuple(-x if d < 0 else x for x, d in zip(qj, rad_d)) for qj in q]
     radicands = []
@@ -158,7 +153,7 @@ def _lift(tbl: CharacterTable) -> _Lifted:
 
 @lru_cache(maxsize=None)
 def _lifted(n: int) -> _Lifted:
-    return _lift(character_table(n))
+    return _layout(integer_table(n))
 
 
 def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from classprod.alt_group import AltClass
 from classprod.brute_force import GroupTable, compose, inverse
@@ -131,6 +132,57 @@ def skew_strip_removals(lam, length):
         height = len({i for i, _ in cells}) - 1
         results.add((mu, height))
     return results
+
+
+class StripRemoval(NamedTuple):
+    """Result of removing one border strip: what is left, and the strip's
+    height (rows spanned minus one)."""
+
+    remainder: tuple
+    height: int
+
+
+@lru_cache(maxsize=None)
+def remove_border_strips(lam, length: int) -> tuple[StripRemoval, ...]:
+    """All ways to remove a connected border strip of the given length.
+
+    Implemented on first-column hook lengths (beta-numbers): a strip of
+    length L is removable exactly when some beta-number b has b-L
+    nonnegative and absent from the beta-set; the strip's height is the
+    number of beta-numbers strictly between b-L and b.  Results are
+    ordered by the row of the strip's topmost cell.
+    """
+    if length < 1:
+        raise ValueError("strip length must be positive")
+    m = len(lam)
+    beta = [lam[i] + m - 1 - i for i in range(m)]
+    beta_set = set(beta)
+    removals = []
+    for b in beta:
+        nb = b - length
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((nb if x == b else x for x in beta), reverse=True)
+        parts = [v - (m - 1 - j) for j, v in enumerate(new_beta)]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        removals.append(StripRemoval(tuple(parts), height))
+    return tuple(removals)
+
+
+@lru_cache(maxsize=None)
+def mn_value_reference(lam, rho) -> int:
+    """Reference Murnaghan-Nakayama: strip a border strip of length
+    rho[0] from the partition itself in every possible way, and recurse on
+    the remainder with sign (-1)**height."""
+    if not lam:
+        return 1
+    total = 0
+    for removal in remove_border_strips(lam, rho[0]):
+        term = mn_value_reference(removal.remainder, rho[1:])
+        total += -term if removal.height % 2 else term
+    return total
 
 
 # the four-class sweep's epsilons in tests: with n = 2..12 they give empty

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,14 @@ from classprod.partitions import (
     find_l_hook,
     is_self_adjoint,
 )
-from helpers import column_orthogonality_holds, exact_sign, quad_sum, row_orthogonality_holds
+from classprod.product_engine import _lifted
+from helpers import (
+    column_orthogonality_holds,
+    exact_sign,
+    mn_value_reference,
+    quad_sum,
+    row_orthogonality_holds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,21 @@ def test_mn_square_example():
 def test_mn_size_mismatch():
     with pytest.raises(ValueError):
         mn_value((2, 2), (3, 2))
+
+
+def test_mn_value_matches_the_reference_strip_removal():
+    # the abacus recursion against border strips removed from the diagram:
+    # every pair up to 12, then a seeded sample up to the CLI's cap of 40
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            for rho in enumerate_partitions(n):
+                assert mn_value(lam, rho) == mn_value_reference(lam, rho), (lam, rho)
+    rng = random.Random("mn-20-40")
+    for n in range(20, 41):
+        parts = enumerate_partitions(n)
+        for _ in range(4):
+            lam, rho = rng.choice(parts), rng.choice(parts)
+            assert mn_value(lam, rho) == mn_value_reference(lam, rho), (lam, rho)
 
 
 def test_mn_conjugation_symmetry_up_to_10():
@@ -263,6 +286,25 @@ def test_split_value_with_square_radicand_part():
     value = alt_value(AltChar(lam, "+"), AltClass((9, 3, 1), "+"))
     assert value == QuadValue(Fraction(-1, 2), Fraction(3, 2), -3)
     assert value * value.conjugate() == 7  # well under the bound of 13
+
+
+@pytest.mark.parametrize(
+    "n, label, cycle_type", [(9, "5,1,1,1,1", (9,)), (10, "5,2,1,1,1", (9, 1))], ids=["Alt9", "Alt10"]
+)
+def test_square_radicand_folds_to_a_rational_value(n, label, cycle_type):
+    # chi = 1 on the diagonal hooks with hook product 9: (1 +- sqrt(9))/2
+    # is 2 on the class of the same tag and -1 on the other
+    tbl, lay = character_table(n), _lifted(n)
+    for tag in ("+", "-"):
+        psi = parse_char(label + tag)
+        i = tbl.chars.index(psi)
+        assert i not in lay.rad_rows  # the row carries no radicand
+        for cls_tag, expected in ((tag, 2), ("+" if tag == "-" else "-", -1)):
+            cls = AltClass(cycle_type, cls_tag)
+            j = tbl.classes.index(cls)
+            assert alt_value(psi, cls) == tbl.values[i][j] == QuadValue(expected)
+            assert tbl.values[i][j].d == 1
+            assert lay.p[j][i] == 2 * expected
 
 
 def test_degree_squares_sum_to_group_order():

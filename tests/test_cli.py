@@ -354,6 +354,21 @@ def test_oracle_commands_do_not_enumerate_the_group():
     assert proc.stdout.strip() == "0"
 
 
+def test_engine_commands_build_no_quadvalue_table(capsys):
+    # the engine reads the integer character table; the QuadValue table is
+    # only a view of it for the library
+    from classprod.characters import character_table, integer_table
+    from classprod.product_engine import _engine_algebra, _lifted
+
+    for cache in (character_table, integer_table, _lifted, _engine_algebra):
+        cache.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "contains", "--n", "12", "--a", "3,3,3,3", "--b", "5,5,1,1", "--g", "11,1+"
+    )
+    assert code == 0 and out.strip() == "true"
+    assert character_table.cache_info().currsize == 0
+
+
 def test_capability_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "covering", "--n", "9", "--class", "9+", "--mode", "oracle")
     assert code == 3 and "n <= 8" in err

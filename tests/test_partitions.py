@@ -10,10 +10,9 @@ from classprod.partitions import (
     hook_lengths,
     is_self_adjoint,
     parse_partition,
-    remove_border_strips,
     validate_partition,
 )
-from helpers import partition_count, skew_strip_removals
+from helpers import partition_count, remove_border_strips, skew_strip_removals
 
 
 def test_conjugate_examples():

@@ -16,13 +16,13 @@ from classprod.alt_group import (
     long_cycle_type,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
-from classprod.characters import QuadValue, character_table, parse_char
+from classprod.characters import QuadValue, character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.product_engine import (
     ProductAlgebra,
     QuadrupleVerdict,
     _counted,
-    _lift,
+    _layout,
     _lifted,
     _pair_sums,
     _pool_size,
@@ -288,28 +288,31 @@ def test_four_class_sweep_matches_oracle_n7():
     assert all(q.covered for q in report.quadruples)
 
 
-def _table_with(n, i, j, value):
-    """character_table(n) with entry (i, j) replaced."""
-    tbl = character_table(n)
+def _table_with(n, i, j, entry):
+    """integer_table(n) with entry (i, j) replaced by integer parts (p, q, d)."""
+    tbl = integer_table(n)
     values = [list(row) for row in tbl.values]
-    values[i][j] = value
+    values[i][j] = entry
     return tbl._replace(values=tuple(map(tuple, values)))
 
 
 def test_exactness_guards():
     # a radical part that does not cancel: sqrt(5) taken off the value of
     # the + character of 3,1,1 on the class 5+
-    tbl = character_table(5)
+    tbl = integer_table(5)
     i = tbl.chars.index(parse_char("3,1,1+"))
     j = tbl.classes.index(AltClass((5,), "+"))
     e = tbl.classes.index(identity_class(5))
-    bad = _lift(_table_with(5, i, j, tbl.values[i][j] - QuadValue(0, 1, 5)))
+    p, q, d = tbl.values[i][j]
+    assert d == 5
+    bad = _layout(_table_with(5, i, j, (p, q - 2, d)))
     with pytest.raises(ConsistencyError, match="radical part"):
         _pair_sums(bad, e, e)
     # one that the pair brings in, on a class where the table is rational:
     # the same character given the value 1 (not 0) on the 3-cycles, with 5+ * 5+
     three = tbl.classes.index(AltClass((3, 1, 1)))
-    bad = _lift(_table_with(5, i, three, QuadValue(1)))
+    assert tbl.values[i][three] == (0, 0, 1)
+    bad = _layout(_table_with(5, i, three, (2, 0, 1)))
     with pytest.raises(ConsistencyError, match="radical part"):
         _pair_sums(bad, j, j)
     # sum of chi(1)**2 = |G|, scaled by 8L
@@ -347,11 +350,12 @@ def test_lifted_layout_rebuilds_the_table():
 
 
 def test_lift_rejects_two_radicands_in_a_row():
-    tbl = character_table(5)
+    # 3 + sqrt(2) on the identity, in a row whose other radicand is 5
+    tbl = integer_table(5)
     i = tbl.chars.index(parse_char("3,1,1+"))
     j = tbl.classes.index(identity_class(5))
     with pytest.raises(ConsistencyError, match="radicands"):
-        _lift(_table_with(5, i, j, QuadValue(3, 1, 2)))
+        _layout(_table_with(5, i, j, (6, 2, 2)))
 
 
 def _frobenius_matches_reference(n, triples):
