@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import UsageError
+from .errors import CapabilityError, UsageError
 from .partitions import (
     Partition,
     TaggedLabel,
@@ -220,7 +220,7 @@ class NormalSet:
         cs = frozenset(classes)
         if n is None:
             if not cs:
-                raise ValueError("empty normal set needs an explicit n")
+                raise UsageError("empty normal set needs an explicit n")
             n = next(iter(cs)).n
         return NormalSet(n, cs)
 
@@ -239,6 +239,15 @@ class NormalSet:
 
     def __len__(self):
         return len(self.classes)
+
+
+def check_n(n: int, cap: int, what: str) -> None:
+    """Refuse an n below 1 (a usage error) or above the cap of ``what``
+    (a capability error)."""
+    if n < 1:
+        raise UsageError("n must be positive")
+    if n > cap:
+        raise CapabilityError(f"{what} supports n <= {cap}, got {n}")
 
 
 EXPONENT_MAX_PART = 100

@@ -33,8 +33,8 @@ from itertools import chain, permutations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .alt_group import AltClass, NormalSet, class_size, enumerate_alt_classes
-from .errors import CapabilityError, ConsistencyError, UsageError
+from .alt_group import AltClass, NormalSet, check_n, class_size, enumerate_alt_classes
+from .errors import ConsistencyError, UsageError
 from .partitions import Partition
 
 Perm = tuple[int, ...]
@@ -44,10 +44,7 @@ ORACLE_MAX_N = 8
 
 def check_oracle_n(n: int) -> None:
     """Refuse an n the oracle does not serve."""
-    if n < 1:
-        raise UsageError("n must be positive")
-    if n > ORACLE_MAX_N:
-        raise CapabilityError(f"brute-force mode supports n <= {ORACLE_MAX_N}, got {n}")
+    check_n(n, ORACLE_MAX_N, "brute-force mode")
 
 
 def identity(n: int) -> Perm:

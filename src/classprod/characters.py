@@ -321,7 +321,7 @@ class AltChar(TaggedLabel, _AltCharFields):
 
     def __new__(cls, partition: Iterable[int], split: Optional[str] = None):
         parts = validate_partition(partition)
-        lam = validate_alt_char_label(parts)
+        lam = min(parts, conjugate(parts))
         if lam != parts:
             raise ValueError(
                 f"{parts} is not the canonical label; use {lam} "
@@ -347,14 +347,10 @@ class AltChar(TaggedLabel, _AltCharFields):
         return format_partition(self.partition) + (self.split or "")
 
 
-def validate_alt_char_label(lam: Partition) -> Partition:
-    mu = conjugate(lam)
-    return min(lam, mu)
-
-
 def alt_char_for(lam: Partition, split: Optional[str] = None) -> AltChar:
     """Build an AltChar from either member of a conjugate pair."""
-    return AltChar(validate_alt_char_label(tuple(lam)), split)
+    lam = tuple(lam)
+    return AltChar(min(lam, conjugate(lam)), split)
 
 
 def parse_char(text: str) -> AltChar:
@@ -394,50 +390,53 @@ def alt_degree(psi: AltChar) -> int:
     return d // 2
 
 
-def _critical_parts(chi: int, hooks: Partition, same_tag: bool) -> tuple[int, int, int]:
-    """The value of a split character on a class of its critical cycle type
-    (the diagonal hooks of its label) as integer parts (p, q, d) of
-    (p + q*sqrt(d))/2: (chi +- sqrt(chi * product of the hooks)) / 2, with
-    +sqrt when the character's tag is the class's (chi, the Sym value
-    there, is +-1).  A square radicand folds into a rational value (first
-    at Alt(9) and Alt(10))."""
-    radicand = chi * math.prod(hooks)
+def _alt_parts(
+    psi: AltChar, cls: "AltClass", chi: int, crit: Optional[Partition]
+) -> tuple[int, int, int]:
+    """The value of ``psi`` on ``cls`` as integer parts (p, q, d) of
+    (p + q*sqrt(d))/2, d squarefree and d == 1 exactly when q == 0, from
+    ``chi``, the Sym value of its label on the class's cycle type, and
+    ``crit``, the diagonal hooks of its label if ``psi`` is split (else
+    None).
+
+    Non-split characters restrict from Sym(n) unchanged.  A split pair
+    takes half the Sym value except on its critical cycle type ``crit``,
+    where chi is +-1 and the value is (chi +- sqrt(chi * product of the
+    hooks)) / 2: the ``+`` character takes +sqrt on the ``+`` class (the
+    class of the canonical representative) and the conjugate value on the
+    other, and symmetrically for the ``-`` character.  A square radicand
+    folds into a rational value (first at Alt(9) and Alt(10)).
+    """
+    if psi.split is None:
+        return 2 * chi, 0, 1
+    if cls.cycle_type != crit:
+        return chi, 0, 1
+    radicand = chi * math.prod(crit)
     s, d = _squarefree_decompose(abs(radicand))
     if radicand < 0:
         d = -d
-    if not same_tag:
+    if psi.split != cls.split:
         s = -s
     return (chi + s, 0, 1) if d == 1 else (chi, s, d)
 
 
 def alt_value(psi: AltChar, cls: "AltClass") -> QuadValue:
-    """Exact value of an Alt(n) irreducible character on a conjugacy class.
-
-    Non-split characters restrict from Sym(n) unchanged.  A split pair
-    agrees with half the Sym value except on the class pair whose cycle
-    type equals the diagonal-hook partition of the label (see
-    ``_critical_parts``); the ``+`` character takes the +sqrt value on the
-    ``+`` class (the class of the canonical representative) and the
-    conjugate value on the other, and symmetrically for the ``-``
-    character.
-    """
+    """Exact value of an Alt(n) irreducible character on a conjugacy class
+    (see ``_alt_parts``)."""
     lam = psi.partition
     ct = cls.cycle_type
     if sum(lam) != sum(ct):
         raise ValueError(f"character of {sum(lam)} evaluated on class of {sum(ct)}")
-    chi = mn_value(lam, ct)
-    if psi.split is None:
-        return QuadValue(chi)
-    crit = diagonal_hook_partition(lam)
-    if ct != crit:
-        return QuadValue(Fraction(chi, 2))
-    return QuadValue._halves(*_critical_parts(chi, crit, psi.split == cls.split))
+    crit = diagonal_hook_partition(lam) if psi.split else None
+    return QuadValue._halves(*_alt_parts(psi, cls, mn_value(lam, ct), crit))
 
 
 class CharacterTable(NamedTuple):
     """The full character table of Alt(n) with exact entries.
 
-    ``values[i][j]`` is ``chars[i]`` evaluated on ``classes[j]``; rows and
+    ``values[i][j]`` is ``chars[i]`` evaluated on ``classes[j]``: a
+    QuadValue in ``character_table(n)``, and in ``integer_table(n)`` its
+    integer parts (p, q, d) as ``_alt_parts`` gives them.  Rows and
     columns follow the canonical enumeration orders.
     """
 
@@ -446,58 +445,32 @@ class CharacterTable(NamedTuple):
     classes: tuple["AltClass", ...]
     degrees: tuple[int, ...]
     class_sizes: tuple[int, ...]
-    values: tuple[tuple[QuadValue, ...], ...]
+    values: tuple[tuple[Union[QuadValue, tuple[int, int, int]], ...], ...]
 
     @property
     def order(self) -> int:
         return math.factorial(self.n) // 2 if self.n >= 2 else 1
 
 
-class IntegerTable(NamedTuple):
-    """The character table of Alt(n) in integer parts: ``values[i][j]`` is
-    (p, q, d) with ``chars[i]`` on ``classes[j]`` equal to
-    (p + q*sqrt(d))/2, d squarefree, and d == 1 exactly when q == 0.
-    Rows and columns follow the canonical enumeration orders."""
-
-    n: int
-    chars: tuple[AltChar, ...]
-    classes: tuple["AltClass", ...]
-    degrees: tuple[int, ...]
-    class_sizes: tuple[int, ...]
-    values: tuple[tuple[tuple[int, int, int], ...], ...]
-
-    order = CharacterTable.order
-
-
 @lru_cache(maxsize=None)
-def integer_table(n: int) -> IntegerTable:
-    """Every Alt(n) character value, from one abacus per partition and one
-    Murnaghan-Nakayama evaluation per even cycle type."""
+def integer_table(n: int) -> CharacterTable:
+    """Every Alt(n) character value as integer parts, from one abacus per
+    partition and one Murnaghan-Nakayama evaluation per even cycle type."""
     from .alt_group import class_size, enumerate_alt_classes
 
     chars = alt_irreducibles(n)
     classes = enumerate_alt_classes(n)
     sids = {ct: _suffix_id(ct) for ct in dict.fromkeys(c.cycle_type for c in classes)}
     rows = []
-    lam = chis = None
+    lam = chis = crit = None
     for psi in chars:
         if psi.partition != lam:  # a split pair shares its Sym values
             lam = psi.partition
             mask = _abacus(lam, n)
             chis = {ct: _mn(mask, sid) for ct, sid in sids.items()}
-        if psi.split is None:
-            rows.append(tuple((2 * chis[c.cycle_type], 0, 1) for c in classes))
-            continue
-        crit = diagonal_hook_partition(lam)
-        rows.append(
-            tuple(
-                _critical_parts(chis[crit], crit, psi.split == c.split)
-                if c.cycle_type == crit
-                else (chis[c.cycle_type], 0, 1)
-                for c in classes
-            )
-        )
-    return IntegerTable(
+            crit = diagonal_hook_partition(lam) if psi.split else None
+        rows.append(tuple(_alt_parts(psi, c, chis[c.cycle_type], crit) for c in classes))
+    return CharacterTable(
         n,
         chars,
         classes,
@@ -512,5 +485,4 @@ def character_table(n: int) -> CharacterTable:
     """``integer_table(n)`` with each entry as a QuadValue."""
     tbl = integer_table(n)
     halves = QuadValue._halves
-    values = tuple(tuple(halves(*entry) for entry in row) for row in tbl.values)
-    return CharacterTable(tbl.n, tbl.chars, tbl.classes, tbl.degrees, tbl.class_sizes, values)
+    return tbl._replace(values=tuple(tuple(halves(*entry) for entry in row) for row in tbl.values))

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 internal consistency failure
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -15,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .alt_group import (
     NormalSet,
+    check_n,
     class_size,
     delta,
     delta_bound_report,
@@ -33,6 +35,7 @@ from .product_engine import (
     covering_number,
     long_cycle_product_checks,
     missing_classes,
+    names_in,
     product_set,
     verify_four_class_theorem,
 )
@@ -62,59 +65,25 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(k: int):
+    """An argparse type: an integer no smaller than k."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, got {value}")
+        return value
 
-def _check_n(n: int, cap: int, what: str) -> None:
-    if n < 1:
-        raise UsageError("n must be positive")
-    if n > cap:
-        raise CapabilityError(f"{what} supports n <= {cap}, got {n}")
+    return integer
 
 
 def _check_engine_n(n: int) -> None:
-    _check_n(n, ENGINE_MAX_N, "the character-sum engine")
-
-
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    what payloads hold: str, bool, None, int, and lists, tuples and
-    str-keyed dicts of these.  Anything else raises TypeError."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(isinstance(v, str) for v in value):
-            return "[" + inner + sep.join(map(encode_basestring_ascii, value)) + indent + "]"
-        return "[" + inner + sep.join([_json(v, inner) for v in value]) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str makes sorted() or the encoder raise TypeError
-        items = sorted(value.items())
-        texts = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in items]
-        return "{" + inner + sep.join(texts) + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    check_n(n, ENGINE_MAX_N, "the character-sum engine")
 
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
-        print(_json(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -142,7 +111,7 @@ def _normal_set(names: list[str], n: int) -> NormalSet:
 
 
 def _cmd_partitions(args) -> int:
-    _check_n(args.n, PARTITION_MAX_N, "partition listing")
+    check_n(args.n, PARTITION_MAX_N, "partition listing")
     parts = enumerate_partitions(args.n)
     _emit(
         args,
@@ -156,14 +125,14 @@ def _cmd_degree(args) -> int:
     lam = parse_partition(args.partition)
     if sum(lam) != args.n:
         raise UsageError(f"{args.partition!r} is not a partition of {args.n}")
-    _check_n(args.n, CHAR_MAX_N, "degree computation")
+    check_n(args.n, CHAR_MAX_N, "degree computation")
     d = degree(lam)
     _emit(args, {"n": args.n, "partition": list(lam), "degree": d}, [str(d)])
     return EXIT_OK
 
 
 def _cmd_char_value(args) -> int:
-    _check_n(args.n, CHAR_MAX_N, "character evaluation")
+    check_n(args.n, CHAR_MAX_N, "character evaluation")
     psi = parse_char(args.char)
     if psi.n != args.n:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
@@ -186,7 +155,7 @@ def _cmd_char_value(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    _check_n(args.n, CHAR_MAX_N, "class listing")
+    check_n(args.n, CHAR_MAX_N, "class listing")
     classes = enumerate_alt_classes(args.n)
     rows = [
         (c.name, class_size(c), delta(c), "yes" if is_exceptional(c.cycle_type) else "no")
@@ -286,7 +255,7 @@ def _cmd_dvir(args) -> int:
     return EXIT_OK
 
 
-# one row of ``_json(report.to_dict())["quadruples"]``, at its indent
+# one row of the "quadruples" of ``report.to_dict()`` as json.dumps indents it
 _QUADRUPLE_JSON = (
     '    {\n      "classes": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
     '      "covered": %s,\n      "min_pair_product": %d,\n      "missing": %s\n    }'
@@ -294,14 +263,9 @@ _QUADRUPLE_JSON = (
 _ROWS_PER_WRITE = 2048
 
 
-def _masked(names: list[str], mask: int) -> list[str]:
-    """The names of the classes in a class bitmask, in canonical order."""
-    return [name for j, name in enumerate(names) if mask >> j & 1]
-
-
 def _write_four_class_json(report) -> None:
-    """Write ``_json(report.to_dict())`` and a newline without building the
-    dict: each class name is encoded once, each row fills one template,
+    """Write ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
+    and a newline without building the dict: each class name is encoded once, each row fills one template,
     and the text goes to stdout a bounded number of rows at a time."""
     names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
     # (covered, missing) text per missing-class mask; few masks recur
@@ -309,7 +273,7 @@ def _write_four_class_json(report) -> None:
 
     def verdict(mask: int) -> tuple[str, str]:
         if mask not in verdicts:
-            missing = ",\n        ".join(_masked(names, mask))
+            missing = ",\n        ".join(names_in(names, mask))
             verdicts[mask] = ("false", "[\n        " + missing + "\n      ]")
         return verdicts[mask]
 
@@ -349,7 +313,7 @@ def _cmd_verify_theorem(args) -> int:
     shown = 0
     for quad, least, mask in report.rows:
         if mask:
-            missing = ", ".join(_masked(names, mask))
+            missing = ", ".join(names_in(names, mask))
             print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
         elif shown < args.show:
             print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
@@ -377,7 +341,7 @@ def _cmd_excon(args) -> int:
 
 
 def _cmd_delta_report(args) -> int:
-    _check_n(args.n, CHAR_MAX_N, "delta report")
+    check_n(args.n, CHAR_MAX_N, "delta report")
     report = delta_bound_report(args.n, _parse_fraction(args.gamma))
     rows = [
         (r.cls.name, r.size, r.delta, str(r.ratio), "*" if r.minimal else "")
@@ -410,7 +374,7 @@ def _add_common(p: argparse.ArgumentParser, mode: bool = False, jobs: bool = Fal
         )
     if jobs:
         p.add_argument(
-            "--jobs", type=_positive_int, default=1, help="parallel workers, at most one per core"
+            "--jobs", type=_int_at_least(1), default=1, help="parallel workers, at most one per core"
         )
 
 
@@ -468,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covering", help="covering number of a class")
     _add_common(p, mode=True)
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--max-k", type=_positive_int, default=8, help="largest power to try")
+    p.add_argument("--max-k", type=_int_at_least(1), default=8, help="largest power to try")
     p.set_defaults(func=_cmd_covering)
 
     p = sub.add_parser("dvir", help="exhaustive long-cycle inclusion sweep at one n")
@@ -484,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon", required=True, help='exact rational threshold exponent, e.g. "1/10"'
     )
     p.add_argument(
-        "--show", type=int, default=10, help="covered quadruples to print in text mode"
+        "--show", type=_int_at_least(0), default=10, help="covered quadruples to print in text mode"
     )
     p.set_defaults(func=_cmd_verify_theorem)
 

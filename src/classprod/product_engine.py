@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, islice
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .alt_group import (
     AltClass,
@@ -44,7 +44,7 @@ from .alt_group import (
     long_cycle_classes,
     power_at_least,
 )
-from .characters import IntegerTable, integer_table
+from .characters import CharacterTable, integer_table
 from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
 
@@ -106,7 +106,7 @@ class _Lifted(NamedTuple):
     sizes: tuple[int, ...]
 
 
-def _layout(tbl: IntegerTable) -> _Lifted:
+def _layout(tbl: CharacterTable) -> _Lifted:
     """The hot-loop layout of an integer character table; each row may
     take irrational values over one radicand only."""
     k, m = len(tbl.chars), len(tbl.classes)
@@ -291,10 +291,10 @@ def _mask_of(s: NormalSet) -> int:
     return mask
 
 
-def _classes_in(n: int, mask: int) -> tuple[AltClass, ...]:
-    """The classes of a mask, in canonical order."""
-    classes = enumerate_alt_classes(n)
-    return tuple(classes[j] for j in _bit_indices(mask))
+def names_in(names: Sequence, mask: int) -> tuple:
+    """The entries of ``names`` (classes in canonical order, or their
+    names) at the set bits of a class bitmask."""
+    return tuple(names[j] for j in _bit_indices(mask))
 
 
 class ProductAlgebra:
@@ -400,7 +400,7 @@ def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
         raise UsageError("normal sets over different groups")
     mask_s, mask_t = _mask_of(s), _mask_of(t)
     mask = _cross_checked(s.n, mode, "products", lambda alg: alg.product(mask_s, mask_t))
-    return NormalSet(s.n, frozenset(_classes_in(s.n, mask)))
+    return NormalSet(s.n, frozenset(names_in(enumerate_alt_classes(s.n), mask)))
 
 
 def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:
@@ -427,7 +427,8 @@ def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltCla
     def missing(alg: ProductAlgebra) -> int:
         return alg.full & ~next(islice(alg.powers(c), k - 1, None))
 
-    return _classes_in(cls.n, _cross_checked(cls.n, mode, "powers", missing))
+    mask = _cross_checked(cls.n, mode, "powers", missing)
+    return names_in(enumerate_alt_classes(cls.n), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +575,7 @@ def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
 
     def missing_names(mask: int) -> tuple[str, ...]:
         if mask not in named:
-            named[mask] = tuple(names[j] for j in _bit_indices(mask))
+            named[mask] = names_in(names, mask)
         return named[mask]
 
     return names, missing_names
@@ -699,6 +700,7 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     if n < 3:
         raise UsageError("the long-cycle checks need n >= 3")
     classes = enumerate_alt_classes(n)
+    names = [c.name for c in classes]
     idx = class_index(n)
     long_pair = long_cycle_classes(n)
     long_mask = _mask_of(NormalSet.of(long_pair))
@@ -713,7 +715,7 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
             return ProductCheckCase(
                 tuple(c.name for c in members),
                 missing == 0,
-                tuple(c.name for c in _classes_in(n, missing)),
+                names_in(names, missing),
             )
 
         def chain_case(members, targets_mask):

@@ -149,8 +149,9 @@ def test_normal_set_basics():
     assert NormalSet.of(classes).is_full()
     assert not s.is_full()
     assert s.sorted_classes() == tuple(classes[:2])
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError) as empty:
         NormalSet.of([])
+    assert type(empty.value) is UsageError
     assert len(NormalSet.of([], n=5)) == 0
     with pytest.raises(ValueError):
         NormalSet.of([classes[0], enumerate_alt_classes(6)[0]])

@@ -239,6 +239,16 @@ def test_split_sum_recovers_sym_character_up_to_12():
                 assert total == QuadValue(mn_value(lam, cls.cycle_type))
 
 
+def test_alt_value_matches_the_character_table_up_to_12():
+    # alt_value takes its Sym values from mn_value, the table from one
+    # abacus per partition
+    for n in range(2, 13):
+        tbl = character_table(n)
+        for psi, row in zip(tbl.chars, tbl.values):
+            for cls, value in zip(tbl.classes, row):
+                assert alt_value(psi, cls) == value, (n, psi.name, cls.name)
+
+
 def test_split_long_cycle_magnitude_bound():
     # |psi(x)| <= sqrt(n) on long cycles, for split characters whose label
     # carries a long-cycle hook

@@ -220,6 +220,7 @@ def test_usage_errors_exit_1(capsys):
         ["verify-theorem", "--n", "6", "--epsilon", "1e-10000000"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "0"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "-3"],
+        ["verify-theorem", "--n", "6", "--epsilon", "1/10", "--show", "-1"],
         # the long-cycle sweeps need n >= 3
         ["dvir", "--n", "2"],
         ["excon", "--n", "2"],

@@ -6,13 +6,12 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classprod.alt_group import enumerate_alt_classes, parse_class_or_union
 from classprod.characters import alt_irreducibles, parse_char
-from classprod.cli import _json, main
+from classprod.cli import main
 from classprod.partitions import enumerate_partitions, format_partition
 
 MAX_N = 7
@@ -145,42 +144,3 @@ def test_generated_argvs_end_cleanly(argv):
     if command == "delta":  # the class as given, which may be a union
         assert all(c.n == payload["n"] for c in parse_class_or_union(payload["class"]))
 
-
-# text that json.dumps escapes: non-ASCII, U+2212, quotes, backslashes,
-# control characters and lone surrogates
-JSON_TEXT = st.text(
-    st.one_of(
-        st.characters(),
-        st.sampled_from(["−", '"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "é"]),
-    )
-)
-JSON_LEAVES = st.one_of(
-    JSON_TEXT,
-    st.integers(),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.sampled_from([True, False, None, 0, 1, -1]),
-)
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.lists(inner, max_size=6).map(tuple),
-        st.dictionaries(JSON_TEXT, inner, max_size=6),
-    ),
-    max_leaves=20,
-)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(JSON_VALUES)
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-def test_json_writer_special_cases():
-    for value in ([True, 1, False, 0, None], {"b": (1, "x"), "a": ()}, ("a", "b")):
-        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
-    assert _json({"covered": True, "n": 1}) == '{\n  "covered": true,\n  "n": 1\n}'
-    for value in (1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {1, 2}}):
-        with pytest.raises(TypeError):
-            _json(value)
