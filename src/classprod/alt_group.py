@@ -149,6 +149,17 @@ def enumerate_alt_classes(n: int) -> tuple[AltClass, ...]:
 
 
 @lru_cache(maxsize=None)
+def classes_by_type(n: int) -> dict[Partition, tuple[AltClass, ...]]:
+    """The classes of Alt(n) keyed by cycle type, in canonical order: one
+    class for a type that does not split, the '+' and then the '-' class
+    for one that does."""
+    out: dict[Partition, tuple[AltClass, ...]] = {}
+    for cls in enumerate_alt_classes(n):
+        out[cls.cycle_type] = out.get(cls.cycle_type, ()) + (cls,)
+    return out
+
+
+@lru_cache(maxsize=None)
 def class_index(n: int) -> dict[AltClass, int]:
     return {cls: i for i, cls in enumerate(enumerate_alt_classes(n))}
 

@@ -11,29 +11,36 @@ A class product is computed from the members of one class only:
 Alt(n) until the orbit closes, and insists that the orbit has the size
 ``class_size`` predicts.  Each orbit files its members in one memo from
 permutation to class, which classifies later products by lookup.
+``alt_conjugacy_classes`` is the union of the orbits, each sorted.
 
-A permutation the memo does not know is classified from one walk of its
-cycles: the number of cycles gives the parity (odd permutations are
-dropped there), their sorted lengths give the cycle type, and the class
-is looked up among ``enumerate_alt_classes(n)``.  For an exceptional type
+A product the memo does not know is classified from one walk of its
+cycles, then filed in it: the number of cycles gives the parity (odd
+permutations are dropped), their sorted lengths give the cycle type, and
+the class is looked up in ``classes_by_type(n)``.  For an exceptional type
 the split tag is read off the same cycles.  Laid end to end, longest
 first, they spell the canonical conjugator: position i of the canonical
 representative (whose cycles fill 0..n-1 in order, longest first) goes to
 the i-th point of that sequence.  An even conjugator means the '+' class,
 an odd one the '-' class.  The conjugator is fixed up to the centralizer,
 which the odd-length, hence even, cycles generate, so its sign is well
-defined.  ``alt_conjugacy_classes`` walks every permutation this way to
-enumerate the whole group, for pair counts and for the tests.
+defined.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .alt_group import AltClass, NormalSet, check_n, class_size, enumerate_alt_classes
+from .alt_group import (
+    AltClass,
+    NormalSet,
+    check_n,
+    class_size,
+    classes_by_type,
+    enumerate_alt_classes,
+)
 from .errors import ConsistencyError, UsageError
 from .partitions import Partition
 
@@ -96,16 +103,6 @@ def canonical_representative(ct: Partition) -> Perm:
     return tuple(images)
 
 
-@lru_cache(maxsize=None)
-def _classes_by_type(n: int) -> dict[Partition, tuple[AltClass, ...]]:
-    """The classes of Alt(n) keyed by cycle type: one class for a type that
-    does not split, the '+' and then the '-' class for one that does."""
-    out: dict[Partition, tuple[AltClass, ...]] = {}
-    for cls in enumerate_alt_classes(n):
-        out[cls.cycle_type] = out.get(cls.cycle_type, ()) + (cls,)
-    return out
-
-
 def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Optional[AltClass]:
     """The Alt(n) class of p, or None when p is odd, from one walk of p."""
     cycs = cycles(p)
@@ -122,7 +119,7 @@ def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Opti
 
 
 def classify(p: Perm) -> AltClass:
-    cls = _even_class(p, _classes_by_type(len(p)))
+    cls = _even_class(p, classes_by_type(len(p)))
     if cls is None:
         raise ValueError(f"{p} is odd, not an element of Alt({len(p)})")
     return cls
@@ -149,27 +146,16 @@ class GroupTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def alt_conjugacy_classes(n: int) -> GroupTable:
-    """Enumerate Alt(n) and partition it into conjugacy classes.
+    """Alt(n) as the union of its classes' orbits (``class_members``).
 
-    Each permutation is walked once (see the module docstring); members
-    keep the lexicographic order of ``itertools.permutations``.  Capped
-    at n = 8 to bound memory and time.
+    Each class's members, and the keys of ``class_of``, are sorted: the
+    lexicographic order of ``itertools.permutations``.  Capped at n = 8 to
+    bound memory and time.
     """
     check_oracle_n(n)
-    by_type = _classes_by_type(n)
-    members: dict[AltClass, list[Perm]] = {c: [] for c in enumerate_alt_classes(n)}
-    class_of: dict[Perm, AltClass] = {}
-    for p in permutations(range(n)):
-        cls = _even_class(p, by_type)
-        if cls is not None:
-            members[cls].append(p)
-            class_of[p] = cls
-    return GroupTable(
-        n,
-        enumerate_alt_classes(n),
-        {c: tuple(ps) for c, ps in members.items()},
-        class_of,
-    )
+    members = {c: tuple(sorted(class_members(c))) for c in enumerate_alt_classes(n)}
+    class_of = dict(sorted((p, c) for c, ps in members.items() for p in ps))
+    return GroupTable(n, enumerate_alt_classes(n), members, class_of)
 
 
 def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> int:
@@ -202,7 +188,8 @@ def _representative(cls: AltClass) -> Perm:
     return compose(compose(swap, rep), swap)
 
 
-# every permutation filed by an orbit of class_members, and its class
+# every permutation filed by an orbit of class_members or walked by
+# oracle_class_product, and its class
 _class_of: dict[Perm, AltClass] = {}
 
 
@@ -243,11 +230,13 @@ def oracle_class_product(a: AltClass, b: AltClass) -> frozenset[AltClass]:
         raise UsageError("classes of different groups")
     small, other = (a, b) if class_size(a) <= class_size(b) else (b, a)
     times_rep = _times(_representative(other))
-    by_type = _classes_by_type(a.n)
+    by_type = classes_by_type(a.n)
     hit = set()
     for p in map(times_rep, class_members(small)):
         cls = _class_of.get(p)
-        hit.add(cls if cls is not None else _even_class(p, by_type))
+        if cls is None:
+            cls = _class_of[p] = _even_class(p, by_type)
+        hit.add(cls)
     return frozenset(hit)
 
 

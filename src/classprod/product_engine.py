@@ -37,6 +37,7 @@ from .alt_group import (
     check_exponent_parts,
     class_index,
     class_size,
+    classes_by_type,
     delta,
     enumerate_alt_classes,
     identity_class,
@@ -283,10 +284,11 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_of(s: NormalSet) -> int:
-    idx = class_index(s.n)
+def _mask_of(n: int, classes: Iterable[AltClass]) -> int:
+    """The class bitmask of some classes of Alt(n)."""
+    idx = class_index(n)
     mask = 0
-    for cls in s.classes:
+    for cls in classes:
         mask |= 1 << idx[cls]
     return mask
 
@@ -366,10 +368,7 @@ def _oracle_algebra(n: int) -> ProductAlgebra:
     brute_force.check_oracle_n(n)
     classes = enumerate_alt_classes(n)
     return ProductAlgebra(
-        n,
-        lambda i, j: _mask_of(
-            NormalSet(n, brute_force.oracle_class_product(classes[i], classes[j]))
-        ),
+        n, lambda i, j: _mask_of(n, brute_force.oracle_class_product(classes[i], classes[j]))
     )
 
 
@@ -398,7 +397,7 @@ def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
     if s.n != t.n:
         raise UsageError("normal sets over different groups")
-    mask_s, mask_t = _mask_of(s), _mask_of(t)
+    mask_s, mask_t = _mask_of(s.n, s.classes), _mask_of(t.n, t.classes)
     mask = _cross_checked(s.n, mode, "products", lambda alg: alg.product(mask_s, mask_t))
     return NormalSet(s.n, frozenset(names_in(enumerate_alt_classes(s.n), mask)))
 
@@ -466,13 +465,9 @@ def _type_masks(n: int) -> list[tuple[str, AltClass, int]]:
     """Even cycle types as (name, one class of the type, class bitmask)
     triples; a split type contributes the union of its two classes,
     matching the classes of Sym(n) that lie inside Alt(n)."""
-    idx = class_index(n)
-    by_type: dict[tuple[int, ...], tuple[AltClass, int]] = {}
-    for cls in enumerate_alt_classes(n):
-        first, mask = by_type.get(cls.cycle_type, (cls, 0))
-        by_type[cls.cycle_type] = (first, mask | 1 << idx[cls])
     return [
-        (format_partition(ct), first, mask) for ct, (first, mask) in by_type.items()
+        (format_partition(ct), group[0], _mask_of(n, group))
+        for ct, group in classes_by_type(n).items()
     ]
 
 
@@ -695,7 +690,8 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     """Exercise the four long-cycle product statements at a single n.
 
     These hold for all sufficiently large n; at desk scale the report is
-    descriptive, recording pass/fail per case.
+    descriptive, recording pass/fail per case.  They ask for few pairs, so
+    each is computed as it is asked for and ``jobs`` starts no pool.
     """
     if n < 3:
         raise UsageError("the long-cycle checks need n >= 3")
@@ -703,11 +699,9 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     names = [c.name for c in classes]
     idx = class_index(n)
     long_pair = long_cycle_classes(n)
-    long_mask = _mask_of(NormalSet.of(long_pair))
+    long_mask = _mask_of(n, long_pair)
     exceptional = [c for c in classes if is_exceptional(c.cycle_type)]
-    exc_mask = sum(1 << idx[c] for c in exceptional)
-    # parts 1-3 ask only for pairs of exceptional classes; part 4 fills lazily
-    exc_pairs = [(idx[a], idx[b]) for a, b in combinations_with_replacement(exceptional, 2)]
+    exc_mask = _mask_of(n, exceptional)
 
     def parts(alg: ProductAlgebra) -> tuple[ProductCheckPart, ...]:
         def case(members, mask, targets_mask):
@@ -756,5 +750,5 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
             ),
         )
 
-    found = _cross_checked(n, mode, "long-cycle checks", parts, exc_pairs, jobs)
+    found = _cross_checked(n, mode, "long-cycle checks", parts)
     return LongCycleProductReport(n, found)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import classprod.brute_force as brute_force
 from classprod.alt_group import (
     AltClass,
     NormalSet,
@@ -145,11 +146,46 @@ def test_classify_matches_canonical_representative():
             assert classify(rep) == AltClass(cls.cycle_type, cls.split and "+")
 
 
+def forget_orbits():
+    """Empty every oracle cache: the orbits, the group tables built from
+    them, the memo of classified permutations and the oracle's algebras."""
+    from classprod.product_engine import _oracle_algebra
+
+    class_members.cache_clear()
+    alt_conjugacy_classes.cache_clear()
+    brute_force._class_of.clear()
+    _oracle_algebra.cache_clear()
+
+
+def count_walks(monkeypatch) -> list:
+    """Record every permutation that ``_even_class`` walks from now on."""
+    walks = []
+    walk = brute_force._even_class
+
+    def counted(p, by_type):
+        walks.append(p)
+        return walk(p, by_type)
+
+    monkeypatch.setattr(brute_force, "_even_class", counted)
+    return walks
+
+
 @pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
 def test_one_walk_enumeration_matches_the_reference(n):
     # the element-by-element classification (sign, cycle type, split tag),
     # products through the reference composition
-    table, ref = alt_conjugacy_classes(n), alt_conjugacy_classes_reference(n)
+    ref = alt_conjugacy_classes_reference(n)
+
+    def products_match():
+        for a in ref.classes:
+            for b in ref.classes:
+                assert oracle_class_product(a, b) == oracle_class_product_reference(ref, a, b)
+
+    # from empty caches most products are walked and filed, and later ones
+    # read those filings; once the table has filed all of Alt(n), none walks
+    forget_orbits()
+    products_match()
+    table = alt_conjugacy_classes(n)
     assert table.classes == ref.classes
     assert list(table.members.items()) == list(ref.members.items())
     assert list(table.class_of.items()) == list(ref.class_of.items())
@@ -159,7 +195,7 @@ def test_one_walk_enumeration_matches_the_reference(n):
         for b in table.classes:
             other = table.representative(b)
             assert compose(rep, other) == compose_reference(rep, other)
-            assert oracle_class_product(a, b) == oracle_class_product_reference(ref, a, b)
+    products_match()
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
@@ -171,20 +207,35 @@ def test_class_members_are_the_enumerated_class(n):
         assert len(members) == class_size(cls)
 
 
+def test_the_group_table_walks_no_permutation(monkeypatch):
+    # Alt(n) is the union of the class orbits, which conjugate and never
+    # classify
+    walks = count_walks(monkeypatch)
+    forget_orbits()
+    for n in range(1, ORACLE_MAX_N + 1):
+        alt_conjugacy_classes(n)
+    assert walks == []
+
+
+def test_a_repeated_oracle_product_walks_nothing(monkeypatch):
+    # the first product files every permutation it walks, so the second
+    # finds each one by lookup
+    a, b = AltClass((6, 2)), AltClass((5, 3), "-")
+    walks = count_walks(monkeypatch)
+    forget_orbits()
+    first = oracle_class_product(a, b)
+    assert walks
+    walks.clear()
+    assert oracle_class_product(a, b) == first
+    assert walks == []
+
+
 def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch):
     # (0 1 2) alone does not generate Alt(8): every orbit comes out short
-    import classprod.brute_force as brute_force
     from classprod.cli import main
-    from classprod.product_engine import _oracle_algebra
 
     three = from_cycles(8, (0, 1, 2))
     monkeypatch.setattr(brute_force, "_alt_generators", lambda n: (three,))
-
-    def forget_orbits():
-        class_members.cache_clear()
-        brute_force._class_of.clear()
-        _oracle_algebra.cache_clear()
-
     forget_orbits()
     try:
         with pytest.raises(ConsistencyError, match="orbit of 6,2 has"):
