@@ -1,14 +1,16 @@
 """Command-line surface: every engine capability, reproducible output.
 
-Exit codes: 0 success, 1 usage error, 2 internal consistency failure
-(an exactness invariant broke, or engine and oracle disagreed in
-``--mode both``), 3 capability exceeded (n too large for the mode).
+Exit codes: 0 success, 1 usage error (or a stdout closed by its reader),
+2 internal consistency failure (an exactness invariant broke, or engine
+and oracle disagreed in ``--mode both``), 3 capability exceeded (n too
+large for the mode).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -255,27 +257,33 @@ def _cmd_dvir(args) -> int:
     return EXIT_OK
 
 
-# one row of the "quadruples" of ``report.to_dict()`` as json.dumps indents it
-_QUADRUPLE_JSON = (
-    '    {\n      "classes": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
-    '      "covered": %s,\n      "min_pair_product": %d,\n      "missing": %s\n    }'
-)
 _ROWS_PER_WRITE = 2048
 
 
 def _write_four_class_json(report) -> None:
     """Write ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-    and a newline without building the dict: each class name is encoded once, each row fills one template,
-    and the text goes to stdout a bounded number of rows at a time."""
+    and a newline without building the dict.  A row of "quadruples" is
+    three cached strings: the text of its first two class names, per index
+    pair; that of its last two, per index pair; and the rest of the row,
+    per (least pair product, missing-class mask), since few of those
+    recur.  The text goes to stdout a bounded number of rows at a time."""
     names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
-    # (covered, missing) text per missing-class mask; few masks recur
-    verdicts = {0: ("true", "[]")}
+    heads = [
+        [f'    {{\n      "classes": [\n        {a},\n        {b},\n' for b in names] for a in names
+    ]
+    mids = [[f"        {c},\n        {d}\n      ],\n" for d in names] for c in names]
+    tails: dict[tuple[int, int], str] = {}
 
-    def verdict(mask: int) -> tuple[str, str]:
-        if mask not in verdicts:
+    def tail(least: int, mask: int) -> str:
+        if mask:
             missing = ",\n        ".join(names_in(names, mask))
-            verdicts[mask] = ("false", "[\n        " + missing + "\n      ]")
-        return verdicts[mask]
+            covered, missing = "false", "[\n        " + missing + "\n      ]"
+        else:
+            covered, missing = "true", "[]"
+        return (
+            f'      "covered": {covered},\n      "min_pair_product": {least},\n'
+            f'      "missing": {missing}\n    }}'
+        )
 
     write = sys.stdout.write
     rows = report.rows
@@ -288,10 +296,11 @@ def _write_four_class_json(report) -> None:
     for start in range(0, len(rows), _ROWS_PER_WRITE):
         texts = []
         for (a, b, c, d), least, mask in rows[start : start + _ROWS_PER_WRITE]:
-            covered, missing = verdict(mask)
-            texts.append(
-                _QUADRUPLE_JSON % (names[a], names[b], names[c], names[d], covered, least, missing)
-            )
+            key = (least, mask)
+            end = tails.get(key)
+            if end is None:
+                end = tails[key] = tail(least, mask)
+            texts.append(heads[a][b] + mids[c][d] + end)
         write((",\n" if start else "") + ",\n".join(texts))
     write(("\n  ]" if rows else "") + f',\n  "total": {len(rows)}\n}}\n')
 
@@ -468,7 +477,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: later writes, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

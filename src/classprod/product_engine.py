@@ -27,7 +27,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -346,12 +346,30 @@ class ProductAlgebra:
             mask = self.times(mask, c)
         return mask
 
-    def powers(self, c: int) -> Iterator[int]:
-        """C, C^2, C^3, ... for the class C with index c."""
-        mask = 1 << c
-        while True:
-            yield mask
-            mask = self.times(mask, c)
+    def powers(self, c: int, k: int) -> tuple[list[int], Optional[int]]:
+        """C, C^2, ..., C^k for the class C with index c, cut before the
+        first repeated mask, and the position in that list of the mask the
+        cut repeats (None: no cut).  Each power is a function of the one
+        before, so from a repeat on the powers cycle through the list's
+        tail: no later one is new.  All of Alt(n) repeats itself (GC = G)
+        without asking for its product."""
+        masks = [1 << c]
+        seen = {masks[0]: 0}
+        while len(masks) < k:
+            mask = self.full if masks[-1] == self.full else self.times(masks[-1], c)
+            if mask in seen:
+                return masks, seen[mask]
+            seen[mask] = len(masks)
+            masks.append(mask)
+        return masks, None
+
+    def power(self, c: int, k: int) -> int:
+        """C^k for the class C with index c, read off the cycle of its
+        powers once one repeats."""
+        masks, start = self.powers(c, k)
+        if k <= len(masks):
+            return masks[k - 1]
+        return masks[start + (k - 1 - start) % (len(masks) - start)]
 
 
 @lru_cache(maxsize=None)
@@ -411,8 +429,8 @@ def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional
     c = class_index(cls.n)[cls]
 
     def least_covering_power(alg: ProductAlgebra) -> Optional[int]:
-        powers = zip(range(1, k_max + 1), alg.powers(c))
-        return next((k for k, mask in powers if mask == alg.full), None)
+        masks, _ = alg.powers(c, k_max)
+        return next((k for k, mask in enumerate(masks, 1) if mask == alg.full), None)
 
     return _cross_checked(cls.n, mode, "covering numbers", least_covering_power)
 
@@ -424,7 +442,7 @@ def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltCla
     c = class_index(cls.n)[cls]
 
     def missing(alg: ProductAlgebra) -> int:
-        return alg.full & ~next(islice(alg.powers(c), k - 1, None))
+        return alg.full & ~alg.power(c, k)
 
     mask = _cross_checked(cls.n, mode, "powers", missing)
     return names_in(enumerate_alt_classes(cls.n), mask)
@@ -586,27 +604,65 @@ def _reaches(n: int, epsilon: Fraction) -> Callable[[int], bool]:
 def _qualifying_quadruples(n: int, epsilon: Fraction):
     """Class quadruples whose six pairwise size products all reach
     (n!/2)**(1+epsilon), with the least of them: the product of the two
-    smallest sizes.  The test is monotone in the product, so that one
-    decides all six.
+    smallest sizes, in descending order of that product, then of the
+    index-sorted quadruple.  The test is monotone in the product, so that
+    one decides all six.
 
     The classes are ordered by size; a quadruple is then positions
     p <= q <= r <= t, and it qualifies iff the pair (p, q) does, so each
-    qualifying pair brings every (r, t) with q <= r <= t untested.
+    qualifying pair brings every (r, t) with q <= r <= t untested.  The
+    quadruples are grouped by their least product, and only each group is
+    sorted.
     """
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     reaches = _reaches(n, epsilon)
-    out = []
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for p, q in combinations_with_replacement(range(len(order)), 2):
         a, b = order[p], order[q]
         least = sizes[a] * sizes[b]
         if reaches(least):
-            out.extend(
-                (tuple(sorted((a, b, order[r], order[t]))), least)
+            groups.setdefault(least, []).extend(
+                tuple(sorted((a, b, order[r], order[t])))
                 for r, t in combinations_with_replacement(range(q, len(order)), 2)
             )
-    out.sort(key=lambda item: (-item[1], item[0]))
+    out = []
+    for least in sorted(groups, reverse=True):
+        quads = groups[least]
+        quads.sort()
+        out.extend(zip(quads, repeat(least)))
     return out
+
+
+def _mask_pair_missing(alg: ProductAlgebra) -> Callable[[int, int], int]:
+    """The mask of the classes that the product of two normal sets M1, M2
+    (masks) misses.
+
+    A certificate decides most pairs without a product: with F(y) the mask
+    of the classes x whose product with the class y is all of Alt(n), and
+    U(M) the union of F(y) over y in M, M1 & U(M2) != 0 proves that M1*M2
+    covers.  It is only sufficient; a pair without one takes the exact
+    ``alg.product``.  F and U are memoised.
+    """
+    full, pair = alg.full, alg.pair
+    classes = range(full.bit_length())
+    covers_with: dict[int, int] = {}  # F(y)
+    unions: dict[int, int] = {}  # U(M)
+
+    def union(mask: int) -> int:
+        if mask not in unions:
+            out = 0
+            for y in _bit_indices(mask):
+                if y not in covers_with:
+                    covers_with[y] = sum(1 << x for x in classes if pair(x, y) == full)
+                out |= covers_with[y]
+            unions[mask] = out
+        return unions[mask]
+
+    def missing(m1: int, m2: int) -> int:
+        return 0 if m1 & union(m2) else full & ~alg.product(m1, m2)
+
+    return missing
 
 
 def verify_four_class_theorem(
@@ -614,7 +670,9 @@ def verify_four_class_theorem(
 ) -> FourClassReport:
     """Sweep all class quadruples (up to multiset symmetry; normal-set
     products commute) whose six pairwise size products reach
-    (n!/2)**(1+epsilon), and report whether ((AB)C)D covers Alt(n).
+    (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).  The
+    product is taken as (AB)(CD), so a quadruple's verdict is decided once
+    per distinct pair of pair masks, not once per quadruple.
 
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
@@ -640,8 +698,24 @@ def verify_four_class_theorem(
         return _qualifying_quadruples(n, epsilon)
 
     def verdicts(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        full, chain = alg.full, alg.chain
-        return tuple((quad, least, full & ~chain(quad)) for quad, least in qualifying())
+        # ABCD = (AB)(CD), so a row's verdict is that of its two pair
+        # masks, decided once per distinct pair of masks
+        rows = qualifying()
+        if not rows:
+            return ()
+        classes = range(alg.full.bit_length())
+        masks = [[alg.pair(i, j) for j in classes] for i in classes]
+        missing = _mask_pair_missing(alg)
+        decided: dict[tuple[int, int], int] = {}
+        out = []
+        for quad, least in rows:
+            w, x, y, z = quad
+            key = (masks[w][x], masks[y][z])
+            verdict = decided.get(key)
+            if verdict is None:
+                verdict = decided[key] = missing(*key)
+            out.append((quad, least, verdict))
+        return tuple(out)
 
     rows = _cross_checked(n, mode, "four-class sweeps", verdicts, fill, jobs)
     return FourClassReport(n, epsilon, mode, rows)

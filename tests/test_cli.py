@@ -194,6 +194,54 @@ def test_four_class_text_is_unchanged(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["--n", "11", "--epsilon", "1/10"],  # one row does not cover
+            "f9fdbbec8e171a7853c6eb5cca7489185f22f745923628cea89792a963bb4a72",
+        ),
+        (
+            ["--n", "12", "--epsilon", "1/20"],
+            "aa2da296e86f73c313d32e018270440f5e8fdd9dcbc387121a965ec4b24cb61a",
+        ),
+    ],
+)
+def test_four_class_json_verdicts_are_unchanged(capsys, argv, sha256):
+    # the encoder test compares the CLI with the same rows, so it cannot
+    # see a wrong verdict; these digests can
+    code, out, _ = run_cli(capsys, "verify-theorem", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--n", "10", "--epsilon", "1/10", "--format", "json"],
+        ["partitions", "--n", "30"],
+    ],
+    ids=["verify-theorem", "partitions"],
+)
+def test_closed_stdout_ends_without_a_traceback(argv):
+    # like piping into `head -1`: the reader takes one line and closes the
+    # pipe while the command still has far more than a pipe buffer to write
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "classprod.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == "error: stdout was closed before the output was written\n"
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, "degree", "--n", "10", "--partition", "3,4")
     assert code == 1 and "weakly decreasing" in err

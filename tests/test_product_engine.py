@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -23,7 +24,9 @@ from classprod.product_engine import (
     QuadrupleVerdict,
     _counted,
     _layout,
+    _engine_algebra,
     _lifted,
+    _mask_pair_missing,
     _pair_sums,
     _pool_size,
     _qualifying_quadruples,
@@ -31,6 +34,7 @@ from classprod.product_engine import (
     contains,
     covering_number,
     dvir_rodgers_applies,
+    ensure_pair_masks,
     exactness_check_count,
     frobenius_sum,
     long_cycle_product_checks,
@@ -183,6 +187,45 @@ def test_powers_match_oracle_up_to_7():
                 expected = tuple(c for c in enumerate_alt_classes(n) if c not in power)
                 assert missing_classes(cls, k) == expected, (cls, k)
             assert covering_number(cls, k_max) == oracle_covering_number(table, cls, k_max)
+
+
+def test_powers_read_past_their_cycle_match_the_walk():
+    # C^k for k beyond the first repeated power is read off the cycle
+    for n in range(3, 9):
+        alg = _engine_algebra(n)
+        for c in range(1, len(enumerate_alt_classes(n))):
+            walked, mask = [], 1 << c
+            for _ in range(40):
+                walked.append(mask)
+                mask = alg.times(mask, c)
+            masks, start = alg.powers(c, 40)
+            assert masks == walked[: len(masks)]
+            if start is not None:
+                assert walked[len(masks)] == masks[start]
+            assert [alg.power(c, k) for k in range(1, 41)] == walked, (n, c)
+
+
+@pytest.mark.parametrize(
+    "n, cls, missed",
+    [(3, AltClass((3,), "+"), ("3-", "1,1,1")), (4, AltClass((2, 2)), ("3,1+", "3,1-"))],
+)
+def test_powers_that_never_cover_stop_at_their_first_repeat(monkeypatch, n, cls, missed):
+    # each power is a function of the one before: a huge k costs a few
+    # products in every mode, not k of them
+    calls = []
+    times = ProductAlgebra.times
+
+    def counted(self, mask, c):
+        calls.append((mask, c))
+        return times(self, mask, c)
+
+    monkeypatch.setattr(ProductAlgebra, "times", counted)
+    huge = 10**5
+    for mode in ("engine", "both"):
+        calls.clear()
+        assert covering_number(cls, huge, mode=mode) is None
+        assert tuple(c.name for c in missing_classes(cls, huge, mode=mode)) == missed
+        assert len(calls) <= 12, (mode, len(calls))
 
 
 def test_dvir_rodgers_applies_arithmetic():
@@ -430,6 +473,23 @@ def test_four_class_sweep_keeps_every_exactness_check():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["7200"]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
+    # ABCD = (AB)(CD): the certificate, then the exact product, of the two
+    # pair masks gives the chain's verdict on every quadruple of nontrivial
+    # classes (index-sorted, as the sweep splits them)
+    ensure_pair_masks(n)
+    alg = _engine_algebra(n)
+    missing = _mask_pair_missing(alg)
+    decided, certified = {}, 0
+    for quad in combinations_with_replacement(range(1, len(enumerate_alt_classes(n))), 4):
+        w, x, y, z = quad
+        key = (alg.pair(w, x), alg.pair(y, z))
+        if key not in decided:
+            decided[key] = missing(*key)
+        assert decided[key] == alg.full & ~alg.chain(quad), (n, quad)
 
 
 def test_engine_rejects_mixed_n():
