@@ -304,8 +304,11 @@ class ProductAlgebra:
     the mask of each class pair (i, j), i <= j (normal sets commute), that
     has been asked for; ``pair_mask(i, j)`` computes a missing one.
     ``times(mask, c)`` asks only for the pairs of c with the classes in the
-    mask, so only the pairs a product touches are computed; its results
-    are memoised, so a chain met again asks for none.
+    mask and stops as soon as their union is all of Alt(n), as
+    ``product`` does; all of Alt(n) times any class is all of Alt(n)
+    (GC = G) without a pair.  So only the pairs a product needs are
+    computed.  Its results are memoised, so a chain met again asks for
+    none.
     """
 
     def __init__(self, n: int, pair_mask: Callable[[int, int], int]):
@@ -323,11 +326,15 @@ class ProductAlgebra:
 
     def times(self, mask: int, c: int) -> int:
         """The normal set ``mask`` times the class with index c."""
+        if mask == self.full:
+            return mask
         key = (mask, c)
         if key not in self._memo:
             out = 0
             for i in _bit_indices(mask):
                 out |= self.pair(i, c)
+                if out == self.full:
+                    break
             self._memo[key] = out
         return self._memo[key]
 
@@ -336,6 +343,8 @@ class ProductAlgebra:
         out = 0
         for c in _bit_indices(mask_b):
             out |= self.times(mask_a, c)
+            if out == self.full:
+                break
         return out
 
     def chain(self, classes: Iterable[int]) -> int:
@@ -351,12 +360,11 @@ class ProductAlgebra:
         first repeated mask, and the position in that list of the mask the
         cut repeats (None: no cut).  Each power is a function of the one
         before, so from a repeat on the powers cycle through the list's
-        tail: no later one is new.  All of Alt(n) repeats itself (GC = G)
-        without asking for its product."""
+        tail: no later one is new."""
         masks = [1 << c]
         seen = {masks[0]: 0}
         while len(masks) < k:
-            mask = self.full if masks[-1] == self.full else self.times(masks[-1], c)
+            mask = self.times(masks[-1], c)
             if mask in seen:
                 return masks, seen[mask]
             seen[mask] = len(masks)
@@ -634,37 +642,6 @@ def _qualifying_quadruples(n: int, epsilon: Fraction):
     return out
 
 
-def _mask_pair_missing(alg: ProductAlgebra) -> Callable[[int, int], int]:
-    """The mask of the classes that the product of two normal sets M1, M2
-    (masks) misses.
-
-    A certificate decides most pairs without a product: with F(y) the mask
-    of the classes x whose product with the class y is all of Alt(n), and
-    U(M) the union of F(y) over y in M, M1 & U(M2) != 0 proves that M1*M2
-    covers.  It is only sufficient; a pair without one takes the exact
-    ``alg.product``.  F and U are memoised.
-    """
-    full, pair = alg.full, alg.pair
-    classes = range(full.bit_length())
-    covers_with: dict[int, int] = {}  # F(y)
-    unions: dict[int, int] = {}  # U(M)
-
-    def union(mask: int) -> int:
-        if mask not in unions:
-            out = 0
-            for y in _bit_indices(mask):
-                if y not in covers_with:
-                    covers_with[y] = sum(1 << x for x in classes if pair(x, y) == full)
-                out |= covers_with[y]
-            unions[mask] = out
-        return unions[mask]
-
-    def missing(m1: int, m2: int) -> int:
-        return 0 if m1 & union(m2) else full & ~alg.product(m1, m2)
-
-    return missing
-
-
 def verify_four_class_theorem(
     n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
 ) -> FourClassReport:
@@ -672,7 +649,8 @@ def verify_four_class_theorem(
     products commute) whose six pairwise size products reach
     (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).  The
     product is taken as (AB)(CD), so a quadruple's verdict is decided once
-    per distinct pair of pair masks, not once per quadruple.
+    per distinct pair of pair masks, not once per quadruple, by their
+    product in the algebra, which stops once it is all of Alt(n).
 
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
@@ -705,7 +683,6 @@ def verify_four_class_theorem(
             return ()
         classes = range(alg.full.bit_length())
         masks = [[alg.pair(i, j) for j in classes] for i in classes]
-        missing = _mask_pair_missing(alg)
         decided: dict[tuple[int, int], int] = {}
         out = []
         for quad, least in rows:
@@ -713,7 +690,7 @@ def verify_four_class_theorem(
             key = (masks[w][x], masks[y][z])
             verdict = decided.get(key)
             if verdict is None:
-                verdict = decided[key] = missing(*key)
+                verdict = decided[key] = alg.full & ~alg.product(*key)
             out.append((quad, least, verdict))
         return tuple(out)
 

@@ -26,7 +26,6 @@ from classprod.product_engine import (
     _engine_algebra,
     _layout,
     _lifted,
-    _mask_pair_missing,
     _pair_sums,
     _pool_size,
     _qualifying_quadruples,
@@ -261,15 +260,30 @@ def test_lemma_excon_small():
 
 
 def test_excon_fills_only_the_pairs_it_asks_for(monkeypatch):
-    # parts 1-3 fill the pairs of exceptional classes up front and part 4
-    # the pairs its chains touch: 38 of the 171 class pairs at n=9
+    # only the pairs its chains touch, each product stopping once it is all
+    # of Alt(n): 10 of the 171 class pairs at n=9
     import classprod.product_engine as engine
 
     monkeypatch.setattr(
         engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
     )
     assert all(part.passed for part in long_cycle_product_checks(9).parts)
-    assert len(engine._engine_algebra(9).pairs) == 38
+    assert len(engine._engine_algebra(9).pairs) == 10
+
+
+def test_covering_of_a_long_cycle_stops_at_all_of_alt_n(monkeypatch, capsys):
+    # C^2 of a long-cycle class C of Alt(12) misses only the identity, and
+    # C^3 = C^2 C stops at the first class of C^2 whose product with C is
+    # all of Alt(12): two of the 946 class pairs are computed
+    import classprod.product_engine as engine
+    from classprod.cli import main
+
+    monkeypatch.setattr(
+        engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
+    )
+    assert main(["covering", "--n", "12", "--class", "11,1+"]) == 0
+    capsys.readouterr()
+    assert len(engine._engine_algebra(12).pairs) == 2
 
 
 def test_large_pair_coverage_report_structure():
@@ -477,12 +491,11 @@ def test_four_class_sweep_keeps_every_exactness_check():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
-    # ABCD = (AB)(CD): the certificate, then the exact product, of the two
-    # pair masks gives the chain's verdict on every quadruple of nontrivial
-    # classes (index-sorted, as the sweep splits them)
+    # ABCD = (AB)(CD): the product of the two pair masks gives the chain's
+    # verdict on every quadruple of nontrivial classes (index-sorted, as
+    # the sweep splits them)
     ensure_pair_masks(n)
     alg = _engine_algebra(n)
-    missing = _mask_pair_missing(alg)
     classes = enumerate_alt_classes(n)
     nontrivial = [i for i, c in enumerate(classes) if c != identity_class(n)]
     decided = {}
@@ -490,7 +503,7 @@ def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
         w, x, y, z = quad
         key = (alg.pair(w, x), alg.pair(y, z))
         if key not in decided:
-            decided[key] = missing(*key)
+            decided[key] = alg.full & ~alg.product(*key)
         assert decided[key] == alg.full & ~alg.chain(quad), (n, quad)
 
 
@@ -532,6 +545,33 @@ def test_product_algebra_asks_only_for_touched_pairs():
     asked.clear()
     assert alg.pair(3, 0) == alg.pair(0, 3) == alg.pairs[(0, 3)]
     assert asked == [(0, 3)] and list(alg.pairs) == [(0, 3)]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_products_stopping_at_all_of_alt_n_equal_the_plain_union(n):
+    # a fresh algebra over the filled pairs: stopping once a union is all of
+    # Alt(n) changes no product of two pair masks, no mask times a class,
+    # and G times any class is G
+    ensure_pair_masks(n)
+    pairs = _engine_algebra(n).pairs
+    k = len(enumerate_alt_classes(n))
+    alg = ProductAlgebra(n, lambda i, j: pairs[(i, j)])
+
+    def plain(m1, m2):
+        out = 0
+        for i in range(k):
+            for j in range(k):
+                if m1 >> i & 1 and m2 >> j & 1:
+                    out |= pairs[(min(i, j), max(i, j))]
+        return out
+
+    masks = sorted(set(pairs.values()))
+    for m1, m2 in combinations_with_replacement(masks, 2):
+        assert alg.product(m1, m2) == alg.product(m2, m1) == plain(m1, m2), (n, m1, m2)
+    for m1 in masks:
+        for c in range(k):
+            assert alg.times(m1, c) == plain(m1, 1 << c), (n, m1, c)
+    assert all(alg.times(alg.full, c) == alg.full for c in range(k))
 
 
 def test_pool_size_is_bounded():
