@@ -28,7 +28,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, repeat
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .alt_group import (
@@ -401,16 +401,17 @@ def _oracle_algebra(n: int) -> ProductAlgebra:
 def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1):
     """``compute(algebra)`` over the engine, the brute-force oracle, or both
     (whose results must be equal).  The oracle's algebra comes first, so a
-    group too large for it fails before any engine work.  The engine first
-    fills the pairs in ``fill`` (None: all) with ``jobs`` workers, the rest
-    as they are asked for.
+    group too large for it fails before any engine work.  With ``jobs`` > 1
+    the engine first fills the pairs in ``fill`` (None: all) with that many
+    workers; every other pair is computed when it is asked for.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
     oracle = _oracle_algebra(n) if mode in ("oracle", "both") else None
     results = []
     if mode in ("engine", "both"):
-        ensure_pair_masks(n, fill, jobs)
+        if jobs > 1:
+            ensure_pair_masks(n, fill, jobs)
         results.append(compute(_engine_algebra(n)))
     if oracle is not None:
         results.append(compute(oracle))
@@ -602,44 +603,16 @@ def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
     return names, missing_names
 
 
-def _reaches(n: int, epsilon: Fraction) -> Callable[[int], bool]:
-    """Does a size product reach (n!/2)**(1+epsilon)?  Cached per product."""
-    order = math.factorial(n) // 2
-    threshold = Fraction(1) + Fraction(epsilon)
-    return lru_cache(maxsize=None)(lambda p: power_at_least(p, order, threshold))
+class _Missed(dict):
+    """The classes missed by the product of two normal sets, keyed by
+    their masks; each is decided once, when first looked up."""
 
+    def __init__(self, alg: ProductAlgebra):
+        self.alg = alg
 
-def _qualifying_quadruples(n: int, epsilon: Fraction):
-    """Class quadruples whose six pairwise size products all reach
-    (n!/2)**(1+epsilon), with the least of them: the product of the two
-    smallest sizes, in descending order of that product, then of the
-    index-sorted quadruple.  The test is monotone in the product, so that
-    one decides all six.
-
-    The classes are ordered by size; a quadruple is then positions
-    p <= q <= r <= t, and it qualifies iff the pair (p, q) does, so each
-    qualifying pair brings every (r, t) with q <= r <= t untested.  The
-    quadruples are grouped by their least product, and only each group is
-    sorted.
-    """
-    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
-    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
-    reaches = _reaches(n, epsilon)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for p, q in combinations_with_replacement(range(len(order)), 2):
-        a, b = order[p], order[q]
-        least = sizes[a] * sizes[b]
-        if reaches(least):
-            groups.setdefault(least, []).extend(
-                tuple(sorted((a, b, order[r], order[t])))
-                for r, t in combinations_with_replacement(range(q, len(order)), 2)
-            )
-    out = []
-    for least in sorted(groups, reverse=True):
-        quads = groups[least]
-        quads.sort()
-        out.extend(zip(quads, repeat(least)))
-    return out
+    def __missing__(self, key: tuple[int, int]) -> int:
+        self[key] = missed = self.alg.full & ~self.alg.product(*key)
+        return missed
 
 
 def verify_four_class_theorem(
@@ -647,10 +620,18 @@ def verify_four_class_theorem(
 ) -> FourClassReport:
     """Sweep all class quadruples (up to multiset symmetry; normal-set
     products commute) whose six pairwise size products reach
-    (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).  The
-    product is taken as (AB)(CD), so a quadruple's verdict is decided once
-    per distinct pair of pair masks, not once per quadruple, by their
-    product in the algebra, which stops once it is all of Alt(n).
+    (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).
+
+    One pass enumerates and decides.  With the classes ordered by size, a
+    quadruple is positions p <= q <= r <= t; the test is monotone in the
+    product, so the least product, that of (p, q), decides all six, and
+    each qualifying pair (p, q) brings every (r, t) with q <= r <= t
+    untested.  The product is taken as (AB)(CD) in that size order, so a
+    verdict is decided once per distinct pair of pair masks, by their
+    product in the algebra, which stops once it is all of Alt(n).  The
+    rows come in descending order of the least product, then of the
+    index-sorted quadruple; only each group of one least product is
+    sorted.
 
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
@@ -663,39 +644,43 @@ def verify_four_class_theorem(
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
-    classes = enumerate_alt_classes(n)
+    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
+    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    group_order = math.factorial(n) // 2
+    reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, group_order, 1 + epsilon))
     # some quadruple qualifies iff four copies of the largest class do, so
-    # the fill is known without the enumeration, which waits for the
-    # oracle's cap check (the first call of ``verdicts``) and serves both
-    # algebras
-    largest = max(class_size(c) for c in classes)
-    fill = None if _reaches(n, epsilon)(largest * largest) else ()
+    # the fill is known before the enumeration, which waits for the
+    # oracle's cap check
+    qualifies = reaches(sizes[order[-1]] ** 2)
 
-    @lru_cache(maxsize=None)
-    def qualifying():
-        return _qualifying_quadruples(n, epsilon)
-
-    def verdicts(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        # ABCD = (AB)(CD), so a row's verdict is that of its two pair
-        # masks, decided once per distinct pair of masks
-        rows = qualifying()
-        if not rows:
+    def rows(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        if not qualifies:
             return ()
-        classes = range(alg.full.bit_length())
+        classes = range(len(order))
         masks = [[alg.pair(i, j) for j in classes] for i in classes]
-        decided: dict[tuple[int, int], int] = {}
+        missed = _Missed(alg)
+        groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+        for q, b in enumerate(order):
+            if not reaches(sizes[b] * sizes[b]):
+                continue  # nor does any (p, q)
+            tail = list(combinations_with_replacement(order[q:], 2))  # (r, t), as classes
+            seconds = [masks[c][d] for c, d in tail]
+            for a in order[: q + 1]:
+                least = sizes[a] * sizes[b]
+                if reaches(least):
+                    quads = [tuple(sorted((a, b, c, d))) for c, d in tail]
+                    verdicts = map(missed.__getitem__, zip(repeat(masks[a][b]), seconds))
+                    groups.setdefault(least, []).extend(zip(quads, repeat(least), verdicts))
         out = []
-        for quad, least in rows:
-            w, x, y, z = quad
-            key = (masks[w][x], masks[y][z])
-            verdict = decided.get(key)
-            if verdict is None:
-                verdict = decided[key] = alg.full & ~alg.product(*key)
-            out.append((quad, least, verdict))
+        for least in sorted(groups, reverse=True):
+            group = groups[least]
+            group.sort(key=itemgetter(0))
+            out.extend(group)
         return tuple(out)
 
-    rows = _cross_checked(n, mode, "four-class sweeps", verdicts, fill, jobs)
-    return FourClassReport(n, epsilon, mode, rows)
+    fill = None if qualifies else ()
+    found = _cross_checked(n, mode, "four-class sweeps", rows, fill, jobs)
+    return FourClassReport(n, epsilon, mode, found)
 
 
 class ProductCheckCase(NamedTuple):

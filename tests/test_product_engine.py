@@ -28,7 +28,6 @@ from classprod.product_engine import (
     _lifted,
     _pair_sums,
     _pool_size,
-    _qualifying_quadruples,
     check_dvir_rodgers,
     contains,
     covering_number,
@@ -244,6 +243,23 @@ def test_check_dvir_rodgers_small():
     assert check_dvir_rodgers(7, mode="oracle").passed
 
 
+def test_serial_dvir_sweep_computes_only_the_masks_it_asks_for():
+    # a fresh interpreter, so that every mask is computed by this sweep:
+    # its products stop at all of Alt(8) and ask for 49 of the 51 pairs
+    # of its qualifying type pairs; only a pool fills ahead
+    import subprocess
+    import sys
+
+    code = (
+        "from classprod.product_engine import _engine_algebra, check_dvir_rodgers\n"
+        "assert check_dvir_rodgers(8).passed\n"
+        "print(len(_engine_algebra(8).pairs))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["49"]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_long_cycle_sweeps_need_n_at_least_3(n):
     with pytest.raises(UsageError, match="n >= 3"):
@@ -444,32 +460,23 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     def enumerated(*args):
         raise AssertionError("quadruples enumerated before the oracle cap check")
 
-    monkeypatch.setattr(engine, "_qualifying_quadruples", enumerated)
+    monkeypatch.setattr(engine, "combinations_with_replacement", enumerated)
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
             verify_four_class_theorem(9, Fraction(1, 10), mode=mode)
-
-
-def test_both_modes_share_one_enumeration(monkeypatch):
-    import classprod.product_engine as engine
-
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _qualifying_quadruples(*args)
-
-    monkeypatch.setattr(engine, "_qualifying_quadruples", counted)
-    report = verify_four_class_theorem(8, Fraction(1, 20), mode="both")
-    assert report.quadruples and len(calls) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_size_order_enumeration_matches_the_direct_filter(n):
     # empty sweeps included: n = 3, and epsilon = 1 for n >= 3
     sweeps = qualifying_quadruples_reference(n, SWEEP_EPSILONS)
+    alg = _engine_algebra(n)
     for epsilon, expected in zip(SWEEP_EPSILONS, sweeps):
-        assert _qualifying_quadruples(n, epsilon) == expected, (n, epsilon, len(expected))
+        report = verify_four_class_theorem(n, epsilon)
+        assert [(quad, least) for quad, least, _ in report.rows] == expected, (n, epsilon)
+        if n <= 9:
+            for quad, _, mask in report.rows:
+                assert mask == alg.full & ~alg.chain(quad), (n, epsilon, quad)
 
 
 def test_four_class_sweep_keeps_every_exactness_check():
@@ -492,14 +499,15 @@ def test_four_class_sweep_keeps_every_exactness_check():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
     # ABCD = (AB)(CD): the product of the two pair masks gives the chain's
-    # verdict on every quadruple of nontrivial classes (index-sorted, as
-    # the sweep splits them)
+    # verdict on every quadruple of nontrivial classes (split in size
+    # order, as the sweep splits them)
     ensure_pair_masks(n)
     alg = _engine_algebra(n)
     classes = enumerate_alt_classes(n)
     nontrivial = [i for i, c in enumerate(classes) if c != identity_class(n)]
+    by_size = sorted(nontrivial, key=lambda i: (class_size(classes[i]), i))
     decided = {}
-    for quad in combinations_with_replacement(nontrivial, 4):
+    for quad in combinations_with_replacement(by_size, 4):
         w, x, y, z = quad
         key = (alg.pair(w, x), alg.pair(y, z))
         if key not in decided:
