@@ -1,0 +1,42 @@
+"""Check every command of the benchmark catalogue against its recorded output.
+
+Runs each argv of ``perfbench/catalogue.json`` as a fresh process
+(``python -m classprod.cli ARGV`` with ``src`` on the path), one at a time,
+and checks its exit code and stdout with ``perfbench/workloads.gate``: the
+sha256 recorded for that argv, plus the workload's structural checks.
+Prints each failure and a summary line; exits 1 if any command fails.
+
+    python scripts/catalogue_gate.py
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import gate, load_catalogue  # noqa: E402
+
+
+def main() -> int:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    commands = load_catalogue()
+    failed = 0
+    for entry in commands:
+        argv = [sys.executable, "-m", "classprod.cli", *entry["argv"]]
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=False)
+        why = gate(entry, proc.returncode, proc.stdout)
+        if why:
+            failed += 1
+            print(f"FAIL {' '.join(entry['argv'])}: {why}", flush=True)
+    print(f"{len(commands) - failed}/{len(commands)} catalogue commands pass the gate")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

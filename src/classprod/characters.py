@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
+from .alt_group import AltClass, class_size, enumerate_alt_classes
 from .partitions import (
     Partition,
     TaggedLabel,
@@ -32,9 +33,6 @@ from .partitions import (
     validate_partition,
 )
 from .errors import UsageError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .alt_group import AltClass
 
 RationalLike = Union[int, Fraction]
 
@@ -391,7 +389,7 @@ def alt_degree(psi: AltChar) -> int:
 
 
 def _alt_parts(
-    psi: AltChar, cls: "AltClass", chi: int, crit: Optional[Partition]
+    psi: AltChar, cls: AltClass, chi: int, crit: Optional[Partition]
 ) -> tuple[int, int, int]:
     """The value of ``psi`` on ``cls`` as integer parts (p, q, d) of
     (p + q*sqrt(d))/2, d squarefree and d == 1 exactly when q == 0, from
@@ -420,7 +418,7 @@ def _alt_parts(
     return (chi + s, 0, 1) if d == 1 else (chi, s, d)
 
 
-def alt_value(psi: AltChar, cls: "AltClass") -> QuadValue:
+def alt_value(psi: AltChar, cls: AltClass) -> QuadValue:
     """Exact value of an Alt(n) irreducible character on a conjugacy class
     (see ``_alt_parts``)."""
     lam = psi.partition
@@ -442,7 +440,7 @@ class CharacterTable(NamedTuple):
 
     n: int
     chars: tuple[AltChar, ...]
-    classes: tuple["AltClass", ...]
+    classes: tuple[AltClass, ...]
     degrees: tuple[int, ...]
     class_sizes: tuple[int, ...]
     values: tuple[tuple[Union[QuadValue, tuple[int, int, int]], ...], ...]
@@ -456,8 +454,6 @@ class CharacterTable(NamedTuple):
 def integer_table(n: int) -> CharacterTable:
     """Every Alt(n) character value as integer parts, from one abacus per
     partition and one Murnaghan-Nakayama evaluation per even cycle type."""
-    from .alt_group import class_size, enumerate_alt_classes
-
     chars = alt_irreducibles(n)
     classes = enumerate_alt_classes(n)
     sids = {ct: _suffix_id(ct) for ct in dict.fromkeys(c.cycle_type for c in classes)}

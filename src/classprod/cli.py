@@ -247,7 +247,7 @@ def _cmd_covering(args) -> int:
 
 def _cmd_dvir(args) -> int:
     _check_engine_n(args.n)
-    report = check_dvir_rodgers(args.n, jobs=args.jobs, mode=args.mode)
+    report = check_dvir_rodgers(args.n, mode=args.mode)
     lines = [
         f"n={report.n}: {report.pairs_checked} qualifying pairs, "
         f"{len(report.violations)} violations",
@@ -307,9 +307,7 @@ def _write_four_class_json(report) -> None:
 
 def _cmd_verify_theorem(args) -> int:
     _check_engine_n(args.n)
-    report = verify_four_class_theorem(
-        args.n, _parse_fraction(args.epsilon), jobs=args.jobs, mode=args.mode
-    )
+    report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
     if args.format == "json":
         _write_four_class_json(report)
         return EXIT_OK
@@ -335,7 +333,7 @@ def _cmd_verify_theorem(args) -> int:
 
 def _cmd_excon(args) -> int:
     _check_engine_n(args.n)
-    report = long_cycle_product_checks(args.n, jobs=args.jobs, mode=args.mode)
+    report = long_cycle_product_checks(args.n, mode=args.mode)
     lines = []
     for part in report.parts:
         status = "pass" if part.passed else "FAIL"
@@ -383,7 +381,7 @@ def _add_common(p: argparse.ArgumentParser, mode: bool = False, jobs: bool = Fal
         )
     if jobs:
         p.add_argument(
-            "--jobs", type=_int_at_least(1), default=1, help="parallel workers, at most one per core"
+            "--jobs", type=_int_at_least(1), default=1, help="accepted; the sweep runs serially"
         )
 
 

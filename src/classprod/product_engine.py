@@ -5,26 +5,26 @@ The number of factorizations g = xy with x in A and y in B equals
 chi(a) chi(b) conj(chi(g)) / chi(1); the class of g lies in the normal
 set AB exactly when that sum is nonzero.  Every sum is evaluated over the
 full Alt(n) character table in exact integer arithmetic: each value is
-(p + q*sqrt(d))/2 with integers p, q and one radicand d per character, so
-a sum is a few integer dot products.  The radical part of each radicand
-must cancel, each pair count must be a nonnegative integer, and the
-counts of a class pair must conserve mass.  Any failure raises
-ConsistencyError.
+(p + q*sqrt(d))/2 with integers p, q and one radicand d per character.
+Each row is packed into one integer, its entry at every class in a signed
+slot whose width is bounded from the table's own entries, so the sums of a
+class pair at all classes are one dot product, and its radical parts one
+more per radicand.  The radical part of each radicand must cancel, each
+pair count must be a nonnegative integer, and the counts of a class pair
+must conserve mass.  Any failure raises ConsistencyError.
 
 Pairwise class products are bitmasks over the canonical class order, each
-computed once by the ProductAlgebra that holds it; the engine's may be
-filled by parallel workers, and each evaluation is pure, so results are
-independent of scheduling.  Every larger product (product sets, powers,
-the named sweeps) is a chain of one step in ProductAlgebra, "normal set
-times class".  The one provider ``_cross_checked`` runs a computation over
-the engine's algebra, the oracle's or both, and raises ConsistencyError if
-they differ.
+computed once, when first asked for, by the ProductAlgebra that holds it;
+the ``jobs`` parameters are accepted and change nothing.  Every larger
+product (product sets, powers, the named sweeps) is a chain of one step
+in ProductAlgebra, "normal set times class".  The one provider
+``_cross_checked`` runs a computation over the engine's algebra, the
+oracle's or both, and raises ConsistencyError if they differ.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, repeat
@@ -75,16 +75,6 @@ def _check_same_n(*classes: AltClass) -> int:
     return n
 
 
-class _RadicandRows(NamedTuple):
-    """The characters whose irrational values lie over one sqrt(d)."""
-
-    d: int
-    rows: tuple[int, ...]  # character indices
-    at: slice  # their positions in _Lifted.rad_rows
-    cols: tuple[tuple[int, ...], ...]  # per class g: conjugated q, then p, on these rows
-    support: tuple[int, ...]  # the classes g where one of these rows is irrational
-
-
 class _Lifted(NamedTuple):
     """The integer Alt(n) character table laid out for the hot loop.
 
@@ -93,6 +83,8 @@ class _Lifted(NamedTuple):
     degrees, so that sum_i chi_i(a) chi_i(b) conj(chi_i(g)) / chi_i(1) is
     R / (8L), where R is the integer sum over i of the weight times
     (2 chi_i(a)) (2 chi_i(b)) (2 conj(chi_i(g))).
+    Row i is also packed into one integer: its entry at class g is the g-th
+    signed slot of ``width`` bits, class 0 lowest.
     """
 
     p: tuple[tuple[int, ...], ...]  # p[j][i] for class j, character i
@@ -100,11 +92,26 @@ class _Lifted(NamedTuple):
     weights: tuple[int, ...]
     rad_rows: tuple[int, ...]  # the irrational rows, grouped by radicand
     rad_d: tuple[int, ...]  # their radicands
-    radicands: tuple[_RadicandRows, ...]
-    cols: tuple[tuple[int, ...], ...]  # per class g: p, then conjugated q
+    radicands: tuple[tuple[int, slice, tuple[int, ...]], ...]  # (d, span in rad_rows, packed cols)
+    packed: tuple[int, ...]  # packed p of every row, then conjugated q of ``rad_rows``
+    width: int  # bits per slot, a multiple of 8
+    offset: int  # 2^(width-1) in every slot: added, it makes each slot nonnegative
     scale: int  # 8L
     order: int
     sizes: tuple[int, ...]
+
+
+def _slot_width(weights: Sequence[int], reach: Sequence[int]) -> int:
+    """Bits per signed slot, a multiple of 8, for sums over rows of these
+    weights, where ``reach`` is each row's largest |p| + |d*q|.
+
+    With M that reach, the rational and the radical part of a product of
+    two entries of a row are at most M^2 in size (|d| >= 1), and of three
+    at most M^3, so every part of a sum lies in [-B, B], B = sum over rows
+    of weight * M^3.
+    """
+    bound = sum(w * x**3 for w, x in zip(weights, reach))
+    return 8 * ((bound.bit_length() + 8) // 8)  # B < 2^(width - 1)
 
 
 def _layout(tbl: CharacterTable) -> _Lifted:
@@ -119,33 +126,41 @@ def _layout(tbl: CharacterTable) -> _Lifted:
         row_d.append(ds[0] if ds else 1)
     rad_rows = tuple(sorted((i for i in range(k) if row_d[i] != 1), key=lambda i: (row_d[i], i)))
     rad_d = tuple(row_d[i] for i in rad_rows)
-    p = tuple(tuple(row[j][0] for row in tbl.values) for j in range(m))
+    p_rows = [[x[0] for x in row] for row in tbl.values]
+    p = tuple(zip(*p_rows))
     q = tuple(tuple(tbl.values[i][j][1] for i in rad_rows) for j in range(m))
     # the complex conjugate flips q where the radicand is negative
-    qbar = [tuple(-x if d < 0 else x for x, d in zip(qj, rad_d)) for qj in q]
+    qbar_rows = [[-x if d < 0 else x for x in q_row] for q_row, d in zip(zip(*q), rad_d)]
+    reach = [max(max(row), -min(row)) for row in p_rows]
+    for i, d, q_row in zip(rad_rows, rad_d, qbar_rows):
+        reach[i] = max(abs(x) + abs(d * y) for x, y in zip(p_rows[i], q_row))
+    lcm = math.lcm(*tbl.degrees)
+    weights = tuple(lcm // deg for deg in tbl.degrees)
+    width = _slot_width(weights, reach)
+    nbytes, half = width // 8, 1 << (width - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * m, "little")
+    slots = {x: (x + half).to_bytes(nbytes, "little") for x in set().union(*p_rows, *qbar_rows)}
+
+    def pack(row: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(map(slots.__getitem__, row)), "little") - offset
+
+    packed_p = [pack(row) for row in p_rows]
+    packed_q = [pack(row) for row in qbar_rows]
     radicands = []
     for d in sorted(set(rad_d)):
         first = rad_d.index(d)
         at = slice(first, first + rad_d.count(d))
-        rows = rad_rows[at]
-        radicands.append(
-            _RadicandRows(
-                d,
-                rows,
-                at,
-                tuple(qbar[j][at] + tuple(p[j][i] for i in rows) for j in range(m)),
-                tuple(j for j in range(m) if any(qbar[j][at])),
-            )
-        )
-    lcm = math.lcm(*tbl.degrees)
+        radicands.append((d, at, tuple(packed_q[at]) + tuple(packed_p[i] for i in rad_rows[at])))
     return _Lifted(
         p=p,
         q=q,
-        weights=tuple(lcm // deg for deg in tbl.degrees),
+        weights=weights,
         rad_rows=rad_rows,
         rad_d=rad_d,
         radicands=tuple(radicands),
-        cols=tuple(p[j] + qbar[j] for j in range(m)),
+        packed=tuple(packed_p + packed_q),
+        width=width,
+        offset=offset,
         scale=8 * lcm,
         order=tbl.order,
         sizes=tbl.class_sizes,
@@ -155,6 +170,16 @@ def _layout(tbl: CharacterTable) -> _Lifted:
 @lru_cache(maxsize=None)
 def _lifted(n: int) -> _Lifted:
     return _layout(integer_table(n))
+
+
+def _unpacked(lay: _Lifted, packed: int) -> list[int]:
+    """The signed slots of a packed sum, in class order."""
+    nbytes, half = lay.width // 8, 1 << (lay.width - 1)
+    try:
+        raw = (packed + lay.offset).to_bytes(nbytes * len(lay.sizes), "little")
+    except OverflowError:
+        raise ConsistencyError(f"character sums overflow their {lay.width}-bit slots") from None
+    return [int.from_bytes(raw[s : s + nbytes], "little") - half for s in range(0, len(raw), nbytes)]
 
 
 def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
@@ -169,18 +194,17 @@ def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
         u[i] += w[i] * d * qa[r] * qb[r]
         v.append(w[i] * (pa[i] * qb[r] + qa[r] * pb[i]))
     rational = u + [d * x for d, x in zip(lay.rad_d, v)]
-    sums = [sum(map(mul, rational, col)) for col in lay.cols]
-    for rad in lay.radicands:
-        vec = [u[i] for i in rad.rows] + v[rad.at]
-        # the radical part sum(u*conj(q) + v*p) is 0 term by term where v
-        # and conj(q) vanish on these rows
-        for jg in range(len(sums)) if any(v[rad.at]) else rad.support:
-            kept = sum(map(mul, vec, rad.cols[jg]))
-            if kept:
-                raise ConsistencyError(
-                    f"character sum at class {jg} kept a radical part "
-                    f"{Fraction(kept, lay.scale)}*sqrt({rad.d})"
-                )
+    sums = _unpacked(lay, sum(map(mul, rational, lay.packed)))
+    for d, at, cols in lay.radicands:
+        # the radical part sum(u*conj(q) + v*p) over this radicand's rows:
+        # ``cols`` holds their packed conj(q), then their packed p
+        kept = sum(map(mul, [u[i] for i in lay.rad_rows[at]] + v[at], cols))
+        if kept:
+            jg, part = next((j, x) for j, x in enumerate(_unpacked(lay, kept)) if x)
+            raise ConsistencyError(
+                f"character sum at class {jg} kept a radical part "
+                f"{Fraction(part, lay.scale)}*sqrt({d})"
+            )
     return sums
 
 
@@ -231,48 +255,14 @@ def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
     return sum(1 << jg for jg, count in enumerate(counts) if count)
 
 
-def _pair_mask_task(n: int, key: tuple[int, int]) -> tuple[tuple[int, int], int, int]:
-    """A worker's mask, with the exactness checks it ran for the parent to count."""
-    before = _EXACTNESS_CHECKS
-    mask = _compute_pair_mask(n, *key)
-    return key, mask, _EXACTNESS_CHECKS - before
-
-
-def _pool_size(jobs: int, tasks: int, cpus: int) -> int:
-    """Workers for a fill: no more than asked for, than cores or than masks;
-    1 (serial) below four masks, where a pool costs more than it saves."""
-    return 1 if tasks < 4 else max(1, min(jobs, cpus, tasks))
-
-
 def ensure_pair_masks(
     n: int, pairs: Optional[Iterable[tuple[int, int]]] = None, jobs: int = 1
 ) -> None:
-    """Precompute the engine's masks of the class pairs (i, j), i <= j, in
-    ``pairs`` (None: all), optionally in parallel.
-
-    Workers evaluate disjoint pairs; every evaluation is deterministic,
-    so the merged masks do not depend on scheduling.
-    """
-    global _EXACTNESS_CHECKS
-    alg = _engine_algebra(n)
-    if pairs is None:
-        pairs = combinations_with_replacement(range(len(enumerate_alt_classes(n))), 2)
-    missing = sorted(set(pairs) - alg.pairs.keys())
-    workers = _pool_size(jobs, len(missing), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing  # only a pool needs it, not every command's start-up
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            _lifted(n)  # built before fork so workers inherit it
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, len(missing) // (workers * 4))
-            with ctx.Pool(workers) as pool:
-                tasks = pool.imap_unordered(partial(_pair_mask_task, n), missing, chunk)
-                for key, mask, checks in tasks:
-                    alg.pairs[key] = mask
-                    _EXACTNESS_CHECKS += checks
-            return
-    for i, j in missing:
+    """Compute the engine's masks of the class pairs (i, j), i <= j, in
+    ``pairs`` (None: all) that it does not hold yet, one after another;
+    ``jobs`` is accepted and changes nothing."""
+    alg, k = _engine_algebra(n), len(enumerate_alt_classes(n))
+    for i, j in combinations_with_replacement(range(k), 2) if pairs is None else pairs:
         alg.pair(i, j)
 
 
@@ -398,20 +388,16 @@ def _oracle_algebra(n: int) -> ProductAlgebra:
     )
 
 
-def _cross_checked(n: int, mode: str, what: str, compute, fill=(), jobs: int = 1):
+def _cross_checked(n: int, mode: str, what: str, compute):
     """``compute(algebra)`` over the engine, the brute-force oracle, or both
     (whose results must be equal).  The oracle's algebra comes first, so a
-    group too large for it fails before any engine work.  With ``jobs`` > 1
-    the engine first fills the pairs in ``fill`` (None: all) with that many
-    workers; every other pair is computed when it is asked for.
+    group too large for it fails before any engine work.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
     oracle = _oracle_algebra(n) if mode in ("oracle", "both") else None
     results = []
     if mode in ("engine", "both"):
-        if jobs > 1:
-            ensure_pair_masks(n, fill, jobs)
         results.append(compute(_engine_algebra(n)))
     if oracle is not None:
         results.append(compute(oracle))
@@ -515,13 +501,6 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
         for t1, t2 in combinations_with_replacement(_type_masks(n), 2)
         if dvir_rodgers_applies(t1[1], t2[1])
     ]
-    pairs = [
-        (i, j)
-        for t1, t2 in qualifying
-        for i in _bit_indices(t1[2])
-        for j in _bit_indices(t2[2])
-        if i <= j  # a split type times itself: (-, +) is the mask of (+, -)
-    ]
 
     def violations(alg: ProductAlgebra) -> tuple[tuple[str, str, str], ...]:
         found = []
@@ -532,7 +511,7 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
                     found.append((name1, name2, target))
         return tuple(found)
 
-    found = _cross_checked(n, mode, "delta sweeps", violations, pairs, jobs)
+    found = _cross_checked(n, mode, "delta sweeps", violations)
     return DvirRodgersReport(n, len(qualifying), found)
 
 
@@ -648,13 +627,11 @@ def verify_four_class_theorem(
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     group_order = math.factorial(n) // 2
     reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, group_order, 1 + epsilon))
-    # some quadruple qualifies iff four copies of the largest class do, so
-    # the fill is known before the enumeration, which waits for the
-    # oracle's cap check
-    qualifies = reaches(sizes[order[-1]] ** 2)
 
     def rows(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        if not qualifies:
+        # some quadruple qualifies iff four copies of the largest class do;
+        # if none does, no pair is computed
+        if not reaches(sizes[order[-1]] ** 2):
             return ()
         classes = range(len(order))
         masks = [[alg.pair(i, j) for j in classes] for i in classes]
@@ -678,8 +655,7 @@ def verify_four_class_theorem(
             out.extend(group)
         return tuple(out)
 
-    fill = None if qualifies else ()
-    found = _cross_checked(n, mode, "four-class sweeps", rows, fill, jobs)
+    found = _cross_checked(n, mode, "four-class sweeps", rows)
     return FourClassReport(n, epsilon, mode, found)
 
 
@@ -726,8 +702,8 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     """Exercise the four long-cycle product statements at a single n.
 
     These hold for all sufficiently large n; at desk scale the report is
-    descriptive, recording pass/fail per case.  They ask for few pairs, so
-    each is computed as it is asked for and ``jobs`` starts no pool.
+    descriptive, recording pass/fail per case.  ``jobs`` is accepted and
+    changes nothing.
     """
     if n < 3:
         raise UsageError("the long-cycle checks need n >= 3")

@@ -359,6 +359,34 @@ def test_cli_import_leaves_the_pool_the_oracle_and_sympy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-theorem", "--n", "10", "--epsilon", "1/10"], ["dvir", "--n", "10"]]
+)
+def test_jobs_start_no_pool(argv):
+    # a fresh interpreter, so that the sweep computes every mask it needs;
+    # two cores reported, so that a pool would start on a one-core machine
+    # too: --jobs 2 loads no multiprocessing and prints what --jobs 1 prints
+    import subprocess
+    import sys
+
+    code = (
+        "import io, os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "def run(*argv):\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(list(argv)) == 0\n"
+        "    return out.getvalue()\n"
+        f"two = run(*{argv!r}, '--jobs', '2')\n"
+        "print('multiprocessing' in sys.modules)\n"
+        f"print(two == run(*{argv!r}, '--jobs', '1'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_commands_run_without_importing_dataclasses():
     # the records are NamedTuples: no command pays for dataclasses (and the
     # inspect, ast and tokenize it imports), and the engine needs no oracle
@@ -436,7 +464,7 @@ def test_version_flag(capsys):
 
 
 def test_jobs_do_not_change_output():
-    # fresh interpreters so the parallel path actually computes the masks
+    # fresh interpreters, so that each run computes its own masks
     import subprocess
     import sys
 

@@ -27,7 +27,6 @@ from classprod.product_engine import (
     _layout,
     _lifted,
     _pair_sums,
-    _pool_size,
     check_dvir_rodgers,
     contains,
     covering_number,
@@ -246,7 +245,7 @@ def test_check_dvir_rodgers_small():
 def test_serial_dvir_sweep_computes_only_the_masks_it_asks_for():
     # a fresh interpreter, so that every mask is computed by this sweep:
     # its products stop at all of Alt(8) and ask for 49 of the 51 pairs
-    # of its qualifying type pairs; only a pool fills ahead
+    # of its qualifying type pairs; nothing fills ahead
     import subprocess
     import sys
 
@@ -379,14 +378,14 @@ def test_exactness_guards():
     p, q, d = tbl.values[i][j]
     assert d == 5
     bad = _layout(_table_with(5, i, j, (p, q - 2, d)))
-    with pytest.raises(ConsistencyError, match="radical part"):
+    with pytest.raises(ConsistencyError, match=f"at class {j} kept a radical part"):
         _pair_sums(bad, e, e)
     # one that the pair brings in, on a class where the table is rational:
     # the same character given the value 1 (not 0) on the 3-cycles, with 5+ * 5+
     three = tbl.classes.index(AltClass((3, 1, 1)))
     assert tbl.values[i][three] == (0, 0, 1)
     bad = _layout(_table_with(5, i, three, (2, 0, 1)))
-    with pytest.raises(ConsistencyError, match="radical part"):
+    with pytest.raises(ConsistencyError, match=f"at class {three} kept a radical part"):
         _pair_sums(bad, j, j)
     # sum of chi(1)**2 = |G|, scaled by 8L
     assert _pair_sums(_lifted(5), e, e)[e] == 8 * math.lcm(*tbl.degrees) * 60
@@ -399,6 +398,24 @@ def test_exactness_guards():
     before = exactness_check_count()
     frobenius_sum(identity_class(4), identity_class(4), identity_class(4))
     assert exactness_check_count() > before
+
+
+def test_slots_too_narrow_for_the_sums_fail_loudly(monkeypatch):
+    # every class pair at n = 8 has a sum that needs more than 16 bits, and
+    # the layout's own width holds them all; packed into 16-bit slots, the
+    # sums overflow or come out garbled, which the count checks refuse, so
+    # no pair gets a mask
+    import classprod.product_engine as engine
+
+    sound = _lifted(8)
+    monkeypatch.setattr(engine, "_slot_width", lambda weights, reach: 16)
+    narrow = _layout(integer_table(8))
+    assert narrow.width == 16
+    monkeypatch.setattr(engine, "_lifted", lambda n: narrow)
+    for a, b in combinations_with_replacement(range(len(sound.sizes)), 2):
+        assert 2**15 <= max(map(abs, _pair_sums(sound, a, b))) < 2 ** (sound.width - 1)
+        with pytest.raises(ConsistencyError):
+            engine._compute_pair_mask(8, a, b)
 
 
 def test_pair_counts_must_conserve_mass():
@@ -447,7 +464,7 @@ def test_frobenius_sum_matches_quadvalue_reference_exhaustively_up_to_8():
         _frobenius_matches_reference(n, product(range(len(enumerate_alt_classes(n))), repeat=3))
 
 
-@pytest.mark.parametrize("n", [12, 13, 14])
+@pytest.mark.parametrize("n", range(9, 15))
 def test_frobenius_sum_matches_quadvalue_reference_sampled(n):
     k = len(enumerate_alt_classes(n))
     rng = random.Random(f"frobenius-{n}")
@@ -582,25 +599,15 @@ def test_products_stopping_at_all_of_alt_n_equal_the_plain_union(n):
     assert all(alg.times(alg.full, c) == alg.full for c in range(k))
 
 
-def test_pool_size_is_bounded():
-    assert _pool_size(8, 1000, 2) == 2  # never more workers than cores
-    assert _pool_size(16, 5, 16) == 5  # nor than masks to compute
-    assert _pool_size(3, 100, 8) == 3
-    assert _pool_size(4, 3, 8) == 1  # a tiny fill runs serially
-    assert _pool_size(0, 100, 8) == 1
-
-
 def test_parallel_fill_counts_worker_exactness_checks():
-    # a fresh interpreter, so that the workers compute every mask; two
-    # cores reported, so that a pool starts on a one-core machine too
+    # a fresh interpreter, so that the fill computes every mask; ``jobs`` is
+    # accepted and the fill is serial, so each check is counted where it ran
     import subprocess
     import sys
 
     from classprod.product_engine import _compute_pair_mask
 
     code = (
-        "import os\n"
-        "os.cpu_count = lambda: 2\n"
         "from classprod.alt_group import enumerate_alt_classes\n"
         "from classprod.product_engine import _engine_algebra, ensure_pair_masks, exactness_check_count\n"
         "ensure_pair_masks(9, jobs=2)\n"
@@ -613,7 +620,7 @@ def test_parallel_fill_counts_worker_exactness_checks():
     counts, masks = proc.stdout.splitlines()
     counted, expected = counts.split()
     assert counted == expected == "3078"
-    # the workers' masks are the serial fill's
+    # the fill's masks are the per-pair masks
     k = len(enumerate_alt_classes(9))
     serial = {(i, j): _compute_pair_mask(9, i, j) for i in range(k) for j in range(i, k)}
     assert masks == str(sorted(serial.items()))
