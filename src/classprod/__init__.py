@@ -8,50 +8,49 @@ oracle at small n.
 The package level holds the calls the README documents, the entry points
 of the CLI's product and sweep commands, and the types and errors they
 take or return; every other function is importable from its own module.
+Each name is imported from its module when first read (PEP 562), so
+importing the package, or a command that needs no character sums, loads
+no engine.
 """
 
-from .alt_group import (
-    AltClass,
-    NormalSet,
-    delta_bound_report,
-    parse_class,
-    parse_class_or_union,
-)
-from .characters import AltChar, QuadValue, alt_value, character_table, parse_char
-from .errors import CapabilityError, ConsistencyError, UsageError
-from .product_engine import (
-    check_dvir_rodgers,
-    contains,
-    covering_number,
-    frobenius_sum,
-    long_cycle_product_checks,
-    missing_classes,
-    product_set,
-    verify_four_class_theorem,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltChar",
-    "AltClass",
-    "CapabilityError",
-    "ConsistencyError",
-    "NormalSet",
-    "QuadValue",
-    "UsageError",
-    "alt_value",
-    "character_table",
-    "check_dvir_rodgers",
-    "contains",
-    "covering_number",
-    "delta_bound_report",
-    "frobenius_sum",
-    "long_cycle_product_checks",
-    "missing_classes",
-    "parse_char",
-    "parse_class",
-    "parse_class_or_union",
-    "product_set",
-    "verify_four_class_theorem",
-]
+_MODULES = {
+    "AltChar": "characters",
+    "AltClass": "alt_group",
+    "CapabilityError": "errors",
+    "ConsistencyError": "errors",
+    "NormalSet": "alt_group",
+    "QuadValue": "characters",
+    "UsageError": "errors",
+    "alt_value": "characters",
+    "character_table": "characters",
+    "check_dvir_rodgers": "product_engine",
+    "contains": "product_engine",
+    "covering_number": "product_engine",
+    "delta_bound_report": "alt_group",
+    "frobenius_sum": "product_engine",
+    "long_cycle_product_checks": "product_engine",
+    "missing_classes": "product_engine",
+    "parse_char": "characters",
+    "parse_class": "alt_group",
+    "parse_class_or_union": "alt_group",
+    "product_set": "product_engine",
+    "verify_four_class_theorem": "product_engine",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,9 +11,8 @@ cycles fill the points in order, longest cycle first.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import CapabilityError, UsageError
 from .partitions import (
@@ -24,6 +23,13 @@ from .partitions import (
     parse_tagged_partition,
     validate_partition,
 )
+
+if TYPE_CHECKING:  # imported where used: listing classes needs no rationals
+    from fractions import Fraction
+
+# how class products are computed: by character sums, by the brute-force
+# permutation oracle, or by both with their answers compared
+MODES = ("engine", "oracle", "both")
 
 
 def is_even_type(rho: Partition) -> bool:
@@ -277,6 +283,8 @@ def check_exponent_parts(value: Fraction, name: str) -> None:
 def power_at_least(value: int, base: int, exponent: Fraction) -> bool:
     """Exact test of value >= base**exponent via cross-multiplied integer
     powers; value, base >= 1 and exponent > 0."""
+    from fractions import Fraction
+
     if value < 1 or base < 1:
         raise ValueError("power comparison needs positive integers")
     exponent = Fraction(exponent)
@@ -327,6 +335,8 @@ def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
     Empirical companion to the size-to-delta bound: no asymptotic claim
     is made, the table simply shows the witnesses at this n.
     """
+    from fractions import Fraction
+
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise UsageError("gamma must lie strictly between 0 and 1")

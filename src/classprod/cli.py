@@ -12,11 +12,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from heapq import merge
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .alt_group import (
+    MODES,
     NormalSet,
     check_n,
     class_size,
@@ -27,20 +30,11 @@ from .alt_group import (
     parse_class,
     parse_class_or_union,
 )
-from .characters import alt_value, degree, parse_char
 from .errors import CapabilityError, ConsistencyError, UsageError
 from .partitions import enumerate_partitions, format_partition, parse_partition
-from .product_engine import (
-    ENGINE_MAX_N,
-    MODES,
-    check_dvir_rodgers,
-    covering_number,
-    long_cycle_product_checks,
-    missing_classes,
-    names_in,
-    product_set,
-    verify_four_class_theorem,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     # Fraction() expands exponent notation into a power of ten before any
     # bound can look at it: "1e-10000000" alone takes seconds
     if "e" in text.lower():
@@ -80,6 +76,8 @@ def _int_at_least(k: int):
 
 
 def _check_engine_n(n: int) -> None:
+    from .product_engine import ENGINE_MAX_N
+
     check_n(n, ENGINE_MAX_N, "the character-sum engine")
 
 
@@ -124,6 +122,8 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_degree(args) -> int:
+    from .characters import degree
+
     lam = parse_partition(args.partition)
     if sum(lam) != args.n:
         raise UsageError(f"{args.partition!r} is not a partition of {args.n}")
@@ -134,6 +134,8 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_char_value(args) -> int:
+    from .characters import alt_value, parse_char
+
     check_n(args.n, CHAR_MAX_N, "character evaluation")
     psi = parse_char(args.char)
     if psi.n != args.n:
@@ -195,6 +197,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from .product_engine import product_set
+
     _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
@@ -208,6 +212,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_contains(args) -> int:
+    from .product_engine import product_set
+
     _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
@@ -223,6 +229,8 @@ def _cmd_contains(args) -> int:
 
 
 def _cmd_covering(args) -> int:
+    from .product_engine import covering_number, missing_classes
+
     _check_engine_n(args.n)
     cls = parse_class(args.cls)
     if cls.n != args.n:
@@ -246,6 +254,8 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_dvir(args) -> int:
+    from .product_engine import check_dvir_rodgers
+
     _check_engine_n(args.n)
     report = check_dvir_rodgers(args.n, mode=args.mode)
     lines = [
@@ -257,16 +267,16 @@ def _cmd_dvir(args) -> int:
     return EXIT_OK
 
 
-_ROWS_PER_WRITE = 2048
-
-
 def _write_four_class_json(report) -> None:
     """Write ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-    and a newline without building the dict.  A row of "quadruples" is
-    three cached strings: the text of its first two class names, per index
-    pair; that of its last two, per index pair; and the rest of the row,
-    per (least pair product, missing-class mask), since few of those
-    recur.  The text goes to stdout a bounded number of rows at a time."""
+    and a newline without building the dict.  The totals are counted
+    first, and the rows go to stdout one group of equal least product at a
+    time.  A row of "quadruples" is three cached strings: the text of its
+    first two class names, per index pair; that of its last two, per index
+    pair; and the rest of the row, per (least pair product, missing-class
+    mask), since few of those recur."""
+    from .product_engine import names_in
+
     names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
     heads = [
         [f'    {{\n      "classes": [\n        {a},\n        {b},\n' for b in names] for a in names
@@ -286,52 +296,64 @@ def _write_four_class_json(report) -> None:
         )
 
     write = sys.stdout.write
-    rows = report.rows
+    total = report.total
     write(
         f'{{\n  "covered": {report.covered_count},\n'
         f'  "epsilon": {encode_basestring_ascii(str(report.epsilon))},\n'
         f'  "mode": {encode_basestring_ascii(report.mode)},\n'
-        f'  "n": {report.n},\n  "quadruples": ' + ("[\n" if rows else "[]")
+        f'  "n": {report.n},\n  "quadruples": ' + ("[\n" if total else "[]")
     )
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
+    separator = ""
+    for group in report.groups():
         texts = []
-        for (a, b, c, d), least, mask in rows[start : start + _ROWS_PER_WRITE]:
+        for (a, b, c, d), least, mask in group:
             key = (least, mask)
             end = tails.get(key)
             if end is None:
                 end = tails[key] = tail(least, mask)
             texts.append(heads[a][b] + mids[c][d] + end)
-        write((",\n" if start else "") + ",\n".join(texts))
-    write(("\n  ]" if rows else "") + f',\n  "total": {len(rows)}\n}}\n')
+        write(separator + ",\n".join(texts))
+        separator = ",\n"
+    write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')
 
 
 def _cmd_verify_theorem(args) -> int:
+    from .product_engine import names_in
+    from .product_engine import row_key, verify_four_class_theorem
+
     _check_engine_n(args.n)
     report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
     if args.format == "json":
         _write_four_class_json(report)
         return EXIT_OK
     names = [c.name for c in enumerate_alt_classes(report.n)]
-    covered = report.covered_count
+    # the uncovered rows from their verdicts, and only the first --show
+    # covered ones, from the groups of largest least product
+    uncovered = report.uncovered()
+    total = report.total
+    covered = total - len(uncovered)
+    shown = list(
+        islice((row for group in report.groups() for row in group if not row[2]), args.show)
+    )
     print(
         f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
-        f"{covered}/{len(report.rows)} qualifying quadruples cover Alt({report.n})"
+        f"{covered}/{total} qualifying quadruples cover Alt({report.n})"
     )
-    shown = 0
-    for quad, least, mask in report.rows:
+    for quad, least, mask in merge(uncovered, shown, key=row_key):
         if mask:
             missing = ", ".join(names_in(names, mask))
             print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
-        elif shown < args.show:
+        else:
             print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
-            shown += 1
-    omitted = covered - shown
+    omitted = covered - len(shown)
     if omitted > 0:
         print(f"... {omitted} further covered quadruples omitted (use --format json)")
     return EXIT_OK
 
 
 def _cmd_excon(args) -> int:
+    from .product_engine import long_cycle_product_checks
+
     _check_engine_n(args.n)
     report = long_cycle_product_checks(args.n, mode=args.mode)
     lines = []

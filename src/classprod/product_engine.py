@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, groupby
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .alt_group import (
+    MODES,
     AltClass,
     NormalSet,
     check_exponent_parts,
@@ -50,7 +51,6 @@ from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
 
 ENGINE_MAX_N = 14
-MODES = ("engine", "oracle", "both")
 
 _EXACTNESS_CHECKS = 0
 
@@ -522,20 +522,92 @@ class QuadrupleVerdict(NamedTuple):
     missing: tuple[str, ...]
 
 
+# a row of the four-class sweep: the quadruple's class indices, sorted, its
+# least pairwise size product and the mask of the classes its product misses
+Row = tuple[tuple[int, int, int, int], int, int]
+
+
+def row_key(row: Row) -> tuple:
+    """The order of the sweep's rows: descending least product, then the
+    ascending index-sorted quadruple."""
+    return -row[1], row[0]
+
+
 class FourClassReport(NamedTuple):
-    """The four-class sweep: one row per qualifying quadruple, as its class
-    indices (canonical order), its least pairwise size product and the
-    mask of the classes its product misses (0: it covers Alt(n))."""
+    """The four-class sweep, held as the structure that decides its rows,
+    not as the rows.  ``order`` is the class indices in size order, and a
+    quadruple is positions p <= q <= r <= t in it.  ``pairs`` holds each
+    qualifying (p, q) with its least pairwise size product, by descending
+    product; every (r, t) with q <= r <= t completes it.  ``masks[i][j]``
+    is the product of the classes i and j, and ``verdicts`` pairs each
+    (AB, CD) mask pair met with the mask of the classes ABCD misses (0: it
+    covers Alt(n)).
+
+    The totals are counted per mask pair; the rows are generated on
+    demand, one group of equal least product at a time (``groups``).
+    """
 
     n: int
     epsilon: Fraction
     mode: str
-    rows: tuple[tuple[tuple[int, int, int, int], int, int], ...]
+    order: tuple[int, ...]
+    pairs: tuple[tuple[int, int, int], ...]
+    masks: tuple[tuple[int, ...], ...]
+    verdicts: tuple[tuple[tuple[int, int], int], ...]
+
+    @property
+    def total(self) -> int:
+        """The number of qualifying quadruples."""
+        m = len(self.order)
+        return sum((m - q) * (m - q + 1) // 2 for _, q, _ in self.pairs)
 
     @property
     def covered_count(self) -> int:
-        """The rows whose product covers Alt(n), counted on each access."""
-        return sum(1 for _, _, missing in self.rows if not missing)
+        """The quadruples whose product covers Alt(n), counted per mask
+        pair on each access."""
+        masks, verdicts = self.masks, dict(self.verdicts)
+        return sum(
+            count
+            for _, a, b, _, tails in _pair_tails(self.order, self.pairs, masks)
+            for cd, count in tails.items()
+            if not verdicts[masks[a][b], cd]
+        )
+
+    def groups(self) -> Iterator[list[Row]]:
+        """The rows in order, one sorted group of equal least product at a
+        time; only that group is held."""
+        order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
+        for least, pairs in groupby(self.pairs, itemgetter(2)):
+            group = []
+            for p, q, _ in pairs:
+                a, b = order[p], order[q]
+                ab = masks[a][b]
+                group.extend(
+                    (tuple(sorted((a, b, c, d))), least, verdicts[ab, masks[c][d]])
+                    for c, d in combinations_with_replacement(order[q:], 2)
+                )
+            group.sort(key=itemgetter(0))
+            yield group
+
+    def uncovered(self) -> list[Row]:
+        """The rows whose product misses a class, in row order.  Only the
+        tails of a (p, q) with a nonzero verdict are walked."""
+        order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
+        rows = []
+        for q, a, b, least, tails in _pair_tails(order, self.pairs, masks):
+            ab = masks[a][b]
+            if any(verdicts[ab, cd] for cd in tails):
+                for c, d in combinations_with_replacement(order[q:], 2):
+                    missed = verdicts[ab, masks[c][d]]
+                    if missed:
+                        rows.append((tuple(sorted((a, b, c, d))), least, missed))
+        rows.sort(key=row_key)
+        return rows
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Every row, in order, built on each access."""
+        return tuple(chain.from_iterable(self.groups()))
 
     @property
     def quadruples(self) -> tuple[QuadrupleVerdict, ...]:
@@ -554,7 +626,7 @@ class FourClassReport(NamedTuple):
             "n": self.n,
             "epsilon": str(self.epsilon),
             "mode": self.mode,
-            "total": len(self.rows),
+            "total": self.total,
             "covered": self.covered_count,
             "quadruples": [
                 {
@@ -566,6 +638,25 @@ class FourClassReport(NamedTuple):
                 for (a, b, c, d), least, mask in self.rows
             ],
         }
+
+
+def _pair_tails(
+    order: Sequence[int], pairs: Iterable[tuple[int, int, int]], masks: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, int, int, int, dict[int, int]]]:
+    """Each qualifying size-order pair (p, q), by descending q, as q, its
+    classes a and b, its least product, and the number of pairs (r, t),
+    q <= r <= t, per mask of CD.  The counts are one dict, grown as q
+    falls: read it before the next step."""
+    by_q: dict[int, list[tuple[int, int, int]]] = {}
+    for p, q, least in pairs:
+        by_q.setdefault(q, []).append((order[p], order[q], least))
+    tails: dict[int, int] = {}
+    for q in range(len(order) - 1, min(by_q, default=len(order)) - 1, -1):
+        row = masks[order[q]]
+        for t in order[q:]:
+            tails[row[t]] = tails.get(row[t], 0) + 1
+        for a, b, least in by_q.get(q, ()):
+            yield q, a, b, least, tails
 
 
 def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
@@ -582,18 +673,6 @@ def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
     return names, missing_names
 
 
-class _Missed(dict):
-    """The classes missed by the product of two normal sets, keyed by
-    their masks; each is decided once, when first looked up."""
-
-    def __init__(self, alg: ProductAlgebra):
-        self.alg = alg
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        self[key] = missed = self.alg.full & ~self.alg.product(*key)
-        return missed
-
-
 def verify_four_class_theorem(
     n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
 ) -> FourClassReport:
@@ -601,21 +680,20 @@ def verify_four_class_theorem(
     products commute) whose six pairwise size products reach
     (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).
 
-    One pass enumerates and decides.  With the classes ordered by size, a
-    quadruple is positions p <= q <= r <= t; the test is monotone in the
-    product, so the least product, that of (p, q), decides all six, and
-    each qualifying pair (p, q) brings every (r, t) with q <= r <= t
-    untested.  The product is taken as (AB)(CD) in that size order, so a
-    verdict is decided once per distinct pair of pair masks, by their
-    product in the algebra, which stops once it is all of Alt(n).  The
-    rows come in descending order of the least product, then of the
-    index-sorted quadruple; only each group of one least product is
-    sorted.
+    With the classes ordered by size, a quadruple is positions
+    p <= q <= r <= t; the test is monotone in the product, so the least
+    product, that of (p, q), decides all six, and each qualifying pair
+    (p, q) brings every (r, t) with q <= r <= t untested.  The product is
+    taken as (AB)(CD) in that size order, so a verdict is decided once per
+    distinct pair of pair masks, by their product in the algebra, which
+    stops once it is all of Alt(n).  The sweep keeps the pairs, the masks
+    and the verdicts, and no row: see FourClassReport.
 
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
     ``mode="oracle"`` the products come from brute-force enumeration
-    (n <= 8); ``mode="both"`` insists the two agree.
+    (n <= 8); ``mode="both"`` insists the two agree, on every pair mask
+    and every verdict.
     """
     epsilon = Fraction(epsilon)
     if n < 2:
@@ -624,39 +702,35 @@ def verify_four_class_theorem(
         raise UsageError("epsilon must be positive")
     check_exponent_parts(epsilon, "epsilon")
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
-    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    m = len(sizes)
+    order = sorted(range(m), key=lambda i: (sizes[i], i))
     group_order = math.factorial(n) // 2
     reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, group_order, 1 + epsilon))
+    pairs = []
+    for q, b in enumerate(order):
+        if reaches(sizes[b] * sizes[b]):  # else no (p, q) does
+            pairs.extend(
+                (p, q, sizes[a] * sizes[b])
+                for p, a in enumerate(order[: q + 1])
+                if reaches(sizes[a] * sizes[b])
+            )
+    pairs.sort(key=lambda pair: -pair[2])
 
-    def rows(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        # some quadruple qualifies iff four copies of the largest class do;
-        # if none does, no pair is computed
-        if not reaches(sizes[order[-1]] ** 2):
-            return ()
-        classes = range(len(order))
-        masks = [[alg.pair(i, j) for j in classes] for i in classes]
-        missed = _Missed(alg)
-        groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-        for q, b in enumerate(order):
-            if not reaches(sizes[b] * sizes[b]):
-                continue  # nor does any (p, q)
-            tail = list(combinations_with_replacement(order[q:], 2))  # (r, t), as classes
-            seconds = [masks[c][d] for c, d in tail]
-            for a in order[: q + 1]:
-                least = sizes[a] * sizes[b]
-                if reaches(least):
-                    quads = [tuple(sorted((a, b, c, d))) for c, d in tail]
-                    verdicts = map(missed.__getitem__, zip(repeat(masks[a][b]), seconds))
-                    groups.setdefault(least, []).extend(zip(quads, repeat(least), verdicts))
-        out = []
-        for least in sorted(groups, reverse=True):
-            group = groups[least]
-            group.sort(key=itemgetter(0))
-            out.extend(group)
-        return tuple(out)
+    def decided(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+        # if no quadruple qualifies, no pair is computed
+        if not pairs:
+            return (), ()
+        masks = tuple(tuple(alg.pair(i, j) for j in range(m)) for i in range(m))
+        verdicts: dict[tuple[int, int], int] = {}
+        for _, a, b, _, tails in _pair_tails(order, pairs, masks):
+            ab = masks[a][b]
+            for cd in tails:
+                if (ab, cd) not in verdicts:
+                    verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
+        return masks, tuple(verdicts.items())
 
-    found = _cross_checked(n, mode, "four-class sweeps", rows)
-    return FourClassReport(n, epsilon, mode, found)
+    masks, verdicts = _cross_checked(n, mode, "four-class sweeps", decided)
+    return FourClassReport(n, epsilon, mode, tuple(order), tuple(pairs), masks, verdicts)
 
 
 class ProductCheckCase(NamedTuple):

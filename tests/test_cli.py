@@ -463,6 +463,60 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def test_four_class_text_holds_no_row_list():
+    # a fresh interpreter: after the fill, text mode keeps the pairs, the
+    # masks, the verdicts and the shown rows, not one tuple per quadruple
+    # (122,104 at n = 12, about 20 MB traced when they were all listed)
+    import subprocess
+    import sys
+
+    code = (
+        "import io, tracemalloc\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "from classprod.product_engine import ensure_pair_masks\n"
+        "ensure_pair_masks(12)\n"
+        "tracemalloc.start()\n"
+        "with redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['verify-theorem', '--n', '12', '--epsilon', '1/10']) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+        "print(out.getvalue().splitlines()[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, header = proc.stdout.splitlines()
+    assert header.endswith("122104/122104 qualifying quadruples cover Alt(12)")
+    assert int(peak) < 4_000_000
+
+
+def test_commands_without_character_sums_load_no_engine():
+    # start-up: the package level and the CLI import the engine only in
+    # the commands that use it
+    import subprocess
+    import sys
+
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "def loaded(*names):\n"
+        "    print([m for m in names if m in sys.modules])\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert main(['classes', '--n', '9', '--format', 'json']) == 0\n"
+        "    assert main(['partitions', '--n', '9']) == 0\n"
+        "    assert main(['delta', '--n', '9', '--class', '3,3,3']) == 0\n"
+        "loaded('fractions', 'classprod.characters', 'classprod.product_engine')\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert main(['degree', '--n', '9', '--partition', '5,4']) == 0\n"
+        "    assert main(['char-value', '--n', '9', '--char', '5,4', '--class', '9+']) == 0\n"
+        "    assert main(['delta-report', '--n', '9', '--gamma', '1/2']) == 0\n"
+        "loaded('classprod.product_engine')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_jobs_do_not_change_output():
     # fresh interpreters, so that each run computes its own masks
     import subprocess

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -344,8 +345,19 @@ def test_four_class_report_names_its_rows_and_compares_by_value():
     ]
     assert report.covered_count == len(report.quadruples) - 1
     assert verify_four_class_theorem(11, Fraction(1, 10)) == report
-    quad, least, missing = report.rows[0]
-    changed = report._replace(rows=((quad, least, missing | 1),) + report.rows[1:])
+    # the report holds verdicts per (AB, CD) mask pair, not rows: change
+    # the verdict of a covered mask pair that decides exactly one row
+    position = {c: i for i, c in enumerate(report.order)}
+
+    def mask_pair(quad):
+        w, x, y, z = sorted(quad, key=position.__getitem__)
+        return report.masks[w][x], report.masks[y][z]
+
+    rows_per_pair = Counter(mask_pair(quad) for quad, _, _ in report.rows)
+    once = next(key for key, missed in report.verdicts if not missed and rows_per_pair[key] == 1)
+    changed = report._replace(
+        verdicts=tuple((key, missed | (key == once)) for key, missed in report.verdicts)
+    )
     assert changed != report
     assert changed.covered_count == report.covered_count - 1
 
@@ -477,6 +489,8 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     def enumerated(*args):
         raise AssertionError("quadruples enumerated before the oracle cap check")
 
+    # the sweep decides its verdicts by walking the tail pairs
+    monkeypatch.setattr(engine, "_pair_tails", enumerated)
     monkeypatch.setattr(engine, "combinations_with_replacement", enumerated)
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
@@ -494,6 +508,42 @@ def test_size_order_enumeration_matches_the_direct_filter(n):
         if n <= 9:
             for quad, _, mask in report.rows:
                 assert mask == alg.full & ~alg.chain(quad), (n, epsilon, quad)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_four_class_counts_and_streams_agree(n):
+    # the totals are counted per mask pair and the uncovered rows come from
+    # the verdicts; both must agree with the rows the groups stream
+    for epsilon in SWEEP_EPSILONS:
+        report = verify_four_class_theorem(n, epsilon)
+        groups = list(report.groups())
+        rows = [row for group in groups for row in group]
+        assert report.total == len(rows), (n, epsilon)
+        assert report.covered_count == sum(1 for _, _, mask in rows if not mask), (n, epsilon)
+        assert report.uncovered() == [row for row in rows if row[2]], (n, epsilon)
+        # each group holds one least product, and the groups descend
+        leasts = [group[0][1] for group in groups]
+        assert all(row[1] == least for group, least in zip(groups, leasts) for row in group)
+        assert leasts == sorted(set(leasts), reverse=True), (n, epsilon)
+
+
+def test_package_names_resolve_on_first_read():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import classprod\n"
+        "print('classprod.product_engine' in sys.modules)\n"
+        "print(all(getattr(classprod, name) for name in classprod.__all__))\n"
+        "print(set(classprod.__all__) <= set(dir(classprod)))\n"
+        "from classprod import verify_four_class_theorem\n"
+        "from classprod.product_engine import verify_four_class_theorem as sweep\n"
+        "print(verify_four_class_theorem is sweep)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
 
 
 def test_four_class_sweep_keeps_every_exactness_check():
