@@ -12,8 +12,7 @@ import argparse
 import json
 import os
 import sys
-from heapq import merge
-from itertools import islice
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -318,8 +317,7 @@ def _write_four_class_json(report) -> None:
 
 
 def _cmd_verify_theorem(args) -> int:
-    from .product_engine import names_in
-    from .product_engine import row_key, verify_four_class_theorem
+    from .product_engine import names_in, verify_four_class_theorem
 
     _check_engine_n(args.n)
     report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
@@ -327,27 +325,31 @@ def _cmd_verify_theorem(args) -> int:
         _write_four_class_json(report)
         return EXIT_OK
     names = [c.name for c in enumerate_alt_classes(report.n)]
-    # the uncovered rows from their verdicts, and only the first --show
-    # covered ones, from the groups of largest least product
-    uncovered = report.uncovered()
-    total = report.total
-    covered = total - len(uncovered)
-    shown = list(
-        islice((row for group in report.groups() for row in group if not row[2]), args.show)
-    )
+    covered, total, m = report.covered_count, report.total, len(report.order)
+    # the rows of every pair with a miss, and of every pair down to the
+    # least product at which the pairs' covered rows reach --show
+    reached = accumulate(pair[3] for pair in report.pairs)
+    cut = next((pair[2] for pair, count in zip(report.pairs, reached) if count >= args.show), 0)
+    pairs = [
+        (p, q, least, count)
+        for p, q, least, count in report.pairs
+        if least >= cut or count < (m - q) * (m - q + 1) // 2
+    ]
     print(
         f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
         f"{covered}/{total} qualifying quadruples cover Alt({report.n})"
     )
-    for quad, least, mask in merge(uncovered, shown, key=row_key):
-        if mask:
-            missing = ", ".join(names_in(names, mask))
-            print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
-        else:
-            print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
-    omitted = covered - len(shown)
-    if omitted > 0:
-        print(f"... {omitted} further covered quadruples omitted (use --format json)")
+    shown = 0
+    for group in report.groups(pairs):
+        for quad, least, mask in group:
+            if mask:
+                missing = ", ".join(names_in(names, mask))
+                print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
+            elif shown < args.show:
+                print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
+                shown += 1
+    if covered > shown:
+        print(f"... {covered - shown} further covered quadruples omitted (use --format json)")
     return EXIT_OK
 
 

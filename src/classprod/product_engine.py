@@ -527,31 +527,25 @@ class QuadrupleVerdict(NamedTuple):
 Row = tuple[tuple[int, int, int, int], int, int]
 
 
-def row_key(row: Row) -> tuple:
-    """The order of the sweep's rows: descending least product, then the
-    ascending index-sorted quadruple."""
-    return -row[1], row[0]
-
-
 class FourClassReport(NamedTuple):
     """The four-class sweep, held as the structure that decides its rows,
     not as the rows.  ``order`` is the class indices in size order, and a
     quadruple is positions p <= q <= r <= t in it.  ``pairs`` holds each
-    qualifying (p, q) with its least pairwise size product, by descending
-    product; every (r, t) with q <= r <= t completes it.  ``masks[i][j]``
-    is the product of the classes i and j, and ``verdicts`` pairs each
-    (AB, CD) mask pair met with the mask of the classes ABCD misses (0: it
-    covers Alt(n)).
+    qualifying (p, q) with its least pairwise size product and the number
+    of its rows that cover, by descending product; every (r, t) with
+    q <= r <= t completes it.  ``masks[i][j]`` is the product of the
+    classes i and j, and ``verdicts`` pairs each (AB, CD) mask pair met
+    with the mask of the classes ABCD misses (0: it covers Alt(n)).
 
-    The totals are counted per mask pair; the rows are generated on
-    demand, one group of equal least product at a time (``groups``).
+    The totals are sums over the pairs; the rows are generated on demand,
+    one group of equal least product at a time (``groups``).
     """
 
     n: int
     epsilon: Fraction
     mode: str
     order: tuple[int, ...]
-    pairs: tuple[tuple[int, int, int], ...]
+    pairs: tuple[tuple[int, int, int, int], ...]
     masks: tuple[tuple[int, ...], ...]
     verdicts: tuple[tuple[tuple[int, int], int], ...]
 
@@ -559,27 +553,25 @@ class FourClassReport(NamedTuple):
     def total(self) -> int:
         """The number of qualifying quadruples."""
         m = len(self.order)
-        return sum((m - q) * (m - q + 1) // 2 for _, q, _ in self.pairs)
+        return sum((m - q) * (m - q + 1) // 2 for _, q, _, _ in self.pairs)
 
     @property
     def covered_count(self) -> int:
-        """The quadruples whose product covers Alt(n), counted per mask
-        pair on each access."""
-        masks, verdicts = self.masks, dict(self.verdicts)
-        return sum(
-            count
-            for _, a, b, _, tails in _pair_tails(self.order, self.pairs, masks)
-            for cd, count in tails.items()
-            if not verdicts[masks[a][b], cd]
-        )
+        """The quadruples whose product covers Alt(n), as the sweep counted
+        them per pair."""
+        return sum(covered for *_, covered in self.pairs)
 
-    def groups(self) -> Iterator[list[Row]]:
-        """The rows in order, one sorted group of equal least product at a
-        time; only that group is held."""
+    def groups(
+        self, pairs: Optional[Iterable[tuple[int, int, int, int]]] = None
+    ) -> Iterator[list[Row]]:
+        """The rows of ``pairs`` (None: all; else some of ``self.pairs``,
+        in their order), in row order: one group of equal least product at
+        a time, sorted by the index-sorted quadruple.  Only that group is
+        held."""
         order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
-        for least, pairs in groupby(self.pairs, itemgetter(2)):
+        for least, group_pairs in groupby(self.pairs if pairs is None else pairs, itemgetter(2)):
             group = []
-            for p, q, _ in pairs:
+            for p, q, _, _ in group_pairs:
                 a, b = order[p], order[q]
                 ab = masks[a][b]
                 group.extend(
@@ -588,21 +580,6 @@ class FourClassReport(NamedTuple):
                 )
             group.sort(key=itemgetter(0))
             yield group
-
-    def uncovered(self) -> list[Row]:
-        """The rows whose product misses a class, in row order.  Only the
-        tails of a (p, q) with a nonzero verdict are walked."""
-        order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
-        rows = []
-        for q, a, b, least, tails in _pair_tails(order, self.pairs, masks):
-            ab = masks[a][b]
-            if any(verdicts[ab, cd] for cd in tails):
-                for c, d in combinations_with_replacement(order[q:], 2):
-                    missed = verdicts[ab, masks[c][d]]
-                    if missed:
-                        rows.append((tuple(sorted((a, b, c, d))), least, missed))
-        rows.sort(key=row_key)
-        return rows
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -642,21 +619,20 @@ class FourClassReport(NamedTuple):
 
 def _pair_tails(
     order: Sequence[int], pairs: Iterable[tuple[int, int, int]], masks: Sequence[Sequence[int]]
-) -> Iterator[tuple[int, int, int, int, dict[int, int]]]:
-    """Each qualifying size-order pair (p, q), by descending q, as q, its
-    classes a and b, its least product, and the number of pairs (r, t),
-    q <= r <= t, per mask of CD.  The counts are one dict, grown as q
-    falls: read it before the next step."""
+) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
+    """Each qualifying size-order pair (p, q, least), by descending q, with
+    the number of pairs (r, t), q <= r <= t, per mask of CD.  The counts
+    are one dict, grown as q falls: read it before the next step."""
     by_q: dict[int, list[tuple[int, int, int]]] = {}
-    for p, q, least in pairs:
-        by_q.setdefault(q, []).append((order[p], order[q], least))
+    for pair in pairs:
+        by_q.setdefault(pair[1], []).append(pair)
     tails: dict[int, int] = {}
     for q in range(len(order) - 1, min(by_q, default=len(order)) - 1, -1):
         row = masks[order[q]]
         for t in order[q:]:
             tails[row[t]] = tails.get(row[t], 0) + 1
-        for a, b, least in by_q.get(q, ()):
-            yield q, a, b, least, tails
+        for pair in by_q.get(q, ()):
+            yield pair, tails
 
 
 def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
@@ -686,14 +662,16 @@ def verify_four_class_theorem(
     (p, q) brings every (r, t) with q <= r <= t untested.  The product is
     taken as (AB)(CD) in that size order, so a verdict is decided once per
     distinct pair of pair masks, by their product in the algebra, which
-    stops once it is all of Alt(n).  The sweep keeps the pairs, the masks
-    and the verdicts, and no row: see FourClassReport.
+    stops once it is all of Alt(n).  The walk that decides the verdicts
+    also counts each pair's covering rows.  The sweep keeps the pairs with
+    those counts, the masks and the verdicts, and no row: see
+    FourClassReport.
 
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
     ``mode="oracle"`` the products come from brute-force enumeration
-    (n <= 8); ``mode="both"`` insists the two agree, on every pair mask
-    and every verdict.
+    (n <= 8); ``mode="both"`` insists the two agree, on every pair mask,
+    every verdict and every count.
     """
     epsilon = Fraction(epsilon)
     if n < 2:
@@ -716,21 +694,27 @@ def verify_four_class_theorem(
             )
     pairs.sort(key=lambda pair: -pair[2])
 
-    def decided(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    def decided(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], ...], tuple, tuple]:
         # if no quadruple qualifies, no pair is computed
         if not pairs:
-            return (), ()
+            return (), (), ()
         masks = tuple(tuple(alg.pair(i, j) for j in range(m)) for i in range(m))
         verdicts: dict[tuple[int, int], int] = {}
-        for _, a, b, _, tails in _pair_tails(order, pairs, masks):
-            ab = masks[a][b]
-            for cd in tails:
-                if (ab, cd) not in verdicts:
-                    verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
-        return masks, tuple(verdicts.items())
+        covered: dict[tuple[int, int, int], int] = {}
+        for pair, tails in _pair_tails(order, pairs, masks):
+            ab = masks[order[pair[0]]][order[pair[1]]]
+            count = 0
+            for cd, rows in tails.items():
+                missed = verdicts.get((ab, cd))
+                if missed is None:
+                    missed = verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
+                if not missed:
+                    count += rows
+            covered[pair] = count
+        return masks, tuple(verdicts.items()), tuple((*pair, covered[pair]) for pair in pairs)
 
-    masks, verdicts = _cross_checked(n, mode, "four-class sweeps", decided)
-    return FourClassReport(n, epsilon, mode, tuple(order), tuple(pairs), masks, verdicts)
+    masks, verdicts, counted = _cross_checked(n, mode, "four-class sweeps", decided)
+    return FourClassReport(n, epsilon, mode, tuple(order), counted, masks, verdicts)
 
 
 class ProductCheckCase(NamedTuple):

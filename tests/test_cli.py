@@ -185,6 +185,22 @@ def test_four_class_json_matches_the_stdlib_encoder(capsys, n, mode, epsilons):
             ["--n", "8", "--epsilon", "1/20", "--mode", "both"],
             "2a3d2f61d8c1572fe0794ef41991c68ac28e48828d93494d12e72950fef9e6ad",
         ),
+        (
+            ["--n", "12", "--epsilon", "1/50", "--show", "100000"],
+            "80c17dd30baaf08fbf77252c09d45ada526c4cbebf7cb8acbc16110ca9647f1e",
+        ),
+        (
+            ["--n", "11", "--epsilon", "1/20", "--show", "1"],
+            "1f3ad590de6b2f1c74cd8f0422e9c0b16adbf75129420842db8f1535a902f7da",
+        ),
+        (
+            ["--n", "12", "--epsilon", "1/20", "--show", "7"],
+            "d0b77e8cf71b82b4b0c3acd32646cd89088b73802e101f3831e671d9c75281d2",
+        ),
+        (
+            ["--n", "13", "--epsilon", "1/100", "--show", "0"],
+            "c532ae8f96844689cfe8144c5793deca6b66a202c3d8292075ea2e3a3619c03d",
+        ),
     ],
 )
 def test_four_class_text_is_unchanged(capsys, argv, sha256):
@@ -192,6 +208,49 @@ def test_four_class_text_is_unchanged(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, "verify-theorem", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
+
+
+def _four_class_text_reference(report, rows, show: int) -> str:
+    """Text mode printed from all of the report's rows: each uncovered
+    row, and the first ``show`` covered ones, in row order."""
+    names = [c.name for c in enumerate_alt_classes(report.n)]
+    covered = sum(1 for _, _, mask in rows if not mask)
+    lines = [
+        f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
+        f"{covered}/{len(rows)} qualifying quadruples cover Alt({report.n})"
+    ]
+    shown = 0
+    for quad, least, mask in rows:
+        quadruple = " * ".join(names[i] for i in quad)
+        if mask:
+            missing = ", ".join(names[j] for j in range(len(names)) if mask >> j & 1)
+            lines.append(f"NOT COVERED: {quadruple} misses {missing}")
+        elif shown < show:
+            lines.append(f"covered: {quadruple} (min pair product {least})")
+            shown += 1
+    if covered > shown:
+        lines.append(f"... {covered - shown} further covered quadruples omitted (use --format json)")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "n, mode, epsilons",
+    [pytest.param(n, "engine", SWEEP_EPSILONS, id=f"{n}-engine") for n in range(2, 12)]
+    + [pytest.param(8, "both", SWEEP_EPSILONS, id="8-both")],
+)
+def test_four_class_text_matches_a_printer_over_the_rows(capsys, n, mode, epsilons):
+    # text mode prints from the rows of the pairs it selects; a printer
+    # over every row must give the same bytes
+    for epsilon in epsilons:
+        report = verify_four_class_theorem(n, epsilon, mode=mode)
+        rows = report.rows
+        for show in (0, 1, 3, 100000):
+            code, out, _ = run_cli(
+                capsys, "verify-theorem", "--n", str(n), "--epsilon", str(epsilon),
+                "--mode", mode, "--show", str(show),
+            )
+            assert code == 0
+            _assert_same_text(out, _four_class_text_reference(report, rows, show), (n, epsilon, show))
 
 
 @pytest.mark.parametrize(

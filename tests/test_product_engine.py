@@ -359,7 +359,12 @@ def test_four_class_report_names_its_rows_and_compares_by_value():
         verdicts=tuple((key, missed | (key == once)) for key, missed in report.verdicts)
     )
     assert changed != report
-    assert changed.covered_count == report.covered_count - 1
+    # the counts are the sweep's, so only the rows see the change: the one
+    # row that mask pair decides now misses a class
+    differ = [(old, new) for old, new in zip(report.rows, changed.rows) if old != new]
+    assert len(differ) == 1
+    (quad, _, _), (_, _, missed) = differ[0]
+    assert mask_pair(quad) == once and missed
 
 
 def test_four_class_sweep_huge_epsilon_is_empty():
@@ -511,16 +516,29 @@ def test_size_order_enumeration_matches_the_direct_filter(n):
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_four_class_counts_and_streams_agree(n):
-    # the totals are counted per mask pair and the uncovered rows come from
-    # the verdicts; both must agree with the rows the groups stream
+def test_four_class_counts_and_streams_agree(n, monkeypatch):
+    # the sweep counts each pair's covering rows in the walk that decides
+    # the verdicts; the totals are sums of those counts, read without a
+    # further walk, and must agree with the rows the groups stream
+    import classprod.product_engine as engine
+
+    def walked(*args):
+        raise AssertionError("the tails walked again after the sweep")
+
     for epsilon in SWEEP_EPSILONS:
         report = verify_four_class_theorem(n, epsilon)
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "_pair_tails", walked)
+            totals = report.total, report.covered_count
         groups = list(report.groups())
         rows = [row for group in groups for row in group]
-        assert report.total == len(rows), (n, epsilon)
-        assert report.covered_count == sum(1 for _, _, mask in rows if not mask), (n, epsilon)
-        assert report.uncovered() == [row for row in rows if row[2]], (n, epsilon)
+        assert totals == (len(rows), sum(1 for _, _, mask in rows if not mask)), (n, epsilon)
+        m = len(report.order)
+        for pair in report.pairs:
+            q = pair[1]
+            pair_rows = [row for group in report.groups([pair]) for row in group]
+            assert len(pair_rows) == (m - q) * (m - q + 1) // 2, (n, epsilon, pair)
+            assert sum(1 for _, _, mask in pair_rows if not mask) == pair[3], (n, epsilon, pair)
         # each group holds one least product, and the groups descend
         leasts = [group[0][1] for group in groups]
         assert all(row[1] == least for group, least in zip(groups, leasts) for row in group)
