@@ -11,7 +11,7 @@ cycles fill the points in order, longest cycle first.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import CapabilityError, UsageError
@@ -19,7 +19,6 @@ from .partitions import (
     Partition,
     TaggedLabel,
     enumerate_partitions,
-    format_partition,
     parse_tagged_partition,
     validate_partition,
 )
@@ -69,6 +68,8 @@ class AltClass(TaggedLabel, _AltClassFields):
     """A conjugacy class of Alt(n): an even cycle type, plus a split tag
     when (and only when) the type is exceptional."""
 
+    __slots__ = ()
+
     def __new__(cls, cycle_type: Iterable[int], split: Optional[str] = None):
         ct = validate_partition(cycle_type)
         if not is_even_type(ct):
@@ -82,18 +83,6 @@ class AltClass(TaggedLabel, _AltClassFields):
         elif split is not None:
             raise ValueError(f"type {ct} does not split")
         return super().__new__(cls, ct, split)
-
-    # the instance __dict__ holds only the cached name
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    @property
-    def n(self) -> int:
-        return sum(self.cycle_type)
-
-    @cached_property
-    def name(self) -> str:
-        # kept in the instance __dict__, outside the tuple's fields
-        return format_partition(self.cycle_type) + (self.split or "")
 
 
 def parse_class(text: str) -> AltClass:
@@ -171,7 +160,7 @@ def class_index(n: int) -> dict[AltClass, int]:
 
 
 def identity_class(n: int) -> AltClass:
-    return AltClass((1,) * n) if n else AltClass(())
+    return AltClass((1,) * n)
 
 
 def inverse_class(cls: AltClass) -> AltClass:

@@ -26,7 +26,6 @@ from .partitions import (
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
-    format_partition,
     hook_length_product,
     is_self_adjoint,
     parse_tagged_partition,
@@ -334,15 +333,6 @@ class AltChar(TaggedLabel, _AltCharFields):
         elif split is not None:
             raise ValueError(f"label {parts} does not split")
         return super().__new__(cls, parts, split)
-
-
-    @property
-    def n(self) -> int:
-        return sum(self.partition)
-
-    @property
-    def name(self) -> str:
-        return format_partition(self.partition) + (self.split or "")
 
 
 def alt_char_for(lam: Partition, split: Optional[str] = None) -> AltChar:

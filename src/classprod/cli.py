@@ -14,11 +14,12 @@ import os
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .alt_group import (
     MODES,
+    AltClass,
     NormalSet,
     check_n,
     class_size,
@@ -99,6 +100,14 @@ def _table(rows, headers) -> list[str]:
     return lines
 
 
+def _in_alt(cls: AltClass, n: int, name: Optional[str] = None) -> AltClass:
+    """``cls``, refused unless it is a class of Alt(n); the error names it
+    by ``name``, by default its own."""
+    if cls.n != n:
+        raise UsageError(f"class {name or cls.name} is not a class of Alt({n})")
+    return cls
+
+
 def _normal_set(names: list[str], n: int) -> NormalSet:
     # NormalSet rejects a class of another Alt(m)
     return NormalSet.of([cls for name in names for cls in parse_class_or_union(name)], n)
@@ -139,9 +148,7 @@ def _cmd_char_value(args) -> int:
     psi = parse_char(args.char)
     if psi.n != args.n:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
-    cls = parse_class(args.cls)
-    if cls.n != args.n:
-        raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
+    cls = _in_alt(parse_class(args.cls), args.n)
     value = alt_value(psi, cls)
     _emit(
         args,
@@ -186,11 +193,9 @@ def _cmd_classes(args) -> int:
 
 def _cmd_delta(args) -> int:
     classes = parse_class_or_union(args.cls)
-    if classes[0].n != args.n:
-        raise UsageError(f"class is not a class of Alt({args.n})")
     # both split classes: the bare type names their union
     name = classes[0].name if len(classes) == 1 else format_partition(classes[0].cycle_type)
-    d = delta(classes[0])
+    d = delta(_in_alt(classes[0], args.n, name))
     _emit(args, {"n": args.n, "class": name, "delta": d}, [str(d)])
     return EXIT_OK
 
@@ -231,9 +236,7 @@ def _cmd_covering(args) -> int:
     from .product_engine import covering_number, missing_classes
 
     _check_engine_n(args.n)
-    cls = parse_class(args.cls)
-    if cls.n != args.n:
-        raise UsageError(f"class {cls.name} is not a class of Alt({args.n})")
+    cls = _in_alt(parse_class(args.cls), args.n)
     result = covering_number(cls, args.max_k, mode=args.mode)
     payload = {
         "n": args.n,
@@ -270,17 +273,12 @@ def _write_four_class_json(report) -> None:
     """Write ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
     and a newline without building the dict.  The totals are counted
     first, and the rows go to stdout one group of equal least product at a
-    time.  A row of "quadruples" is three cached strings: the text of its
-    first two class names, per index pair; that of its last two, per index
-    pair; and the rest of the row, per (least pair product, missing-class
-    mask), since few of those recur."""
+    time.  A row of "quadruples" is one template over the encoded names of
+    its four classes and the text of the rest of the row, cached per (least
+    pair product, missing-class mask), since few of those recur."""
     from .product_engine import names_in
 
     names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
-    heads = [
-        [f'    {{\n      "classes": [\n        {a},\n        {b},\n' for b in names] for a in names
-    ]
-    mids = [[f"        {c},\n        {d}\n      ],\n" for d in names] for c in names]
     tails: dict[tuple[int, int], str] = {}
 
     def tail(least: int, mask: int) -> str:
@@ -310,7 +308,10 @@ def _write_four_class_json(report) -> None:
             end = tails.get(key)
             if end is None:
                 end = tails[key] = tail(least, mask)
-            texts.append(heads[a][b] + mids[c][d] + end)
+            texts.append(
+                f'    {{\n      "classes": [\n        {names[a]},\n        {names[b]},\n'
+                f"        {names[c]},\n        {names[d]}\n      ],\n{end}"
+            )
         write(separator + ",\n".join(texts))
         separator = ",\n"
     write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')

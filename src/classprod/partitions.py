@@ -61,6 +61,7 @@ def parse_tagged_partition(text: str) -> tuple[Partition, Optional[str]]:
 class TaggedLabel:
     """Base for the NamedTuple records of a partition and a split tag, the
     Alt(n) classes and characters, whose constructors check their fields.
+    Both derive ``n`` and ``name`` from the two fields on each read.
 
     ``_replace`` builds through the constructor, so a derived value is
     checked too, and a value equals only a value of its own type: not a
@@ -68,6 +69,14 @@ class TaggedLabel:
     """
 
     __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return sum(self[0])
+
+    @property
+    def name(self) -> str:
+        return format_partition(self[0]) + (self[1] or "")
 
     @classmethod
     def _make(cls, iterable):

@@ -246,8 +246,11 @@ def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
 
 
 def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
-    """Does the normal set AB contain the class of g?"""
-    return frobenius_sum(a, b, g).pair_count > 0
+    """Does the normal set AB contain the class of g?  Read from the
+    engine's pair mask of (A, B), computed once."""
+    n = _check_same_n(a, b, g)
+    idx = class_index(n)
+    return bool(_engine_algebra(n).pair(idx[a], idx[b]) >> idx[g] & 1)
 
 
 def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
@@ -588,17 +591,16 @@ class FourClassReport(NamedTuple):
 
     @property
     def quadruples(self) -> tuple[QuadrupleVerdict, ...]:
-        """The rows with class names, built on each access."""
-        names, missing_names = _row_names(self.n)
+        """The rows with class names, built on each access; the classes a
+        row misses are named once per mask (few recur in a sweep)."""
+        names = [c.name for c in enumerate_alt_classes(self.n)]
+        named = {mask: names_in(names, mask) for mask in {mask for _, mask in self.verdicts}}
         return tuple(
-            QuadrupleVerdict(
-                (names[a], names[b], names[c], names[d]), least, not mask, missing_names(mask)
-            )
+            QuadrupleVerdict((names[a], names[b], names[c], names[d]), least, not mask, named[mask])
             for (a, b, c, d), least, mask in self.rows
         )
 
     def to_dict(self) -> dict:
-        names, missing_names = _row_names(self.n)
         return {
             "n": self.n,
             "epsilon": str(self.epsilon),
@@ -607,12 +609,12 @@ class FourClassReport(NamedTuple):
             "covered": self.covered_count,
             "quadruples": [
                 {
-                    "classes": [names[a], names[b], names[c], names[d]],
-                    "min_pair_product": least,
-                    "covered": not mask,
-                    "missing": list(missing_names(mask)),
+                    "classes": list(quad.classes),
+                    "min_pair_product": quad.min_pair_product,
+                    "covered": quad.covered,
+                    "missing": list(quad.missing),
                 }
-                for (a, b, c, d), least, mask in self.rows
+                for quad in self.quadruples
             ],
         }
 
@@ -633,20 +635,6 @@ def _pair_tails(
             tails[row[t]] = tails.get(row[t], 0) + 1
         for pair in by_q.get(q, ()):
             yield pair, tails
-
-
-def _row_names(n: int) -> tuple[list[str], Callable[[int], tuple[str, ...]]]:
-    """The class names of Alt(n) in canonical order, and the names of the
-    classes in a mask, named once per mask (few recur in a sweep)."""
-    names = [c.name for c in enumerate_alt_classes(n)]
-    named: dict[int, tuple[str, ...]] = {}
-
-    def missing_names(mask: int) -> tuple[str, ...]:
-        if mask not in named:
-            named[mask] = names_in(names, mask)
-        return named[mask]
-
-    return names, missing_names
 
 
 def verify_four_class_theorem(

@@ -69,6 +69,21 @@ def test_delta_prints_the_canonical_name(capsys, typed, name):
     assert code == 0 and json.loads(out) == {"n": 8, "class": name, "delta": 6}
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["delta", "--class", "5"], "5"),
+        (["delta", "--class", " 5,1−"], "5,1-"),
+        (["char-value", "--char", "7", "--class", "5,1-"], "5,1-"),
+        (["covering", "--class", "5,1-"], "5,1-"),
+    ],
+)
+def test_a_class_of_another_alt_n_is_refused_by_name(capsys, argv, name):
+    code, out, err = run_cli(capsys, argv[0], "--n", "7", *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"error: class {name} is not a class of Alt(7)\n"
+
+
 def test_contains_both_modes(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -546,6 +561,34 @@ def test_four_class_text_holds_no_row_list():
     peak, header = proc.stdout.splitlines()
     assert header.endswith("122104/122104 qualifying quadruples cover Alt(12)")
     assert int(peak) < 4_000_000
+
+
+def test_four_class_json_holds_no_row_list():
+    # the JSON twin of the text-mode test: after the fill, the sweep and the
+    # JSON writer hold one group of rows at a time, not every row
+    import subprocess
+    import sys
+
+    code = (
+        "import os, sys, tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from classprod.cli import _write_four_class_json\n"
+        "from classprod.product_engine import ensure_pair_masks, verify_four_class_theorem\n"
+        "ensure_pair_masks(12)\n"
+        "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "tracemalloc.start()\n"
+        "report = verify_four_class_theorem(12, Fraction(1, 10))\n"
+        "_write_four_class_json(report)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "sys.stdout.close()\n"
+        "sys.stdout = stdout\n"
+        "print(peak, report.total)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, total = map(int, proc.stdout.split())
+    assert total == 122104
+    assert peak < 6_000_000
 
 
 def test_commands_without_character_sums_load_no_engine():

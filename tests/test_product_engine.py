@@ -607,6 +607,24 @@ def test_engine_rejects_mixed_n():
         product_set(NormalSet.of(enumerate_alt_classes(4)), NormalSet.of(enumerate_alt_classes(5)))
 
 
+def test_contains_reads_the_cached_pair_mask():
+    # one pair mask answers contains at every class g, and it agrees with
+    # the pair counts of every triple
+    classes = enumerate_alt_classes(7)
+    alg = _engine_algebra(7)
+    alg.pairs.pop((1, 2), None)
+    before = len(alg.pairs)
+    for g in classes:
+        contains(classes[1], classes[2], g)
+    assert len(alg.pairs) == before + 1
+    for n in range(1, 8):
+        classes = enumerate_alt_classes(n)
+        for a in classes:
+            for b in classes:
+                for g in classes:
+                    assert contains(a, b, g) is (frobenius_sum(a, b, g).pair_count > 0)
+
+
 def test_fpf_involution_square_matches_oracle_n8():
     table = alt_conjugacy_classes(8)
     fpf = AltClass((2, 2, 2, 2))
