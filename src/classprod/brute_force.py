@@ -241,20 +241,16 @@ def oracle_class_product(a: AltClass, b: AltClass) -> frozenset[AltClass]:
 
 
 def oracle_product_set(table: GroupTable, s: NormalSet, t: NormalSet) -> NormalSet:
-    hit: set[AltClass] = set()
-    for a in s:
-        for b in t:
-            hit |= oracle_class_product(a, b)
-    return NormalSet(table.n, frozenset(hit))
+    """The product of two normal sets, from the oracle's class products;
+    ``table`` is not read (the sets name their group)."""
+    from .product_engine import product_set
+
+    return product_set(s, t, mode="oracle")
 
 
 def oracle_covering_number(table: GroupTable, cls: AltClass, k_max: int):
-    """Least k <= k_max with the k-fold class product covering Alt(n)."""
-    single = NormalSet.of([cls])
-    current = single
-    for k in range(1, k_max + 1):
-        if k > 1:
-            current = oracle_product_set(table, current, single)
-        if current.is_full():
-            return k
-    return None
+    """Least k <= k_max with the k-fold class product covering Alt(n),
+    from the oracle's class products."""
+    from .product_engine import covering_number
+
+    return covering_number(cls, k_max, mode="oracle")

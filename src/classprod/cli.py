@@ -43,6 +43,7 @@ EXIT_CAPABILITY = 3
 
 PARTITION_MAX_N = 50
 CHAR_MAX_N = 40
+ENGINE_MAX_N = 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +77,6 @@ def _int_at_least(k: int):
 
 
 def _check_engine_n(n: int) -> None:
-    from .product_engine import ENGINE_MAX_N
-
     check_n(n, ENGINE_MAX_N, "the character-sum engine")
 
 

@@ -17,9 +17,10 @@ Pairwise class products are bitmasks over the canonical class order, each
 computed once, when first asked for, by the ProductAlgebra that holds it;
 the ``jobs`` parameters are accepted and change nothing.  Every larger
 product (product sets, powers, the named sweeps) is a chain of one step
-in ProductAlgebra, "normal set times class".  The one provider
-``_cross_checked`` runs a computation over the engine's algebra, the
-oracle's or both, and raises ConsistencyError if they differ.
+in ProductAlgebra, "normal set times class".  Each computation runs once,
+over the algebra of its mode (``_algebra``): the engine's, the brute-force
+oracle's, or one whose every pair mask comes from both and raises
+ConsistencyError where they differ.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .alt_group import (
 from .characters import CharacterTable, integer_table
 from .errors import ConsistencyError, UsageError
 from .partitions import format_partition
-
-ENGINE_MAX_N = 14
 
 _EXACTNESS_CHECKS = 0
 
@@ -391,30 +390,38 @@ def _oracle_algebra(n: int) -> ProductAlgebra:
     )
 
 
-def _cross_checked(n: int, mode: str, what: str, compute):
-    """``compute(algebra)`` over the engine, the brute-force oracle, or both
-    (whose results must be equal).  The oracle's algebra comes first, so a
-    group too large for it fails before any engine work.
+def _algebra(n: int, mode: str) -> ProductAlgebra:
+    """The algebra of a mode: the engine's, the brute-force oracle's, or,
+    for ``both``, a fresh one whose every pair mask is asked of the engine,
+    then of the oracle, and must agree.  The oracle's algebra comes first,
+    so a group too large for it fails before any engine work.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    oracle = _oracle_algebra(n) if mode in ("oracle", "both") else None
-    results = []
-    if mode in ("engine", "both"):
-        results.append(compute(_engine_algebra(n)))
-    if oracle is not None:
-        results.append(compute(oracle))
-    if mode == "both" and results[0] != results[1]:
-        raise ConsistencyError(f"engine and oracle {what} disagree at n={n}")
-    return results[0]
+    if mode == "engine":
+        return _engine_algebra(n)
+    oracle = _oracle_algebra(n)
+    if mode == "oracle":
+        return oracle
+    engine, classes = _engine_algebra(n), enumerate_alt_classes(n)
+
+    def checked(i: int, j: int) -> int:
+        mask = engine.pair(i, j)
+        if mask != oracle.pair(i, j):
+            raise ConsistencyError(
+                f"engine and oracle products of {classes[i].name} and "
+                f"{classes[j].name} disagree at n={n}"
+            )
+        return mask
+
+    return ProductAlgebra(n, checked)
 
 
 def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
     if s.n != t.n:
         raise UsageError("normal sets over different groups")
-    mask_s, mask_t = _mask_of(s.n, s.classes), _mask_of(t.n, t.classes)
-    mask = _cross_checked(s.n, mode, "products", lambda alg: alg.product(mask_s, mask_t))
+    mask = _algebra(s.n, mode).product(_mask_of(s.n, s.classes), _mask_of(t.n, t.classes))
     return NormalSet(s.n, frozenset(names_in(enumerate_alt_classes(s.n), mask)))
 
 
@@ -424,26 +431,17 @@ def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional
         raise UsageError("k_max must be positive")
     if cls == identity_class(cls.n):
         raise UsageError("covering number is defined for nontrivial classes")
-    c = class_index(cls.n)[cls]
-
-    def least_covering_power(alg: ProductAlgebra) -> Optional[int]:
-        masks, _ = alg.powers(c, k_max)
-        return next((k for k, mask in enumerate(masks, 1) if mask == alg.full), None)
-
-    return _cross_checked(cls.n, mode, "covering numbers", least_covering_power)
+    alg = _algebra(cls.n, mode)
+    masks, _ = alg.powers(class_index(cls.n)[cls], k_max)
+    return next((k for k, mask in enumerate(masks, 1) if mask == alg.full), None)
 
 
 def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltClass, ...]:
     """Classes not reached by the k-fold product of a class with itself."""
     if k < 1:
         raise UsageError("k must be positive")
-    c = class_index(cls.n)[cls]
-
-    def missing(alg: ProductAlgebra) -> int:
-        return alg.full & ~alg.power(c, k)
-
-    mask = _cross_checked(cls.n, mode, "powers", missing)
-    return names_in(enumerate_alt_classes(cls.n), mask)
+    alg, c = _algebra(cls.n, mode), class_index(cls.n)[cls]
+    return names_in(enumerate_alt_classes(cls.n), alg.full & ~alg.power(c, k))
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +502,14 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
         for t1, t2 in combinations_with_replacement(_type_masks(n), 2)
         if dvir_rodgers_applies(t1[1], t2[1])
     ]
-
-    def violations(alg: ProductAlgebra) -> tuple[tuple[str, str, str], ...]:
-        found = []
-        for (name1, _, mask1), (name2, _, mask2) in qualifying:
-            mask = alg.product(mask1, mask2)
-            for target, jt in targets:
-                if not mask >> jt & 1:
-                    found.append((name1, name2, target))
-        return tuple(found)
-
-    found = _cross_checked(n, mode, "delta sweeps", violations)
-    return DvirRodgersReport(n, len(qualifying), found)
+    alg = _algebra(n, mode)
+    found = []
+    for (name1, _, mask1), (name2, _, mask2) in qualifying:
+        mask = alg.product(mask1, mask2)
+        for target, jt in targets:
+            if not mask >> jt & 1:
+                found.append((name1, name2, target))
+    return DvirRodgersReport(n, len(qualifying), tuple(found))
 
 
 class QuadrupleVerdict(NamedTuple):
@@ -619,24 +613,6 @@ class FourClassReport(NamedTuple):
         }
 
 
-def _pair_tails(
-    order: Sequence[int], pairs: Iterable[tuple[int, int, int]], masks: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
-    """Each qualifying size-order pair (p, q, least), by descending q, with
-    the number of pairs (r, t), q <= r <= t, per mask of CD.  The counts
-    are one dict, grown as q falls: read it before the next step."""
-    by_q: dict[int, list[tuple[int, int, int]]] = {}
-    for pair in pairs:
-        by_q.setdefault(pair[1], []).append(pair)
-    tails: dict[int, int] = {}
-    for q in range(len(order) - 1, min(by_q, default=len(order)) - 1, -1):
-        row = masks[order[q]]
-        for t in order[q:]:
-            tails[row[t]] = tails.get(row[t], 0) + 1
-        for pair in by_q.get(q, ()):
-            yield pair, tails
-
-
 def verify_four_class_theorem(
     n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
 ) -> FourClassReport:
@@ -658,8 +634,8 @@ def verify_four_class_theorem(
     The report is descriptive: coverage is only guaranteed for large n,
     so a non-covering quadruple at small n is data, not an error.  With
     ``mode="oracle"`` the products come from brute-force enumeration
-    (n <= 8); ``mode="both"`` insists the two agree, on every pair mask,
-    every verdict and every count.
+    (n <= 8); ``mode="both"`` insists the two agree on every pair mask,
+    which decides every verdict and every count.
     """
     epsilon = Fraction(epsilon)
     if n < 2:
@@ -681,28 +657,34 @@ def verify_four_class_theorem(
                 if reaches(sizes[a] * sizes[b])
             )
     pairs.sort(key=lambda pair: -pair[2])
-
-    def decided(alg: ProductAlgebra) -> tuple[tuple[tuple[int, ...], ...], tuple, tuple]:
-        # if no quadruple qualifies, no pair is computed
-        if not pairs:
-            return (), (), ()
-        masks = tuple(tuple(alg.pair(i, j) for j in range(m)) for i in range(m))
-        verdicts: dict[tuple[int, int], int] = {}
-        covered: dict[tuple[int, int, int], int] = {}
-        for pair, tails in _pair_tails(order, pairs, masks):
-            ab = masks[order[pair[0]]][order[pair[1]]]
-            count = 0
-            for cd, rows in tails.items():
-                missed = verdicts.get((ab, cd))
-                if missed is None:
-                    missed = verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
-                if not missed:
-                    count += rows
-            covered[pair] = count
-        return masks, tuple(verdicts.items()), tuple((*pair, covered[pair]) for pair in pairs)
-
-    masks, verdicts, counted = _cross_checked(n, mode, "four-class sweeps", decided)
-    return FourClassReport(n, epsilon, mode, tuple(order), counted, masks, verdicts)
+    alg = _algebra(n, mode)
+    if not pairs:  # no pair is computed
+        return FourClassReport(n, epsilon, mode, tuple(order), (), (), ())
+    masks = tuple(tuple(alg.pair(i, j) for j in range(m)) for i in range(m))
+    verdicts: dict[tuple[int, int], int] = {}
+    covered: dict[tuple[int, int, int], int] = {}
+    # by descending q, ``tails`` counts the pairs (r, t), q <= r <= t, per
+    # mask of CD
+    tails: dict[int, int] = {}
+    low = m
+    for pair in sorted(pairs, key=itemgetter(1), reverse=True):
+        p, q, _ = pair
+        for r in range(low - 1, q - 1, -1):
+            row = masks[order[r]]
+            for t in order[r:]:
+                tails[row[t]] = tails.get(row[t], 0) + 1
+        low = q
+        ab = masks[order[p]][order[q]]
+        count = 0
+        for cd, rows in tails.items():
+            missed = verdicts.get((ab, cd))
+            if missed is None:
+                missed = verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
+            if not missed:
+                count += rows
+        covered[pair] = count
+    counted = tuple((*pair, covered[pair]) for pair in pairs)
+    return FourClassReport(n, epsilon, mode, tuple(order), counted, masks, tuple(verdicts.items()))
 
 
 class ProductCheckCase(NamedTuple):
@@ -760,53 +742,51 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     long_mask = _mask_of(n, long_pair)
     exceptional = [c for c in classes if is_exceptional(c.cycle_type)]
     exc_mask = _mask_of(n, exceptional)
+    alg = _algebra(n, mode)
 
-    def parts(alg: ProductAlgebra) -> tuple[ProductCheckPart, ...]:
-        def case(members, mask, targets_mask):
-            missing = targets_mask & ~mask
-            return ProductCheckCase(
-                tuple(c.name for c in members),
-                missing == 0,
-                names_in(names, missing),
-            )
-
-        def chain_case(members, targets_mask):
-            return case(members, alg.chain(idx[c] for c in members), targets_mask)
-
-        return (
-            ProductCheckPart(
-                1,
-                "a product of two exceptional classes contains both long-cycle classes",
-                tuple(
-                    chain_case(pair, long_mask)
-                    for pair in combinations_with_replacement(exceptional, 2)
-                ),
-            ),
-            ProductCheckPart(
-                2,
-                "a product of two long-cycle classes contains every exceptional class",
-                tuple(
-                    chain_case(pair, exc_mask)
-                    for pair in combinations_with_replacement(long_pair, 2)
-                ),
-            ),
-            ProductCheckPart(
-                3,
-                "the set of all long cycles times a long-cycle class covers Alt(n)",
-                tuple(
-                    case((a,), alg.times(long_mask, idx[a]), alg.full)
-                    for a in long_pair
-                ),
-            ),
-            ProductCheckPart(
-                4,
-                "the product of any three long-cycle classes covers Alt(n)",
-                tuple(
-                    chain_case(triple, alg.full)
-                    for triple in combinations_with_replacement(long_pair, 3)
-                ),
-            ),
+    def case(members, mask, targets_mask):
+        missing = targets_mask & ~mask
+        return ProductCheckCase(
+            tuple(c.name for c in members),
+            missing == 0,
+            names_in(names, missing),
         )
 
-    found = _cross_checked(n, mode, "long-cycle checks", parts)
-    return LongCycleProductReport(n, found)
+    def chain_case(members, targets_mask):
+        return case(members, alg.chain(idx[c] for c in members), targets_mask)
+
+    parts = (
+        ProductCheckPart(
+            1,
+            "a product of two exceptional classes contains both long-cycle classes",
+            tuple(
+                chain_case(pair, long_mask)
+                for pair in combinations_with_replacement(exceptional, 2)
+            ),
+        ),
+        ProductCheckPart(
+            2,
+            "a product of two long-cycle classes contains every exceptional class",
+            tuple(
+                chain_case(pair, exc_mask)
+                for pair in combinations_with_replacement(long_pair, 2)
+            ),
+        ),
+        ProductCheckPart(
+            3,
+            "the set of all long cycles times a long-cycle class covers Alt(n)",
+            tuple(
+                case((a,), alg.times(long_mask, idx[a]), alg.full)
+                for a in long_pair
+            ),
+        ),
+        ProductCheckPart(
+            4,
+            "the product of any three long-cycle classes covers Alt(n)",
+            tuple(
+                chain_case(triple, alg.full)
+                for triple in combinations_with_replacement(long_pair, 3)
+            ),
+        ),
+    )
+    return LongCycleProductReport(n, parts)

@@ -172,7 +172,7 @@ def test_records_are_immutable_values(make, fields):
     value, again = make(), make()
     assert value is not again
     for field in fields:
-        getattr(value, field)  # a cached name is computed before pickling
+        getattr(value, field)  # readable, derived fields too
         with pytest.raises(AttributeError):
             setattr(value, field, None)
     assert value == again and hash(value) == hash(again)

@@ -146,17 +146,6 @@ def test_classify_matches_canonical_representative():
             assert classify(rep) == AltClass(cls.cycle_type, cls.split and "+")
 
 
-def forget_orbits():
-    """Empty every oracle cache: the orbits, the group tables built from
-    them, the memo of classified permutations and the oracle's algebras."""
-    from classprod.product_engine import _oracle_algebra
-
-    class_members.cache_clear()
-    alt_conjugacy_classes.cache_clear()
-    brute_force._class_of.clear()
-    _oracle_algebra.cache_clear()
-
-
 def count_walks(monkeypatch) -> list:
     """Record every permutation that ``_even_class`` walks from now on."""
     walks = []
@@ -171,7 +160,7 @@ def count_walks(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
-def test_one_walk_enumeration_matches_the_reference(n):
+def test_one_walk_enumeration_matches_the_reference(n, fresh_oracle):
     # the element-by-element classification (sign, cycle type, split tag),
     # products through the reference composition
     ref = alt_conjugacy_classes_reference(n)
@@ -183,7 +172,6 @@ def test_one_walk_enumeration_matches_the_reference(n):
 
     # from empty caches most products are walked and filed, and later ones
     # read those filings; once the table has filed all of Alt(n), none walks
-    forget_orbits()
     products_match()
     table = alt_conjugacy_classes(n)
     assert table.classes == ref.classes
@@ -207,22 +195,20 @@ def test_class_members_are_the_enumerated_class(n):
         assert len(members) == class_size(cls)
 
 
-def test_the_group_table_walks_no_permutation(monkeypatch):
+def test_the_group_table_walks_no_permutation(monkeypatch, fresh_oracle):
     # Alt(n) is the union of the class orbits, which conjugate and never
     # classify
     walks = count_walks(monkeypatch)
-    forget_orbits()
     for n in range(1, ORACLE_MAX_N + 1):
         alt_conjugacy_classes(n)
     assert walks == []
 
 
-def test_a_repeated_oracle_product_walks_nothing(monkeypatch):
+def test_a_repeated_oracle_product_walks_nothing(monkeypatch, fresh_oracle):
     # the first product files every permutation it walks, so the second
     # finds each one by lookup
     a, b = AltClass((6, 2)), AltClass((5, 3), "-")
     walks = count_walks(monkeypatch)
-    forget_orbits()
     first = oracle_class_product(a, b)
     assert walks
     walks.clear()
@@ -230,22 +216,18 @@ def test_a_repeated_oracle_product_walks_nothing(monkeypatch):
     assert walks == []
 
 
-def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch):
+def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch, fresh_oracle):
     # (0 1 2) alone does not generate Alt(8): every orbit comes out short
     from classprod.cli import main
 
     three = from_cycles(8, (0, 1, 2))
     monkeypatch.setattr(brute_force, "_alt_generators", lambda n: (three,))
-    forget_orbits()
-    try:
-        with pytest.raises(ConsistencyError, match="orbit of 6,2 has"):
-            class_members(AltClass((6, 2)))
-        code = main(["product", "--n", "8", "--a", "6,2", "--b", "5,3-", "--mode", "oracle"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == "" and len(err.splitlines()) == 1, err
-        assert "orbit of 5,3- has" in err
-    finally:
-        forget_orbits()
+    with pytest.raises(ConsistencyError, match="orbit of 6,2 has"):
+        class_members(AltClass((6, 2)))
+    code = main(["product", "--n", "8", "--a", "6,2", "--b", "5,3-", "--mode", "oracle"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert "orbit of 5,3- has" in err
 
 
 def test_capability_cap():
@@ -281,6 +263,22 @@ def test_oracle_covering_number_fpf_n8():
     table = alt_conjugacy_classes(8)
     fpf = AltClass((2, 2, 2, 2))
     assert oracle_covering_number(table, fpf, 5) == 4
+
+
+def test_oracle_covering_number_stops_at_a_repeated_power(monkeypatch, fresh_oracle):
+    # the powers of 2,2 in Alt(4) repeat from the square on and never cover
+    # it: a thousand powers ask for no more class products than the first
+    # repeat does
+    asked = []
+    real = brute_force.oracle_class_product
+
+    def counted(a, b):
+        asked.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(brute_force, "oracle_class_product", counted)
+    assert oracle_covering_number(alt_conjugacy_classes(4), AltClass((2, 2)), 1000) is None
+    assert len(asked) <= 3
 
 
 def test_inverse_class_matches_oracle():

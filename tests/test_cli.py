@@ -352,11 +352,10 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("error: "), argv
 
 
-def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
+def test_both_mode_disagreement_exits_2(capsys, monkeypatch, fresh_oracle):
     # an oracle that never reaches the class 7+ must make every
     # cross-checked command fail loudly
     import classprod.brute_force as brute_force
-    from classprod.product_engine import _oracle_algebra
 
     dropped = parse_class("7+")
     real = brute_force.oracle_class_product
@@ -364,23 +363,37 @@ def test_both_mode_disagreement_exits_2(capsys, monkeypatch):
         brute_force, "oracle_class_product", lambda *args: real(*args) - {dropped}
     )
     identity = "1,1,1,1,1,1,1"
-    # the oracle algebra is cached per n: build it over the patched oracle,
-    # and do not leave that one behind
-    _oracle_algebra.cache_clear()
-    try:
-        for argv in (
-            ["product", "--a", identity, "--b", "7+"],
-            ["contains", "--a", identity, "--b", "7+", "--g", "7+"],
-            ["covering", "--class", "7+"],
-            ["dvir"],
-            ["excon"],
-            ["verify-theorem", "--epsilon", "1/10"],
-        ):
-            code, out, err = run_cli(capsys, *argv, "--n", "7", "--mode", "both")
-            assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
-            assert "engine and oracle" in err, argv
-    finally:
-        _oracle_algebra.cache_clear()
+    for argv in (
+        ["product", "--a", identity, "--b", "7+"],
+        ["contains", "--a", identity, "--b", "7+", "--g", "7+"],
+        ["covering", "--class", "7+"],
+        ["dvir"],
+        ["excon"],
+        ["verify-theorem", "--epsilon", "1/10"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n", "7", "--mode", "both")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "engine and oracle" in err, argv
+
+
+def test_both_mode_checks_each_pair_mask(capsys, monkeypatch, fresh_oracle):
+    # (3,1,1,1,1)(7-) reaches 3,3,1 too, so the union of the two products
+    # hides an oracle that drops it from (3,1,1,1,1)(7+) alone; the pair
+    # mask that differs names its classes
+    import classprod.brute_force as brute_force
+
+    pair, dropped = {parse_class("3,1,1,1,1"), parse_class("7+")}, parse_class("3,3,1")
+    real = brute_force.oracle_class_product
+
+    def patched(a, b):
+        hit = real(a, b)
+        return hit - {dropped} if {a, b} == pair else hit
+
+    monkeypatch.setattr(brute_force, "oracle_class_product", patched)
+    argv = ["product", "--n", "7", "--a", "3,1,1,1,1", "--b", "7+", "--b", "7-", "--mode", "both"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert "7+" in err and "3,1,1,1,1" in err, err
 
 
 def test_covering_prints_the_same_witnesses_in_every_mode(capsys):
@@ -394,10 +407,9 @@ def test_covering_prints_the_same_witnesses_in_every_mode(capsys):
     assert json.loads(outs.pop())["missing_at_k_minus_1"]
 
 
-def test_covering_both_computes_each_oracle_pair_once(capsys, monkeypatch):
+def test_covering_both_computes_each_oracle_pair_once(capsys, monkeypatch, fresh_oracle):
     # covering_number and missing_classes share the cached oracle algebra
     import classprod.brute_force as brute_force
-    from classprod.product_engine import _oracle_algebra
 
     asked = []
     real = brute_force.oracle_class_product
@@ -407,12 +419,8 @@ def test_covering_both_computes_each_oracle_pair_once(capsys, monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(brute_force, "oracle_class_product", counted)
-    _oracle_algebra.cache_clear()
-    try:
-        argv = ["covering", "--n", "8", "--class", "2,2,2,2", "--max-k", "5", "--mode", "both"]
-        code, _, _ = run_cli(capsys, *argv)
-    finally:
-        _oracle_algebra.cache_clear()
+    argv = ["covering", "--n", "8", "--class", "2,2,2,2", "--max-k", "5", "--mode", "both"]
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(asked) == len(set(asked)) == 9
 

@@ -168,7 +168,8 @@ def test_missing_classes_cube_witness():
 
 
 def test_powers_match_oracle_up_to_7():
-    # the shared powers routine against the independent oracle iteration
+    # the shared powers routine against oracle products taken one power at
+    # a time
     from classprod.brute_force import oracle_covering_number
 
     k_max = 6
@@ -492,10 +493,11 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     import classprod.product_engine as engine
 
     def enumerated(*args):
-        raise AssertionError("quadruples enumerated before the oracle cap check")
+        raise AssertionError("engine or pair work before the oracle cap check")
 
-    # the sweep decides its verdicts by walking the tail pairs
-    monkeypatch.setattr(engine, "_pair_tails", enumerated)
+    # the sweep asks its algebra for every pair mask before any verdict
+    monkeypatch.setattr(engine.ProductAlgebra, "pair", enumerated)
+    monkeypatch.setattr(engine, "_engine_algebra", enumerated)
     monkeypatch.setattr(engine, "combinations_with_replacement", enumerated)
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
@@ -523,12 +525,13 @@ def test_four_class_counts_and_streams_agree(n, monkeypatch):
     import classprod.product_engine as engine
 
     def walked(*args):
-        raise AssertionError("the tails walked again after the sweep")
+        raise AssertionError("rows built or products taken again after the sweep")
 
     for epsilon in SWEEP_EPSILONS:
         report = verify_four_class_theorem(n, epsilon)
         with monkeypatch.context() as patched:
-            patched.setattr(engine, "_pair_tails", walked)
+            patched.setattr(engine.FourClassReport, "groups", walked)
+            patched.setattr(engine.ProductAlgebra, "product", walked)
             totals = report.total, report.covered_count
         groups = list(report.groups())
         rows = [row for group in groups for row in group]
