@@ -23,22 +23,22 @@ _MODULES = {
     "CapabilityError": "errors",
     "ConsistencyError": "errors",
     "NormalSet": "alt_group",
-    "QuadValue": "characters",
+    "QuadValue": "quadvalue",
     "UsageError": "errors",
     "alt_value": "characters",
     "character_table": "characters",
-    "check_dvir_rodgers": "product_engine",
+    "check_dvir_rodgers": "sweeps",
     "contains": "product_engine",
     "covering_number": "product_engine",
     "delta_bound_report": "alt_group",
     "frobenius_sum": "product_engine",
-    "long_cycle_product_checks": "product_engine",
+    "long_cycle_product_checks": "sweeps",
     "missing_classes": "product_engine",
     "parse_char": "characters",
     "parse_class": "alt_group",
     "parse_class_or_union": "alt_group",
     "product_set": "product_engine",
-    "verify_four_class_theorem": "product_engine",
+    "verify_four_class_theorem": "sweeps",
 }
 
 __all__ = list(_MODULES)

@@ -255,7 +255,7 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_dvir(args) -> int:
-    from .product_engine import check_dvir_rodgers
+    from .sweeps import check_dvir_rodgers
 
     _check_engine_n(args.n)
     report = check_dvir_rodgers(args.n, mode=args.mode)
@@ -317,7 +317,8 @@ def _write_four_class_json(report) -> None:
 
 
 def _cmd_verify_theorem(args) -> int:
-    from .product_engine import names_in, verify_four_class_theorem
+    from .product_engine import names_in
+    from .sweeps import verify_four_class_theorem
 
     _check_engine_n(args.n)
     report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
@@ -354,7 +355,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_excon(args) -> int:
-    from .product_engine import long_cycle_product_checks
+    from .sweeps import long_cycle_product_checks
 
     _check_engine_n(args.n)
     report = long_cycle_product_checks(args.n, mode=args.mode)

@@ -10,6 +10,7 @@ output and test fixtures are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConsistencyError, UsageError
@@ -96,10 +97,15 @@ def format_partition(lam: Partition) -> str:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Reflect the Young diagram through its main diagonal."""
+    """Reflect the Young diagram through its main diagonal: column j has
+    as many cells as there are parts of size at least j + 1, a suffix sum
+    of the parts counted by size."""
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    by_size = [0] * lam[0]
+    for p in lam:
+        by_size[p - 1] += 1
+    return tuple(accumulate(reversed(by_size)))[::-1]
 
 
 def is_self_adjoint(lam: Partition) -> bool:

@@ -16,40 +16,34 @@ must conserve mass.  Any failure raises ConsistencyError.
 Pairwise class products are bitmasks over the canonical class order, each
 computed once, when first asked for, by the ProductAlgebra that holds it;
 the ``jobs`` parameters are accepted and change nothing.  Every larger
-product (product sets, powers, the named sweeps) is a chain of one step
-in ProductAlgebra, "normal set times class".  Each computation runs once,
-over the algebra of its mode (``_algebra``): the engine's, the brute-force
-oracle's, or one whose every pair mask comes from both and raises
-ConsistencyError where they differ.
+product (product sets, powers, the named sweeps in ``classprod.sweeps``)
+is a chain of one step in ProductAlgebra, "normal set times class".  Each
+computation runs once, over the algebra of its mode (``_algebra``): the
+engine's, the brute-force oracle's, or one whose every pair mask comes
+from both and raises ConsistencyError where they differ.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, groupby
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import combinations_with_replacement
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .alt_group import (
     MODES,
     AltClass,
     NormalSet,
-    check_exponent_parts,
     class_index,
-    class_size,
-    classes_by_type,
-    delta,
     enumerate_alt_classes,
     identity_class,
-    is_exceptional,
-    long_cycle_classes,
-    power_at_least,
 )
 from .characters import CharacterTable, integer_table
 from .errors import ConsistencyError, UsageError
-from .partitions import format_partition
+
+if TYPE_CHECKING:  # imported where a sum or an error message builds one
+    from fractions import Fraction
 
 _EXACTNESS_CHECKS = 0
 
@@ -199,6 +193,8 @@ def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
         # ``cols`` holds their packed conj(q), then their packed p
         kept = sum(map(mul, [u[i] for i in lay.rad_rows[at]] + v[at], cols))
         if kept:
+            from fractions import Fraction
+
             jg, part = next((j, x) for j, x in enumerate(_unpacked(lay, kept)) if x)
             raise ConsistencyError(
                 f"character sum at class {jg} kept a radical part "
@@ -216,6 +212,8 @@ def _counted(sums: list[int], sa: int, sb: int, den: int, sizes: Iterable[int]) 
     for r in sums:
         num = sa * sb * r
         if num < 0 or num % den:
+            from fractions import Fraction
+
             raise ConsistencyError(
                 f"pair count {Fraction(num, den)} is not a nonnegative integer"
             )
@@ -237,6 +235,8 @@ def _pair_counts(n: int, ia: int, ib: int) -> tuple[_Lifted, list[int], list[int
 
 def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
     """Exact factorization count data for g = xy, x in A, y in B."""
+    from fractions import Fraction
+
     n = _check_same_n(a, b, g)
     idx = class_index(n)
     lay, sums, counts = _pair_counts(n, idx[a], idx[b])
@@ -444,349 +444,17 @@ def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltCla
     return names_in(enumerate_alt_classes(cls.n), alg.full & ~alg.power(c, k))
 
 
-# ---------------------------------------------------------------------------
-# Named sweeps
-# ---------------------------------------------------------------------------
+_SWEEPS = {
+    "check_dvir_rodgers", "dvir_rodgers_applies",
+    "long_cycle_product_checks", "verify_four_class_theorem",
+}
 
 
-def dvir_rodgers_applies(a: AltClass, b: AltClass) -> bool:
-    """The long-cycle inclusion criterion: delta(A) + delta(B) > n-1 for n
-    odd, > n for n even."""
-    n = _check_same_n(a, b)
-    bound = n - 1 if n % 2 else n
-    return delta(a) + delta(b) > bound
+def __getattr__(name: str):
+    """The sweeps ``perfbench/replay.py`` imports from here, read from
+    ``classprod.sweeps`` (PEP 562); this goes when the replay does."""
+    if name in _SWEEPS:
+        from . import sweeps
 
-
-class DvirRodgersReport(NamedTuple):
-    n: int
-    pairs_checked: int
-    violations: tuple[tuple[str, str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs_checked": self.pairs_checked,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
-
-
-def _type_masks(n: int) -> list[tuple[str, AltClass, int]]:
-    """Even cycle types as (name, one class of the type, class bitmask)
-    triples; a split type contributes the union of its two classes,
-    matching the classes of Sym(n) that lie inside Alt(n)."""
-    return [
-        (format_partition(ct), group[0], _mask_of(n, group))
-        for ct, group in classes_by_type(n).items()
-    ]
-
-
-def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodgersReport:
-    """Exhaustively verify the long-cycle inclusion criterion at one n.
-
-    The criterion concerns classes of Sym(n) lying inside Alt(n), so the
-    sweep runs over even cycle types; a split type enters as the union
-    of its two Alt(n) classes.  For every type pair meeting the delta
-    condition, both long-cycle classes must appear in the product.
-    """
-    if n < 3:
-        raise UsageError("the long-cycle inclusion sweep needs n >= 3")
-    idx = class_index(n)
-    targets = [(c.name, idx[c]) for c in long_cycle_classes(n)]
-    qualifying = [
-        (t1, t2)
-        for t1, t2 in combinations_with_replacement(_type_masks(n), 2)
-        if dvir_rodgers_applies(t1[1], t2[1])
-    ]
-    alg = _algebra(n, mode)
-    found = []
-    for (name1, _, mask1), (name2, _, mask2) in qualifying:
-        mask = alg.product(mask1, mask2)
-        for target, jt in targets:
-            if not mask >> jt & 1:
-                found.append((name1, name2, target))
-    return DvirRodgersReport(n, len(qualifying), tuple(found))
-
-
-class QuadrupleVerdict(NamedTuple):
-    classes: tuple[str, str, str, str]
-    min_pair_product: int
-    covered: bool
-    missing: tuple[str, ...]
-
-
-# a row of the four-class sweep: the quadruple's class indices, sorted, its
-# least pairwise size product and the mask of the classes its product misses
-Row = tuple[tuple[int, int, int, int], int, int]
-
-
-class FourClassReport(NamedTuple):
-    """The four-class sweep, held as the structure that decides its rows,
-    not as the rows.  ``order`` is the class indices in size order, and a
-    quadruple is positions p <= q <= r <= t in it.  ``pairs`` holds each
-    qualifying (p, q) with its least pairwise size product and the number
-    of its rows that cover, by descending product; every (r, t) with
-    q <= r <= t completes it.  ``masks[i][j]`` is the product of the
-    classes i and j, and ``verdicts`` pairs each (AB, CD) mask pair met
-    with the mask of the classes ABCD misses (0: it covers Alt(n)).
-
-    The totals are sums over the pairs; the rows are generated on demand,
-    one group of equal least product at a time (``groups``).
-    """
-
-    n: int
-    epsilon: Fraction
-    mode: str
-    order: tuple[int, ...]
-    pairs: tuple[tuple[int, int, int, int], ...]
-    masks: tuple[tuple[int, ...], ...]
-    verdicts: tuple[tuple[tuple[int, int], int], ...]
-
-    @property
-    def total(self) -> int:
-        """The number of qualifying quadruples."""
-        m = len(self.order)
-        return sum((m - q) * (m - q + 1) // 2 for _, q, _, _ in self.pairs)
-
-    @property
-    def covered_count(self) -> int:
-        """The quadruples whose product covers Alt(n), as the sweep counted
-        them per pair."""
-        return sum(covered for *_, covered in self.pairs)
-
-    def groups(
-        self, pairs: Optional[Iterable[tuple[int, int, int, int]]] = None
-    ) -> Iterator[list[Row]]:
-        """The rows of ``pairs`` (None: all; else some of ``self.pairs``,
-        in their order), in row order: one group of equal least product at
-        a time, sorted by the index-sorted quadruple.  Only that group is
-        held."""
-        order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
-        for least, group_pairs in groupby(self.pairs if pairs is None else pairs, itemgetter(2)):
-            group = []
-            for p, q, _, _ in group_pairs:
-                a, b = order[p], order[q]
-                ab = masks[a][b]
-                group.extend(
-                    (tuple(sorted((a, b, c, d))), least, verdicts[ab, masks[c][d]])
-                    for c, d in combinations_with_replacement(order[q:], 2)
-                )
-            group.sort(key=itemgetter(0))
-            yield group
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        """Every row, in order, built on each access."""
-        return tuple(chain.from_iterable(self.groups()))
-
-    @property
-    def quadruples(self) -> tuple[QuadrupleVerdict, ...]:
-        """The rows with class names, built on each access; the classes a
-        row misses are named once per mask (few recur in a sweep)."""
-        names = [c.name for c in enumerate_alt_classes(self.n)]
-        named = {mask: names_in(names, mask) for mask in {mask for _, mask in self.verdicts}}
-        return tuple(
-            QuadrupleVerdict((names[a], names[b], names[c], names[d]), least, not mask, named[mask])
-            for (a, b, c, d), least, mask in self.rows
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": str(self.epsilon),
-            "mode": self.mode,
-            "total": self.total,
-            "covered": self.covered_count,
-            "quadruples": [
-                {
-                    "classes": list(quad.classes),
-                    "min_pair_product": quad.min_pair_product,
-                    "covered": quad.covered,
-                    "missing": list(quad.missing),
-                }
-                for quad in self.quadruples
-            ],
-        }
-
-
-def verify_four_class_theorem(
-    n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
-) -> FourClassReport:
-    """Sweep all class quadruples (up to multiset symmetry; normal-set
-    products commute) whose six pairwise size products reach
-    (n!/2)**(1+epsilon), and report whether ABCD covers Alt(n).
-
-    With the classes ordered by size, a quadruple is positions
-    p <= q <= r <= t; the test is monotone in the product, so the least
-    product, that of (p, q), decides all six, and each qualifying pair
-    (p, q) brings every (r, t) with q <= r <= t untested.  The product is
-    taken as (AB)(CD) in that size order, so a verdict is decided once per
-    distinct pair of pair masks, by their product in the algebra, which
-    stops once it is all of Alt(n).  The walk that decides the verdicts
-    also counts each pair's covering rows.  The sweep keeps the pairs with
-    those counts, the masks and the verdicts, and no row: see
-    FourClassReport.
-
-    The report is descriptive: coverage is only guaranteed for large n,
-    so a non-covering quadruple at small n is data, not an error.  With
-    ``mode="oracle"`` the products come from brute-force enumeration
-    (n <= 8); ``mode="both"`` insists the two agree on every pair mask,
-    which decides every verdict and every count.
-    """
-    epsilon = Fraction(epsilon)
-    if n < 2:
-        raise UsageError("the four-class sweep needs n >= 2")
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
-    check_exponent_parts(epsilon, "epsilon")
-    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
-    m = len(sizes)
-    order = sorted(range(m), key=lambda i: (sizes[i], i))
-    group_order = math.factorial(n) // 2
-    reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, group_order, 1 + epsilon))
-    pairs = []
-    for q, b in enumerate(order):
-        if reaches(sizes[b] * sizes[b]):  # else no (p, q) does
-            pairs.extend(
-                (p, q, sizes[a] * sizes[b])
-                for p, a in enumerate(order[: q + 1])
-                if reaches(sizes[a] * sizes[b])
-            )
-    pairs.sort(key=lambda pair: -pair[2])
-    alg = _algebra(n, mode)
-    if not pairs:  # no pair is computed
-        return FourClassReport(n, epsilon, mode, tuple(order), (), (), ())
-    masks = tuple(tuple(alg.pair(i, j) for j in range(m)) for i in range(m))
-    verdicts: dict[tuple[int, int], int] = {}
-    covered: dict[tuple[int, int, int], int] = {}
-    # by descending q, ``tails`` counts the pairs (r, t), q <= r <= t, per
-    # mask of CD
-    tails: dict[int, int] = {}
-    low = m
-    for pair in sorted(pairs, key=itemgetter(1), reverse=True):
-        p, q, _ = pair
-        for r in range(low - 1, q - 1, -1):
-            row = masks[order[r]]
-            for t in order[r:]:
-                tails[row[t]] = tails.get(row[t], 0) + 1
-        low = q
-        ab = masks[order[p]][order[q]]
-        count = 0
-        for cd, rows in tails.items():
-            missed = verdicts.get((ab, cd))
-            if missed is None:
-                missed = verdicts[ab, cd] = alg.full & ~alg.product(ab, cd)
-            if not missed:
-                count += rows
-        covered[pair] = count
-    counted = tuple((*pair, covered[pair]) for pair in pairs)
-    return FourClassReport(n, epsilon, mode, tuple(order), counted, masks, tuple(verdicts.items()))
-
-
-class ProductCheckCase(NamedTuple):
-    classes: tuple[str, ...]
-    passed: bool
-    missing: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "passed": self.passed,
-            "missing": list(self.missing),
-        }
-
-
-class ProductCheckPart(NamedTuple):
-    part: int
-    statement: str
-    cases: tuple[ProductCheckCase, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    def to_dict(self) -> dict:
-        return {
-            "part": self.part,
-            "statement": self.statement,
-            "passed": self.passed,
-            "cases": [c.to_dict() for c in self.cases],
-        }
-
-
-class LongCycleProductReport(NamedTuple):
-    n: int
-    parts: tuple[ProductCheckPart, ...]
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "parts": [p.to_dict() for p in self.parts]}
-
-
-def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> LongCycleProductReport:
-    """Exercise the four long-cycle product statements at a single n.
-
-    These hold for all sufficiently large n; at desk scale the report is
-    descriptive, recording pass/fail per case.  ``jobs`` is accepted and
-    changes nothing.
-    """
-    if n < 3:
-        raise UsageError("the long-cycle checks need n >= 3")
-    classes = enumerate_alt_classes(n)
-    names = [c.name for c in classes]
-    idx = class_index(n)
-    long_pair = long_cycle_classes(n)
-    long_mask = _mask_of(n, long_pair)
-    exceptional = [c for c in classes if is_exceptional(c.cycle_type)]
-    exc_mask = _mask_of(n, exceptional)
-    alg = _algebra(n, mode)
-
-    def case(members, mask, targets_mask):
-        missing = targets_mask & ~mask
-        return ProductCheckCase(
-            tuple(c.name for c in members),
-            missing == 0,
-            names_in(names, missing),
-        )
-
-    def chain_case(members, targets_mask):
-        return case(members, alg.chain(idx[c] for c in members), targets_mask)
-
-    parts = (
-        ProductCheckPart(
-            1,
-            "a product of two exceptional classes contains both long-cycle classes",
-            tuple(
-                chain_case(pair, long_mask)
-                for pair in combinations_with_replacement(exceptional, 2)
-            ),
-        ),
-        ProductCheckPart(
-            2,
-            "a product of two long-cycle classes contains every exceptional class",
-            tuple(
-                chain_case(pair, exc_mask)
-                for pair in combinations_with_replacement(long_pair, 2)
-            ),
-        ),
-        ProductCheckPart(
-            3,
-            "the set of all long cycles times a long-cycle class covers Alt(n)",
-            tuple(
-                case((a,), alg.times(long_mask, idx[a]), alg.full)
-                for a in long_pair
-            ),
-        ),
-        ProductCheckPart(
-            4,
-            "the product of any three long-cycle classes covers Alt(n)",
-            tuple(
-                chain_case(triple, alg.full)
-                for triple in combinations_with_replacement(long_pair, 3)
-            ),
-        ),
-    )
-    return LongCycleProductReport(n, parts)
+        return getattr(sweeps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

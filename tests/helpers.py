@@ -9,8 +9,9 @@ from typing import NamedTuple
 
 from classprod.alt_group import AltClass
 from classprod.brute_force import GroupTable, compose, inverse
-from classprod.characters import QuadValue, _squarefree_decompose
+from classprod.characters import _squarefree_decompose
 from classprod.errors import CapabilityError, ConsistencyError
+from classprod.quadvalue import QuadValue
 
 
 def quad_sum(terms) -> Fraction:

@@ -25,14 +25,13 @@ from classprod.characters import (
 )
 from classprod.partitions import conjugate, find_l_hook, is_self_adjoint
 from classprod.product_engine import (
-    check_dvir_rodgers,
     covering_number,
     exactness_check_count,
     frobenius_sum,
     missing_classes,
     product_set,
-    verify_four_class_theorem,
 )
+from classprod.sweeps import check_dvir_rodgers, verify_four_class_theorem
 from helpers import column_orthogonality_holds, row_orthogonality_holds
 
 

@@ -25,7 +25,7 @@ from classprod.alt_group import (
 from classprod.characters import AltChar, alt_irreducibles, character_table
 from classprod.errors import UsageError
 from classprod.partitions import enumerate_partitions
-from classprod.product_engine import verify_four_class_theorem
+from classprod.sweeps import verify_four_class_theorem
 
 
 def double_factorial(n):

@@ -29,8 +29,9 @@ from classprod.brute_force import (
     oracle_pair_count,
     oracle_product_set,
 )
-from classprod.characters import QuadValue, character_table, degree
+from classprod.characters import character_table, degree
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
+from classprod.quadvalue import QuadValue
 from helpers import (
     alt_conjugacy_classes_reference,
     compose_reference,

@@ -7,7 +7,6 @@ import pytest
 from classprod.alt_group import AltClass, enumerate_alt_classes, identity_class
 from classprod.characters import (
     AltChar,
-    QuadValue,
     alt_char_for,
     alt_degree,
     alt_irreducibles,
@@ -25,6 +24,7 @@ from classprod.partitions import (
     is_self_adjoint,
 )
 from classprod.product_engine import _lifted
+from classprod.quadvalue import QuadValue
 from helpers import (
     column_orthogonality_holds,
     exact_sign,

@@ -8,7 +8,7 @@ import pytest
 from classprod.alt_group import enumerate_alt_classes, parse_class
 from classprod.characters import parse_char
 from classprod.cli import main
-from classprod.product_engine import verify_four_class_theorem
+from classprod.sweeps import verify_four_class_theorem
 from helpers import SWEEP_EPSILONS
 
 
@@ -581,7 +581,8 @@ def test_four_class_json_holds_no_row_list():
         "import os, sys, tracemalloc\n"
         "from fractions import Fraction\n"
         "from classprod.cli import _write_four_class_json\n"
-        "from classprod.product_engine import ensure_pair_masks, verify_four_class_theorem\n"
+        "from classprod.product_engine import ensure_pair_masks\n"
+        "from classprod.sweeps import verify_four_class_theorem\n"
         "ensure_pair_masks(12)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
         "tracemalloc.start()\n"
@@ -625,6 +626,27 @@ def test_commands_without_character_sums_load_no_engine():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+    # the commands that ask for a few pairs compile no named sweep and load
+    # no rationals; the four-class sweep loads its module
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "def loaded(*names):\n"
+        "    print([m for m in names if m in sys.modules])\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert main(['product', '--n', '9', '--a', '9+', '--b', '3,3,3', '--mode', 'engine']) == 0\n"
+        "    assert main(['contains', '--n', '9', '--a', '9+', '--b', '3,3,3',\n"
+        "                 '--g', '5,3,1', '--mode', 'engine']) == 0\n"
+        "    assert main(['covering', '--n', '9', '--class', '3,3,3', '--mode', 'engine']) == 0\n"
+        "loaded('classprod.sweeps', 'classprod.quadvalue', 'fractions', 'decimal')\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify-theorem', '--n', '6', '--epsilon', '1/10']) == 0\n"
+        "loaded('classprod.sweeps')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['classprod.sweeps']"]
 
 
 def test_jobs_do_not_change_output():
@@ -645,6 +667,26 @@ def test_jobs_do_not_change_output():
 
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "catalogue.json"
+REPLAY = CATALOGUE.with_name("replay.py")
+
+
+def test_every_name_the_benchmark_replay_imports_resolves():
+    # the replay itself runs on one Python version only; this reads its
+    # ``from classprod.<module> import ...`` lines on every version the
+    # suite runs on, the sweeps it still imports from product_engine too
+    import ast
+    from importlib import import_module
+
+    imports = [
+        node
+        for node in ast.walk(ast.parse(REPLAY.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("classprod.")
+    ]
+    assert "classprod.product_engine" in {node.module for node in imports}
+    for node in imports:
+        module = import_module(node.module)
+        missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
+        assert not missing, (node.module, missing)
 
 
 def _catalogue_entry(group, kind, n, mode):

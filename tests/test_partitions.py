@@ -28,6 +28,14 @@ def test_conjugate_is_involution_up_to_30():
             assert conjugate(conjugate(lam)) == lam
 
 
+def test_conjugate_counts_the_parts_above_each_column_up_to_20():
+    # an involution could still be a wrong transpose: column j has one cell
+    # for each part longer than j
+    for n in range(1, 21):
+        for lam in enumerate_partitions(n):
+            assert conjugate(lam) == tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+
+
 def test_is_self_adjoint():
     assert is_self_adjoint((2, 2))
     assert is_self_adjoint((3, 1, 1))

@@ -18,26 +18,29 @@ from classprod.alt_group import (
     long_cycle_type,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
-from classprod.characters import QuadValue, character_table, integer_table, parse_char
+from classprod.characters import character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.product_engine import (
     ProductAlgebra,
-    QuadrupleVerdict,
     _counted,
     _engine_algebra,
     _layout,
     _lifted,
     _pair_sums,
-    check_dvir_rodgers,
     contains,
     covering_number,
-    dvir_rodgers_applies,
     ensure_pair_masks,
     exactness_check_count,
     frobenius_sum,
-    long_cycle_product_checks,
     missing_classes,
     product_set,
+)
+from classprod.quadvalue import QuadValue
+from classprod.sweeps import (
+    QuadrupleVerdict,
+    check_dvir_rodgers,
+    dvir_rodgers_applies,
+    long_cycle_product_checks,
     verify_four_class_theorem,
 )
 from helpers import SWEEP_EPSILONS, frobenius_reference, qualifying_quadruples_reference
@@ -252,7 +255,8 @@ def test_serial_dvir_sweep_computes_only_the_masks_it_asks_for():
     import sys
 
     code = (
-        "from classprod.product_engine import _engine_algebra, check_dvir_rodgers\n"
+        "from classprod.product_engine import _engine_algebra\n"
+        "from classprod.sweeps import check_dvir_rodgers\n"
         "assert check_dvir_rodgers(8).passed\n"
         "print(len(_engine_algebra(8).pairs))\n"
     )
@@ -491,6 +495,7 @@ def test_frobenius_sum_matches_quadvalue_reference_sampled(n):
 
 def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     import classprod.product_engine as engine
+    import classprod.sweeps as sweeps
 
     def enumerated(*args):
         raise AssertionError("engine or pair work before the oracle cap check")
@@ -498,7 +503,7 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
     # the sweep asks its algebra for every pair mask before any verdict
     monkeypatch.setattr(engine.ProductAlgebra, "pair", enumerated)
     monkeypatch.setattr(engine, "_engine_algebra", enumerated)
-    monkeypatch.setattr(engine, "combinations_with_replacement", enumerated)
+    monkeypatch.setattr(sweeps, "combinations_with_replacement", enumerated)
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
             verify_four_class_theorem(9, Fraction(1, 10), mode=mode)
@@ -523,6 +528,7 @@ def test_four_class_counts_and_streams_agree(n, monkeypatch):
     # the verdicts; the totals are sums of those counts, read without a
     # further walk, and must agree with the rows the groups stream
     import classprod.product_engine as engine
+    import classprod.sweeps as sweeps
 
     def walked(*args):
         raise AssertionError("rows built or products taken again after the sweep")
@@ -530,7 +536,7 @@ def test_four_class_counts_and_streams_agree(n, monkeypatch):
     for epsilon in SWEEP_EPSILONS:
         report = verify_four_class_theorem(n, epsilon)
         with monkeypatch.context() as patched:
-            patched.setattr(engine.FourClassReport, "groups", walked)
+            patched.setattr(sweeps.FourClassReport, "groups", walked)
             patched.setattr(engine.ProductAlgebra, "product", walked)
             totals = report.total, report.covered_count
         groups = list(report.groups())
@@ -559,7 +565,7 @@ def test_package_names_resolve_on_first_read():
         "print(all(getattr(classprod, name) for name in classprod.__all__))\n"
         "print(set(classprod.__all__) <= set(dir(classprod)))\n"
         "from classprod import verify_four_class_theorem\n"
-        "from classprod.product_engine import verify_four_class_theorem as sweep\n"
+        "from classprod.sweeps import verify_four_class_theorem as sweep\n"
         "print(verify_four_class_theorem is sweep)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -575,7 +581,8 @@ def test_four_class_sweep_keeps_every_exactness_check():
 
     code = (
         "from fractions import Fraction\n"
-        "from classprod.product_engine import exactness_check_count, verify_four_class_theorem\n"
+        "from classprod.product_engine import exactness_check_count\n"
+        "from classprod.sweeps import verify_four_class_theorem\n"
         "verify_four_class_theorem(10, Fraction(1, 10))\n"
         "print(exactness_check_count())\n"
     )
