@@ -1,10 +1,11 @@
 """Check every command of the benchmark catalogue against its recorded output.
 
 Runs each argv of ``perfbench/catalogue.json`` as a fresh process
-(``python -m classprod.cli ARGV`` with ``src`` on the path), one at a time,
-and checks its exit code and stdout with ``perfbench/workloads.gate``: the
-sha256 recorded for that argv, plus the workload's structural checks.
-Prints each failure and a summary line; exits 1 if any command fails.
+(``python -m classprod.cli ARGV`` with ``src`` on the path), as many at a
+time as there are cores, and checks its exit code and stdout with
+``perfbench/workloads.gate``: the sha256 recorded for that argv, plus the
+workload's structural checks.  Prints each failure, in catalogue order,
+and a summary line; exits 1 if any command fails.
 
     python scripts/catalogue_gate.py
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,14 +28,18 @@ def main() -> int:
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
     commands = load_catalogue()
-    failed = 0
-    for entry in commands:
+
+    def check(entry: dict):
         argv = [sys.executable, "-m", "classprod.cli", *entry["argv"]]
         proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=False)
-        why = gate(entry, proc.returncode, proc.stdout)
-        if why:
-            failed += 1
-            print(f"FAIL {' '.join(entry['argv'])}: {why}", flush=True)
+        return gate(entry, proc.returncode, proc.stdout)
+
+    failed = 0
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for entry, why in zip(commands, pool.map(check, commands)):
+            if why:
+                failed += 1
+                print(f"FAIL {' '.join(entry['argv'])}: {why}", flush=True)
     print(f"{len(commands) - failed}/{len(commands)} catalogue commands pass the gate")
     return 1 if failed else 0
 

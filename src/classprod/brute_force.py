@@ -54,10 +54,6 @@ def check_oracle_n(n: int) -> None:
     check_n(n, ORACLE_MAX_N, "brute-force mode")
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Right-to-left product: apply q first, then p."""
     if len(p) != len(q):
@@ -118,13 +114,6 @@ def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Opti
     return found[(len(sigma) - len(cycles(sigma))) % 2]
 
 
-def classify(p: Perm) -> AltClass:
-    cls = _even_class(p, classes_by_type(len(p)))
-    if cls is None:
-        raise ValueError(f"{p} is odd, not an element of Alt({len(p)})")
-    return cls
-
-
 class GroupTable(NamedTuple):
     """Alt(n) fully enumerated: every even permutation and its class."""
 
@@ -156,16 +145,6 @@ def alt_conjugacy_classes(n: int) -> GroupTable:
     members = {c: tuple(sorted(class_members(c))) for c in enumerate_alt_classes(n)}
     class_of = dict(sorted((p, c) for c, ps in members.items() for p in ps))
     return GroupTable(n, enumerate_alt_classes(n), members, class_of)
-
-
-def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> int:
-    """|{(x, y) in A x B : xy = g}| by direct enumeration of x."""
-    count = 0
-    b_lookup = set(table.members[b])
-    for x in table.members[a]:
-        if compose(inverse(x), g) in b_lookup:
-            count += 1
-    return count
 
 
 def _alt_generators(n: int) -> tuple[Perm, ...]:

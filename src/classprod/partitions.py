@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .errors import ConsistencyError, UsageError
+from .errors import UsageError
 
 Partition = tuple[int, ...]
 
@@ -112,32 +112,6 @@ def is_self_adjoint(lam: Partition) -> bool:
     return lam == conjugate(lam)
 
 
-class HookInfo(NamedTuple):
-    """One cell of a Young diagram together with its hook data.
-
-    ``arm`` counts cells strictly to the right in the same row, ``leg``
-    counts cells strictly below in the same column.
-    """
-
-    row: int
-    col: int
-    arm: int
-    leg: int
-
-    @property
-    def length(self) -> int:
-        return self.arm + self.leg + 1
-
-
-def hook_lengths(lam: Partition) -> list[list[HookInfo]]:
-    """Hook data for every cell, as a list of rows."""
-    conj = conjugate(lam)
-    return [
-        [HookInfo(i, j, lam[i] - j - 1, conj[j] - i - 1) for j in range(lam[i])]
-        for i in range(len(lam))
-    ]
-
-
 def hook_length_product(lam: Partition) -> int:
     prod = 1
     conj = conjugate(lam)
@@ -162,28 +136,6 @@ def diagonal_hook_partition(lam: Partition) -> Partition:
             break
         parts.append(2 * (p - i) - 1)
     return tuple(parts)
-
-
-def find_l_hook(lam: Partition, length: int) -> Optional[HookInfo]:
-    """The first cell (in row-major order) whose hook has the given length.
-
-    For ``length`` in ``{n, n-1}`` a matching hook is unique when it exists;
-    this is asserted rather than assumed.
-    """
-    if length < 1:
-        raise ValueError("hook length must be positive")
-    matches = [
-        h for row in hook_lengths(lam) for h in row if h.length == length
-    ]
-    if not matches:
-        return None
-    n = sum(lam)
-    if length >= n - 1 and len(matches) > 1:
-        raise ConsistencyError(
-            f"hook of length {length} in partition of {n} should be unique, "
-            f"found {len(matches)}"
-        )
-    return matches[0]
 
 
 @lru_cache(maxsize=None)

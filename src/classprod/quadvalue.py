@@ -64,13 +64,6 @@ class QuadValue:
         value.a, value.b, value.d = _half(p), _half(q), d
         return value
 
-    @classmethod
-    def sqrt_integer(cls, m: int) -> "QuadValue":
-        """The exact square root of an integer (negative allowed)."""
-        if m == 0:
-            return cls(0)
-        return cls(0, 1, m)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

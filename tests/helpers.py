@@ -8,9 +8,10 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from classprod.alt_group import AltClass
-from classprod.brute_force import GroupTable, compose, inverse
+from classprod.brute_force import GroupTable, Perm, compose, inverse
 from classprod.characters import _squarefree_decompose
 from classprod.errors import CapabilityError, ConsistencyError
+from classprod.partitions import conjugate
 from classprod.quadvalue import QuadValue
 
 
@@ -88,6 +89,21 @@ def partition_count(n: int, max_part: int) -> int:
     if max_part == 0:
         return 0
     return sum(partition_count(n - k, min(k, n - k)) for k in range(1, max_part + 1))
+
+
+def hook_leg(lam, length: int):
+    """The leg of the first cell (in row-major order) whose hook has the
+    given length, or None.  For ``length`` in ``{n, n-1}`` a matching hook
+    is unique when it exists; this is asserted rather than assumed."""
+    conj = conjugate(lam)
+    legs = [
+        conj[j] - i - 1
+        for i, part in enumerate(lam)
+        for j in range(part)
+        if part - j + conj[j] - i - 1 == length
+    ]
+    assert length < sum(lam) - 1 or len(legs) <= 1, (lam, length, legs)
+    return legs[0] if legs else None
 
 
 def skew_strip_removals(lam, length):
@@ -318,6 +334,16 @@ def oracle_class_product_reference(table, a, b):
     """Classes meeting AB, from one fixed element of A."""
     rep = table.representative(a)
     return frozenset(table.class_of[compose_reference(rep, y)] for y in table.members[b])
+
+
+def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> int:
+    """|{(x, y) in A x B : xy = g}| by direct enumeration of x."""
+    count = 0
+    b_lookup = set(table.members[b])
+    for x in table.members[a]:
+        if compose(inverse(x), g) in b_lookup:
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,13 @@ from classprod.alt_group import (
     class_size,
     long_cycle_classes,
 )
-from classprod.brute_force import (
-    alt_conjugacy_classes,
-    oracle_covering_number,
-    oracle_pair_count,
-)
+from classprod.brute_force import alt_conjugacy_classes, oracle_covering_number
 from classprod.characters import (
     alt_degree,
     alt_irreducibles,
     character_table,
 )
-from classprod.partitions import conjugate, find_l_hook, is_self_adjoint
+from classprod.partitions import conjugate, is_self_adjoint
 from classprod.product_engine import (
     covering_number,
     exactness_check_count,
@@ -32,7 +28,7 @@ from classprod.product_engine import (
     product_set,
 )
 from classprod.sweeps import check_dvir_rodgers, verify_four_class_theorem
-from helpers import column_orthogonality_holds, row_orthogonality_holds
+from helpers import column_orthogonality_holds, hook_leg, oracle_pair_count, row_orthogonality_holds
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -152,7 +148,7 @@ def test_criterion_7_degree_bounds():
             lam = psi.partition
             if lam in ((n,), (1,) * n):
                 continue
-            if find_l_hook(lam, length) is None:
+            if hook_leg(lam, length) is None:
                 continue
             d = alt_degree(psi)
             if 2 * d < n * (n - 3):

@@ -9,6 +9,7 @@ from classprod.alt_group import (
     AltClass,
     NormalSet,
     class_size,
+    classes_by_type,
     enumerate_alt_classes,
     identity_class,
     inverse_class,
@@ -16,17 +17,15 @@ from classprod.alt_group import (
 )
 from classprod.brute_force import (
     ORACLE_MAX_N,
+    _even_class,
     alt_conjugacy_classes,
     canonical_representative,
     class_members,
-    classify,
     compose,
     cycles,
-    identity,
     inverse,
     oracle_class_product,
     oracle_covering_number,
-    oracle_pair_count,
     oracle_product_set,
 )
 from classprod.characters import character_table, degree
@@ -39,6 +38,7 @@ from helpers import (
     inverse_reference,
     oracle_character_table,
     oracle_class_product_reference,
+    oracle_pair_count,
     perm_sign,
     quad_sum,
     split_tag,
@@ -56,8 +56,8 @@ def from_cycles(n, *cycs):
 def test_compose_convention():
     p = from_cycles(5, (0, 1, 2))
     q = from_cycles(5, (2, 3, 4))
-    assert compose(p, identity(5)) == p
-    assert compose(p, inverse(p)) == identity(5)
+    assert compose(p, tuple(range(5))) == p
+    assert compose(p, inverse(p)) == tuple(range(5))
     # (0 1 2) o (2 3 4) moves 2 -> 3 first, then 3 -> 4 under the left factor
     assert cycle_type(compose(p, q)) == (5,)
     assert compose(p, q) == from_cycles(5, (0, 1, 2, 3, 4))
@@ -82,11 +82,11 @@ def test_cycles_and_sign():
     p = from_cycles(6, (0, 1, 2), (3, 4))
     assert cycle_type(p) == (3, 2, 1)
     assert perm_sign(p) == -1
-    assert perm_sign(identity(6)) == 1
+    assert perm_sign(tuple(range(6))) == 1
     assert [len(c) for c in cycles(p)] == [3, 2, 1]
-    assert classify(from_cycles(6, (0, 1, 2), (3, 4, 5))) == AltClass((3, 3))
-    with pytest.raises(ValueError):
-        classify(p)  # odd
+    by_type = classes_by_type(6)
+    assert _even_class(from_cycles(6, (0, 1, 2), (3, 4, 5)), by_type) == AltClass((3, 3))
+    assert _even_class(p, by_type) is None  # odd
 
 
 def test_canonical_representative():
@@ -104,8 +104,8 @@ def test_split_tag_convention():
     assert split_tag(flipped) == "-"
     with pytest.raises(ValueError):
         split_tag(from_cycles(4, (0, 1), (2, 3)))  # not exceptional
-    assert classify(w) == AltClass((3, 1), "+")
-    assert classify(flipped) == AltClass((3, 1), "-")
+    assert _even_class(w, classes_by_type(4)) == AltClass((3, 1), "+")
+    assert _even_class(flipped, classes_by_type(4)) == AltClass((3, 1), "-")
 
 
 def test_orbit_sizes_small():
@@ -144,7 +144,7 @@ def test_classify_matches_canonical_representative():
             if cls.split == "-":
                 continue
             rep = canonical_representative(cls.cycle_type)
-            assert classify(rep) == AltClass(cls.cycle_type, cls.split and "+")
+            assert _even_class(rep, classes_by_type(n)) == AltClass(cls.cycle_type, cls.split and "+")
 
 
 def count_walks(monkeypatch) -> list:
@@ -245,10 +245,10 @@ def test_nonpositive_n_is_a_usage_error():
 def test_oracle_pair_count_trivial():
     table = alt_conjugacy_classes(5)
     ident = identity_class(5)
-    assert oracle_pair_count(table, ident, ident, identity(5)) == 1
+    assert oracle_pair_count(table, ident, ident, tuple(range(5))) == 1
     threes = AltClass((3, 1, 1))
     # x * x^{-1} = 1 pairs x with its inverse: |A| factorizations
-    assert oracle_pair_count(table, threes, inverse_class(threes), identity(5)) == 20
+    assert oracle_pair_count(table, threes, inverse_class(threes), tuple(range(5))) == 20
     # a 5-cycle never factors as identity * 3-cycle
     five = table.representative(AltClass((5,), "+"))
     assert oracle_pair_count(table, ident, threes, five) == 0

@@ -20,7 +20,6 @@ from classprod.partitions import (
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
-    find_l_hook,
     is_self_adjoint,
 )
 from classprod.product_engine import _lifted
@@ -28,6 +27,7 @@ from classprod.quadvalue import QuadValue
 from helpers import (
     column_orthogonality_holds,
     exact_sign,
+    hook_leg,
     mn_value_reference,
     quad_sum,
     row_orthogonality_holds,
@@ -40,11 +40,11 @@ from helpers import (
 
 
 def test_quadvalue_normalization():
-    assert QuadValue.sqrt_integer(12) == QuadValue(0, 2, 3)
-    assert QuadValue.sqrt_integer(-12) == QuadValue(0, 2, -3)
-    assert QuadValue.sqrt_integer(4) == QuadValue(2)
-    assert QuadValue.sqrt_integer(1) == QuadValue(1)
-    assert QuadValue.sqrt_integer(0).is_zero
+    assert QuadValue(0, 1, 12) == QuadValue(0, 2, 3)
+    assert QuadValue(0, 1, -12) == QuadValue(0, 2, -3)
+    assert QuadValue(0, 1, 4) == QuadValue(2)
+    assert QuadValue(0, 1, 1) == QuadValue(1)
+    assert QuadValue(0, 1, 0).is_zero
     assert QuadValue(Fraction(1, 2), 0, 7) == QuadValue(Fraction(1, 2))
 
 
@@ -169,8 +169,8 @@ def test_l_cycle_value():
         l = n if n % 2 else n - 1
         lct = (n,) if n % 2 else (n - 1, 1)
         for lam in enumerate_partitions(n):
-            hook = find_l_hook(lam, l)
-            expected = 0 if hook is None else (-1) ** hook.leg
+            leg = hook_leg(lam, l)
+            expected = 0 if leg is None else (-1) ** leg
             assert mn_value(lam, lct) == expected
 
 
@@ -257,7 +257,7 @@ def test_split_long_cycle_magnitude_bound():
         lct = (n,) if n % 2 else (n - 1, 1)
         cls = AltClass(lct, "+")
         for lam in enumerate_partitions(n):
-            if not is_self_adjoint(lam) or find_l_hook(lam, l) is None:
+            if not is_self_adjoint(lam) or hook_leg(lam, l) is None:
                 continue
             for tag in ("+", "-"):
                 value = alt_value(AltChar(lam, tag), cls)

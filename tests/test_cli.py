@@ -666,27 +666,75 @@ def test_jobs_do_not_change_output():
     assert json.loads(serial.stdout)["passed"] is True
 
 
-CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "catalogue.json"
+ROOT = Path(__file__).resolve().parents[1]
+CATALOGUE = ROOT / "perfbench" / "catalogue.json"
 REPLAY = CATALOGUE.with_name("replay.py")
 
 
-def test_every_name_the_benchmark_replay_imports_resolves():
+def test_every_name_the_benchmark_replay_imports_resolves(monkeypatch):
     # the replay itself runs on one Python version only; this reads its
     # ``from classprod.<module> import ...`` lines on every version the
-    # suite runs on, the sweeps it still imports from product_engine too
+    # suite runs on, the sweeps it still imports from product_engine too,
+    # and those of the set-up child that ``run.py`` starts for each workload
     import ast
     from importlib import import_module
 
+    monkeypatch.syspath_prepend(str(REPLAY.parent))
+    import run
+
+    sources = [REPLAY.read_text(), *map(run.setup_code, run.WORKLOADS.values())]
     imports = [
         node
-        for node in ast.walk(ast.parse(REPLAY.read_text()))
+        for source in sources
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("classprod.")
     ]
-    assert "classprod.product_engine" in {node.module for node in imports}
+    modules = {node.module for node in imports}
+    assert {"classprod.product_engine", "classprod.characters", "classprod.brute_force"} <= modules
     for node in imports:
         module = import_module(node.module)
         missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
         assert not missing, (node.module, missing)
+
+
+def test_every_public_src_name_is_reached_outside_the_tests():
+    # a module-level def or class that only tests read belongs in
+    # tests/helpers.py; methods are left out, as attribute names collide
+    # (``.size``)
+    import ast
+    import re
+
+    import classprod
+
+    def reads(node) -> set[str]:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                out.update(alias.name for alias in sub.names)
+        return out
+
+    # fenced blocks and inline code spans of the README
+    spans = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
+    outside = set(classprod.__all__).union(*(re.findall(r"\w+", span) for span in spans))
+    for folder in ("perfbench", "scripts"):
+        for path in (ROOT / folder).rglob("*.py"):
+            outside |= reads(ast.parse(path.read_text()))
+    src = ROOT / "src" / "classprod"
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    unreached = []
+    for name, tree in sorted(trees.items()):
+        elsewhere = outside.union(*(reads(t) for other, t in trees.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set().union(*(reads(stmt) for stmt in tree.body if stmt is not node))
+            if node.name not in elsewhere | own:
+                unreached.append(f"{name}: {node.name}")
+    assert not unreached, unreached
 
 
 def _catalogue_entry(group, kind, n, mode):

