@@ -4,8 +4,9 @@ Runs each argv of ``perfbench/catalogue.json`` as a fresh process
 (``python -m classprod.cli ARGV`` with ``src`` on the path), as many at a
 time as there are cores, and checks its exit code and stdout with
 ``perfbench/workloads.gate``: the sha256 recorded for that argv, plus the
-workload's structural checks.  Prints each failure, in catalogue order,
-and a summary line; exits 1 if any command fails.
+workload's structural checks.  A command still running after 120 s is
+killed and fails.  Prints each failure, in catalogue order, and a summary
+line; exits 1 if any command fails.
 
     python scripts/catalogue_gate.py
 """
@@ -23,6 +24,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import gate, load_catalogue  # noqa: E402
 
+TIMEOUT_S = 120
+
 
 def main() -> int:
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
@@ -31,7 +34,12 @@ def main() -> int:
 
     def check(entry: dict):
         argv = [sys.executable, "-m", "classprod.cli", *entry["argv"]]
-        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=False)
+        try:
+            proc = subprocess.run(
+                argv, cwd=ROOT, env=env, capture_output=True, check=False, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return f"still running after {TIMEOUT_S} s"
         return gate(entry, proc.returncode, proc.stdout)
 
     failed = 0

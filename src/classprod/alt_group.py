@@ -73,15 +73,15 @@ class AltClass(TaggedLabel, _AltClassFields):
     def __new__(cls, cycle_type: Iterable[int], split: Optional[str] = None):
         ct = validate_partition(cycle_type)
         if not is_even_type(ct):
-            raise ValueError(f"cycle type {ct} is odd, not a class of Alt(n)")
+            raise UsageError(f"cycle type {ct} is odd, not a class of Alt(n)")
         if is_exceptional(ct):
             if split not in ("+", "-"):
-                raise ValueError(
+                raise UsageError(
                     f"exceptional type {ct} requires a '+'/'-' tag "
                     "(a bare name denotes the union of both classes)"
                 )
         elif split is not None:
-            raise ValueError(f"type {ct} does not split")
+            raise UsageError(f"type {ct} does not split")
         return super().__new__(cls, ct, split)
 
 
@@ -101,14 +101,11 @@ def parse_class_or_union(text: str) -> tuple[AltClass, ...]:
     """Parse a class name, expanding a bare exceptional type to the pair
     of split classes it denotes."""
     ct, split = parse_tagged_partition(text)
-    try:
-        if split is not None:
-            return (AltClass(ct, split),)
-        if is_exceptional(ct):
-            return (AltClass(ct, "+"), AltClass(ct, "-"))
-        return (AltClass(ct),)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if split is not None:
+        return (AltClass(ct, split),)
+    if is_exceptional(ct):
+        return (AltClass(ct, "+"), AltClass(ct, "-"))
+    return (AltClass(ct),)
 
 
 def class_size(cls: AltClass) -> int:
@@ -129,8 +126,6 @@ def delta(cls: AltClass) -> int:
 def enumerate_alt_classes(n: int) -> tuple[AltClass, ...]:
     """All classes of Alt(n) in canonical order: cycle types in descending
     lexicographic order, '+' before '-' within a split pair."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     classes = []
     for rho in enumerate_partitions(n):
         if not is_even_type(rho):

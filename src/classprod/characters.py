@@ -30,7 +30,7 @@ from .partitions import (
     parse_tagged_partition,
     validate_partition,
 )
-from .errors import UsageError
+from .errors import ConsistencyError, UsageError
 
 if TYPE_CHECKING:  # imported where a value is built: the engine needs no rationals
     from .quadvalue import QuadValue
@@ -111,7 +111,7 @@ def mn_value(lam: Partition, rho: Partition) -> int:
     """
     n = sum(lam)
     if n != sum(rho):
-        raise ValueError(
+        raise UsageError(
             f"partition sizes differ: |{lam}| = {n}, |{rho}| = {sum(rho)}"
         )
     return _mn(_abacus(lam, n), _suffix_id(rho))
@@ -124,7 +124,7 @@ def degree(lam: Partition) -> int:
     num = math.factorial(n)
     den = hook_length_product(lam)
     if num % den:
-        raise ArithmeticError(f"hook product {den} does not divide {n}!")
+        raise ConsistencyError(f"hook product {den} does not divide {n}!")
     return num // den
 
 
@@ -147,18 +147,18 @@ class AltChar(TaggedLabel, _AltCharFields):
         parts = validate_partition(partition)
         lam = min(parts, conjugate(parts))
         if lam != parts:
-            raise ValueError(
+            raise UsageError(
                 f"{parts} is not the canonical label; use {lam} "
                 "(or the alt_char_for factory)"
             )
         self_adj = is_self_adjoint(parts) and sum(parts) >= 2
         if self_adj:
             if split not in ("+", "-"):
-                raise ValueError(
+                raise UsageError(
                     f"self-adjoint label {parts} needs a '+'/'-' tag"
                 )
         elif split is not None:
-            raise ValueError(f"label {parts} does not split")
+            raise UsageError(f"label {parts} does not split")
         return super().__new__(cls, parts, split)
 
 
@@ -170,19 +170,13 @@ def alt_char_for(lam: Partition, split: Optional[str] = None) -> AltChar:
 
 def parse_char(text: str) -> AltChar:
     """Parse a character name such as ``"3,2,1+"`` (ASCII or U+2212 minus)."""
-    lam, split = parse_tagged_partition(text)
-    try:
-        return alt_char_for(lam, split)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return alt_char_for(*parse_tagged_partition(text))
 
 
 @lru_cache(maxsize=None)
 def alt_irreducibles(n: int) -> tuple[AltChar, ...]:
     """All irreducible characters of Alt(n), one per conjugate pair of
     partitions plus a split pair per self-adjoint partition."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     chars = []
     # descending order meets the larger of lam and its conjugate first
     for lam in enumerate_partitions(n):
@@ -201,7 +195,7 @@ def alt_degree(psi: AltChar) -> int:
     if psi.split is None:
         return d
     if d % 2:
-        raise ArithmeticError(f"split character degree {d} is odd")
+        raise ConsistencyError(f"split character degree {d} is odd")
     return d // 2
 
 
@@ -240,8 +234,6 @@ def alt_value(psi: AltChar, cls: AltClass) -> QuadValue:
     (see ``_alt_parts``)."""
     lam = psi.partition
     ct = cls.cycle_type
-    if sum(lam) != sum(ct):
-        raise ValueError(f"character of {sum(lam)} evaluated on class of {sum(ct)}")
     from .quadvalue import QuadValue
 
     crit = diagonal_hook_partition(lam) if psi.split else None

@@ -23,9 +23,9 @@ def validate_partition(parts: Iterable[int]) -> Partition:
     lam = tuple(int(p) for p in parts)
     for i, p in enumerate(lam):
         if p < 1:
-            raise ValueError(f"partition parts must be positive, got {p}")
+            raise UsageError(f"partition parts must be positive, got {p}")
         if i and lam[i - 1] < p:
-            raise ValueError(f"partition parts must be weakly decreasing: {lam}")
+            raise UsageError(f"partition parts must be weakly decreasing: {lam}")
     return lam
 
 
@@ -42,10 +42,7 @@ def parse_partition(text: str) -> Partition:
         parts = [int(t) for t in items]
     except ValueError:
         raise UsageError(f"partition parts must be integers: {text!r}") from None
-    try:
-        return validate_partition(parts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return validate_partition(parts)
 
 
 def parse_tagged_partition(text: str) -> tuple[Partition, Optional[str]]:
@@ -146,7 +143,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     canonical order for every enumeration in this package.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     if n == 0:
         return ((),)
     out = []

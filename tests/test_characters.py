@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import classprod.characters as characters
 from classprod.alt_group import AltClass, enumerate_alt_classes, identity_class
 from classprod.characters import (
     AltChar,
@@ -16,11 +17,14 @@ from classprod.characters import (
     mn_value,
     parse_char,
 )
+from classprod.cli import main
+from classprod.errors import ConsistencyError, UsageError
 from classprod.partitions import (
     conjugate,
     diagonal_hook_partition,
     enumerate_partitions,
     is_self_adjoint,
+    validate_partition,
 )
 from classprod.product_engine import _lifted
 from classprod.quadvalue import QuadValue
@@ -199,6 +203,56 @@ def test_alt_char_labels_are_canonical():
         AltChar((2, 2))  # missing split tag
     with pytest.raises(ValueError):
         AltChar((3, 1), "+")  # does not split
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: AltClass((3, 2)), id="odd-cycle-type"),
+        pytest.param(lambda: AltClass((5,)), id="exceptional-type-untagged"),
+        pytest.param(lambda: AltClass((3, 1, 1), "+"), id="type-that-does-not-split"),
+        pytest.param(lambda: AltClass((1, 2)), id="class-parts-increase"),
+        pytest.param(lambda: AltChar((3,)), id="label-not-canonical"),
+        pytest.param(lambda: AltChar((2, 1)), id="self-adjoint-label-untagged"),
+        pytest.param(lambda: AltChar((1, 1, 1), "+"), id="label-that-does-not-split"),
+        pytest.param(lambda: validate_partition((2, 3)), id="partition-parts-increase"),
+        pytest.param(lambda: enumerate_partitions(-1), id="partitions-of-negative-n"),
+        pytest.param(lambda: enumerate_alt_classes(-1), id="classes-of-negative-n"),
+        pytest.param(lambda: alt_irreducibles(-1), id="characters-of-negative-n"),
+        pytest.param(lambda: mn_value((2,), (1,)), id="sym-value-sizes-differ"),
+        pytest.param(
+            lambda: alt_value(AltChar((2, 2), "+"), AltClass((5,), "+")),
+            id="alt-value-sizes-differ",
+        ),
+        pytest.param(
+            lambda: AltClass((3, 1, 1))._replace(split="+"), id="replace-checks-the-tag"
+        ),
+    ],
+)
+def test_a_bad_library_argument_raises_usage_error(call):
+    # raised where the argument is checked, so no caller re-raises it
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_a_hook_product_that_does_not_divide_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(
+        characters, "hook_length_product", lambda lam: math.factorial(sum(lam)) + 1
+    )
+    degree.cache_clear()
+    try:
+        code = main(["degree", "--n", "5", "--partition", "3,2"])
+    finally:
+        degree.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", err
+    assert err == "internal consistency failure: hook product 121 does not divide 5!\n"
+
+
+def test_an_odd_split_degree_is_a_consistency_failure(monkeypatch):
+    monkeypatch.setattr(characters, "degree", lambda lam: 5)
+    with pytest.raises(ConsistencyError, match="split character degree 5 is odd"):
+        alt_degree(AltChar((2, 1), "+"))
 
 
 def test_alt_value_identity_is_degree():
