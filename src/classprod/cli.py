@@ -14,7 +14,7 @@ import os
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
 from .alt_group import (
@@ -76,18 +76,6 @@ def _int_at_least(k: int):
     return integer
 
 
-def _check_engine_n(n: int) -> None:
-    check_n(n, ENGINE_MAX_N, "the character-sum engine")
-
-
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _table(rows, headers) -> list[str]:
     widths = [
         max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
@@ -117,18 +105,16 @@ def _normal_set(names: list[str], n: int) -> NormalSet:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     check_n(args.n, PARTITION_MAX_N, "partition listing")
     parts = enumerate_partitions(args.n)
-    _emit(
-        args,
+    return (
         {"n": args.n, "count": len(parts), "partitions": [list(p) for p in parts]},
         [format_partition(p) for p in parts],
     )
-    return EXIT_OK
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args):
     from .characters import degree
 
     lam = parse_partition(args.partition)
@@ -136,11 +122,10 @@ def _cmd_degree(args) -> int:
         raise UsageError(f"{args.partition!r} is not a partition of {args.n}")
     check_n(args.n, CHAR_MAX_N, "degree computation")
     d = degree(lam)
-    _emit(args, {"n": args.n, "partition": list(lam), "degree": d}, [str(d)])
-    return EXIT_OK
+    return {"n": args.n, "partition": list(lam), "degree": d}, [str(d)]
 
 
-def _cmd_char_value(args) -> int:
+def _cmd_char_value(args):
     from .characters import alt_value, parse_char
 
     check_n(args.n, CHAR_MAX_N, "character evaluation")
@@ -149,123 +134,82 @@ def _cmd_char_value(args) -> int:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
     cls = _in_alt(parse_class(args.cls), args.n)
     value = alt_value(psi, cls)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "char": psi.name,
-            "class": cls.name,
-            "value": value.to_dict(),
-            "value_text": str(value),
-        },
+    return (
+        {"n": args.n, "char": psi.name, "class": cls.name,
+         "value": value.to_dict(), "value_text": str(value)},
         [str(value)],
     )
-    return EXIT_OK
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args):
     check_n(args.n, CHAR_MAX_N, "class listing")
     classes = enumerate_alt_classes(args.n)
     rows = [
         (c.name, class_size(c), delta(c), "yes" if is_exceptional(c.cycle_type) else "no")
         for c in classes
     ]
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "count": len(classes),
-            "classes": [
-                {
-                    "name": name,
-                    "size": size,
-                    "delta": d,
-                    "exceptional": exc == "yes",
-                }
-                for name, size, d, exc in rows
-            ],
-        },
+    listed = [
+        {"name": name, "size": size, "delta": d, "exceptional": exc == "yes"}
+        for name, size, d, exc in rows
+    ]
+    return (
+        {"n": args.n, "count": len(classes), "classes": listed},
         _table(rows, ("class", "size", "delta", "exceptional")),
     )
-    return EXIT_OK
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args):
     classes = parse_class_or_union(args.cls)
     # both split classes: the bare type names their union
     name = classes[0].name if len(classes) == 1 else format_partition(classes[0].cycle_type)
     d = delta(_in_alt(classes[0], args.n, name))
-    _emit(args, {"n": args.n, "class": name, "delta": d}, [str(d)])
-    return EXIT_OK
+    return {"n": args.n, "class": name, "delta": d}, [str(d)]
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args):
     from .product_engine import product_set
 
-    _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     names = [c.name for c in product_set(s, t, mode=args.mode)]
-    _emit(
-        args,
-        {"n": args.n, "mode": args.mode, "classes": names, "count": len(names)},
-        names,
-    )
-    return EXIT_OK
+    return {"n": args.n, "mode": args.mode, "classes": names, "count": len(names)}, names
 
 
-def _cmd_contains(args) -> int:
+def _cmd_contains(args):
     from .product_engine import product_set
 
-    _check_engine_n(args.n)
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     targets = _normal_set(args.g, args.n)
     result = product_set(s, t, mode=args.mode)
     verdict = all(g in result for g in targets)
-    _emit(
-        args,
-        {"n": args.n, "mode": args.mode, "contains": verdict},
-        ["true" if verdict else "false"],
-    )
-    return EXIT_OK
+    return {"n": args.n, "mode": args.mode, "contains": verdict}, ["true" if verdict else "false"]
 
 
-def _cmd_covering(args) -> int:
+def _cmd_covering(args):
     from .product_engine import covering_number, missing_classes
 
-    _check_engine_n(args.n)
     cls = _in_alt(parse_class(args.cls), args.n)
     result = covering_number(cls, args.max_k, mode=args.mode)
-    payload = {
-        "n": args.n,
-        "class": cls.name,
-        "max_k": args.max_k,
-        "covering_number": result,
-    }
+    payload = {"n": args.n, "class": cls.name, "max_k": args.max_k, "covering_number": result}
     lines = [str(result) if result is not None else "none"]
     if result is not None and result > 1:
         witnesses = [c.name for c in missing_classes(cls, result - 1, mode=args.mode)]
         payload["missing_at_k_minus_1"] = witnesses
-        lines.append(
-            f"power {result - 1} still misses: {', '.join(witnesses)}"
-        )
-    _emit(args, payload, lines)
-    return EXIT_OK
+        lines.append(f"power {result - 1} still misses: {', '.join(witnesses)}")
+    return payload, lines
 
 
-def _cmd_dvir(args) -> int:
+def _cmd_dvir(args):
     from .sweeps import check_dvir_rodgers
 
-    _check_engine_n(args.n)
     report = check_dvir_rodgers(args.n, mode=args.mode)
     lines = [
         f"n={report.n}: {report.pairs_checked} qualifying pairs, "
         f"{len(report.violations)} violations",
     ]
     lines += [f"VIOLATION: {a} * {b} misses {g}" for a, b, g in report.violations]
-    _emit(args, report.to_dict(), lines)
-    return EXIT_OK
+    return report.to_dict(), lines
 
 
 def _write_four_class_json(report) -> None:
@@ -316,15 +260,15 @@ def _write_four_class_json(report) -> None:
     write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args):
+    """Stream the report to stdout itself: too many rows to hand back."""
     from .product_engine import names_in
     from .sweeps import verify_four_class_theorem
 
-    _check_engine_n(args.n)
     report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
     if args.format == "json":
         _write_four_class_json(report)
-        return EXIT_OK
+        return
     names = [c.name for c in enumerate_alt_classes(report.n)]
     covered, total, m = report.covered_count, report.total, len(report.order)
     # the rows of every pair with a miss, and of every pair down to the
@@ -351,13 +295,11 @@ def _cmd_verify_theorem(args) -> int:
                 shown += 1
     if covered > shown:
         print(f"... {covered - shown} further covered quadruples omitted (use --format json)")
-    return EXIT_OK
 
 
-def _cmd_excon(args) -> int:
+def _cmd_excon(args):
     from .sweeps import long_cycle_product_checks
 
-    _check_engine_n(args.n)
     report = long_cycle_product_checks(args.n, mode=args.mode)
     lines = []
     for part in report.parts:
@@ -368,49 +310,88 @@ def _cmd_excon(args) -> int:
                 lines.append(
                     f"  counterexample {', '.join(case.classes)}: misses {', '.join(case.missing)}"
                 )
-    _emit(args, report.to_dict(), lines)
-    return EXIT_OK
+    return report.to_dict(), lines
 
 
-def _cmd_delta_report(args) -> int:
+def _cmd_delta_report(args):
     check_n(args.n, CHAR_MAX_N, "delta report")
     report = delta_bound_report(args.n, _parse_fraction(args.gamma))
     rows = [
         (r.cls.name, r.size, r.delta, str(r.ratio), "*" if r.minimal else "")
         for r in report.rows
     ]
-    _emit(
-        args,
-        report.to_dict(),
-        _table(rows, ("class", "size", "delta", "delta/n", "min")),
-    )
-    return EXIT_OK
+    return report.to_dict(), _table(rows, ("class", "size", "delta", "delta/n", "min"))
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the command table
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, mode: bool = False, jobs: bool = False):
-    p.add_argument("--n", type=int, required=True, help="number of letters")
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    if mode:
-        p.add_argument(
-            "--mode",
-            choices=MODES,
-            default="engine",
-            help="character-sum engine, brute force (n <= 8), or cross-check",
-        )
-    if jobs:
-        p.add_argument(
-            "--jobs", type=_int_at_least(1), default=1, help="accepted; the sweep runs serially"
-        )
+class _Command(NamedTuple):
+    """A subcommand: beyond ``--n`` and ``--format``, its ``options``; an
+    engine command also takes ``--mode`` and is held to ENGINE_MAX_N
+    before its handler runs, and a sweep takes ``--jobs``.  The handler
+    returns the JSON payload and the text lines, or None once it has
+    written its own output."""
+
+    handler: Callable
+    help: str
+    options: dict = {}
+    engine: bool = False
+    sweep: bool = False
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "partitions": _Command(_cmd_partitions, "list the partitions of n"),
+    "degree": _Command(_cmd_degree, "Sym(n) character degree of a partition", {
+        "--partition": dict(required=True, help='e.g. "9,1"'),
+    }),
+    "char-value": _Command(_cmd_char_value, "Alt(n) character value on a class", {
+        "--char": dict(required=True, help='character name, e.g. "3,2,1+"'),
+        "--class": dict(dest="cls", required=True, help='class name, e.g. "5,3,1-"'),
+    }),
+    "classes": _Command(_cmd_classes, "list the conjugacy classes of Alt(n)"),
+    "delta": _Command(_cmd_delta, "n minus the number of cycles of a class", {
+        "--class": dict(dest="cls", required=True),
+    }),
+    "product": _Command(_cmd_product, "classes in the product of two normal sets", {
+        "--a": dict(action="append", required=True, help="class in the left set (repeatable)"),
+        "--b": dict(action="append", required=True, help="class in the right set (repeatable)"),
+    }, engine=True),
+    "contains": _Command(_cmd_contains, "is every --g class inside the product of --a and --b?", {
+        flag: dict(action="append", required=True) for flag in ("--a", "--b", "--g")
+    }, engine=True),
+    "covering": _Command(_cmd_covering, "covering number of a class", {
+        "--class": dict(dest="cls", required=True),
+        "--max-k": dict(type=_int_at_least(1), default=8, help="largest power to try"),
+    }, engine=True),
+    "dvir": _Command(
+        _cmd_dvir, "exhaustive long-cycle inclusion sweep at one n", engine=True, sweep=True
+    ),
+    "verify-theorem": _Command(
+        _cmd_verify_theorem,
+        "sweep all size-qualified class quadruples and report coverage",
+        {
+            "--epsilon": dict(required=True, help='exact rational threshold exponent, e.g. "1/10"'),
+            "--show": dict(
+                type=_int_at_least(0), default=10, help="covered quadruples to print in text mode"
+            ),
+        },
+        engine=True,
+        sweep=True,
+    ),
+    "excon": _Command(_cmd_excon, "long-cycle product checks at one n", engine=True, sweep=True),
+    "delta-report": _Command(
+        _cmd_delta_report,
+        "delta/n table for classes above a size threshold",
+        {"--gamma": dict(required=True, help='exact rational exponent in (0,1), e.g. "1/2"')},
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone."""
     parser = _Parser(
         prog="classprod",
         description=(
@@ -423,86 +404,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"classprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partitions", help="list the partitions of n")
-    _add_common(p)
-    p.set_defaults(func=_cmd_partitions)
-
-    p = sub.add_parser("degree", help="Sym(n) character degree of a partition")
-    _add_common(p)
-    p.add_argument("--partition", required=True, help='e.g. "9,1"')
-    p.set_defaults(func=_cmd_degree)
-
-    p = sub.add_parser("char-value", help="Alt(n) character value on a class")
-    _add_common(p)
-    p.add_argument("--char", required=True, help='character name, e.g. "3,2,1+"')
-    p.add_argument("--class", dest="cls", required=True, help='class name, e.g. "5,3,1-"')
-    p.set_defaults(func=_cmd_char_value)
-
-    p = sub.add_parser("classes", help="list the conjugacy classes of Alt(n)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("delta", help="n minus the number of cycles of a class")
-    _add_common(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("product", help="classes in the product of two normal sets")
-    _add_common(p, mode=True)
-    p.add_argument("--a", action="append", required=True, help="class in the left set (repeatable)")
-    p.add_argument("--b", action="append", required=True, help="class in the right set (repeatable)")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("contains", help="is every --g class inside the product of --a and --b?")
-    _add_common(p, mode=True)
-    p.add_argument("--a", action="append", required=True)
-    p.add_argument("--b", action="append", required=True)
-    p.add_argument("--g", action="append", required=True)
-    p.set_defaults(func=_cmd_contains)
-
-    p = sub.add_parser("covering", help="covering number of a class")
-    _add_common(p, mode=True)
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--max-k", type=_int_at_least(1), default=8, help="largest power to try")
-    p.set_defaults(func=_cmd_covering)
-
-    p = sub.add_parser("dvir", help="exhaustive long-cycle inclusion sweep at one n")
-    _add_common(p, mode=True, jobs=True)
-    p.set_defaults(func=_cmd_dvir)
-
-    p = sub.add_parser(
-        "verify-theorem",
-        help="sweep all size-qualified class quadruples and report coverage",
-    )
-    _add_common(p, mode=True, jobs=True)
-    p.add_argument(
-        "--epsilon", required=True, help='exact rational threshold exponent, e.g. "1/10"'
-    )
-    p.add_argument(
-        "--show", type=_int_at_least(0), default=10, help="covered quadruples to print in text mode"
-    )
-    p.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("excon", help="long-cycle product checks at one n")
-    _add_common(p, mode=True, jobs=True)
-    p.set_defaults(func=_cmd_excon)
-
-    p = sub.add_parser("delta-report", help="delta/n table for classes above a size threshold")
-    _add_common(p)
-    p.add_argument("--gamma", required=True, help='exact rational exponent in (0,1), e.g. "1/2"')
-    p.set_defaults(func=_cmd_delta_report)
-
+    for name, cmd in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--n", type=int, required=True, help="number of letters")
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        if cmd.engine:
+            p.add_argument(
+                "--mode",
+                choices=MODES,
+                default="engine",
+                help="character-sum engine, brute force (n <= 8), or cross-check",
+            )
+        if cmd.sweep:
+            p.add_argument(
+                "--jobs", type=_int_at_least(1), default=1, help="accepted; the sweep runs serially"
+            )
+        for flag, options in cmd.options.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser gives the same usage and errors; --help,
+    # --version and a bad command name need the parser of all twelve
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        cmd = _COMMANDS[args.command]
+        if cmd.engine:
+            check_n(args.n, ENGINE_MAX_N, "the character-sum engine")
+        result = cmd.handler(args)
+        if result is not None:
+            payload, lines = result
+            if args.format == "json":
+                lines = [json.dumps(payload, indent=2, sort_keys=True)]
+            for line in lines:
+                print(line)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # the reader is gone: later writes, and the flush at exit, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
