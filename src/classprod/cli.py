@@ -135,8 +135,13 @@ def _cmd_char_value(args):
     cls = _in_alt(parse_class(args.cls), args.n)
     value = alt_value(psi, cls)
     return (
-        {"n": args.n, "char": psi.name, "class": cls.name,
-         "value": value.to_dict(), "value_text": str(value)},
+        {
+            "n": args.n,
+            "char": psi.name,
+            "class": cls.name,
+            "value": value.to_dict(),
+            "value_text": str(value),
+        },
         [str(value)],
     )
 
@@ -148,12 +153,20 @@ def _cmd_classes(args):
         (c.name, class_size(c), delta(c), "yes" if is_exceptional(c.cycle_type) else "no")
         for c in classes
     ]
-    listed = [
-        {"name": name, "size": size, "delta": d, "exceptional": exc == "yes"}
-        for name, size, d, exc in rows
-    ]
     return (
-        {"n": args.n, "count": len(classes), "classes": listed},
+        {
+            "n": args.n,
+            "count": len(classes),
+            "classes": [
+                {
+                    "name": name,
+                    "size": size,
+                    "delta": d,
+                    "exceptional": exc == "yes",
+                }
+                for name, size, d, exc in rows
+            ],
+        },
         _table(rows, ("class", "size", "delta", "exceptional")),
     )
 
@@ -172,7 +185,10 @@ def _cmd_product(args):
     s = _normal_set(args.a, args.n)
     t = _normal_set(args.b, args.n)
     names = [c.name for c in product_set(s, t, mode=args.mode)]
-    return {"n": args.n, "mode": args.mode, "classes": names, "count": len(names)}, names
+    return (
+        {"n": args.n, "mode": args.mode, "classes": names, "count": len(names)},
+        names,
+    )
 
 
 def _cmd_contains(args):
@@ -183,7 +199,10 @@ def _cmd_contains(args):
     targets = _normal_set(args.g, args.n)
     result = product_set(s, t, mode=args.mode)
     verdict = all(g in result for g in targets)
-    return {"n": args.n, "mode": args.mode, "contains": verdict}, ["true" if verdict else "false"]
+    return (
+        {"n": args.n, "mode": args.mode, "contains": verdict},
+        ["true" if verdict else "false"],
+    )
 
 
 def _cmd_covering(args):
@@ -191,12 +210,19 @@ def _cmd_covering(args):
 
     cls = _in_alt(parse_class(args.cls), args.n)
     result = covering_number(cls, args.max_k, mode=args.mode)
-    payload = {"n": args.n, "class": cls.name, "max_k": args.max_k, "covering_number": result}
+    payload = {
+        "n": args.n,
+        "class": cls.name,
+        "max_k": args.max_k,
+        "covering_number": result,
+    }
     lines = [str(result) if result is not None else "none"]
     if result is not None and result > 1:
         witnesses = [c.name for c in missing_classes(cls, result - 1, mode=args.mode)]
         payload["missing_at_k_minus_1"] = witnesses
-        lines.append(f"power {result - 1} still misses: {', '.join(witnesses)}")
+        lines.append(
+            f"power {result - 1} still misses: {', '.join(witnesses)}"
+        )
     return payload, lines
 
 
@@ -320,7 +346,10 @@ def _cmd_delta_report(args):
         (r.cls.name, r.size, r.delta, str(r.ratio), "*" if r.minimal else "")
         for r in report.rows
     ]
-    return report.to_dict(), _table(rows, ("class", "size", "delta", "delta/n", "min"))
+    return (
+        report.to_dict(),
+        _table(rows, ("class", "size", "delta", "delta/n", "min")),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +419,7 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="classprod",
         description=(
@@ -405,8 +433,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"classprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--n", type=int, required=True, help="number of letters")
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
@@ -427,10 +453,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a command's own parser gives the same usage and errors; --help,
-    # --version and a bad command name need the parser of all twelve
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cmd = _COMMANDS[args.command]

@@ -8,7 +8,6 @@ import pytest
 from classprod.alt_group import enumerate_alt_classes, parse_class
 from classprod.characters import parse_char
 from classprod.cli import build_parser, main
-from classprod.errors import UsageError
 from classprod.sweeps import verify_four_class_theorem
 from helpers import SWEEP_EPSILONS
 
@@ -552,56 +551,8 @@ COMMANDS = [
 ]
 
 
-def _parsed(parser, argv) -> str:
-    """The help text that parsing ``argv`` prints, or its error line."""
-    import io
-    from contextlib import redirect_stdout
-
-    out = io.StringIO()
-    try:
-        with redirect_stdout(out):
-            parser.parse_args(argv)
-    except SystemExit:
-        return out.getvalue()
-    except UsageError as exc:
-        return f"error: {exc}"
-    raise AssertionError(f"{argv} parsed")
-
-
 def test_the_full_parser_lists_the_twelve_commands_in_order():
-    assert "{" + ",".join(COMMANDS) + "}" in _parsed(build_parser(), ["--help"])
-
-
-@pytest.mark.parametrize("name", COMMANDS)
-def test_a_one_command_parser_equals_the_full_one(name):
-    # compared in process: help wrapping depends on the terminal width
-    help_text = _parsed(build_parser(name), [name, "--help"])
-    assert help_text.startswith(f"usage: classprod {name} ")
-    assert help_text == _parsed(build_parser(), [name, "--help"])
-    for argv in ([name], [name, "--n", "5", "--format", "xml"], [name, "--n", "5", "--bogus"]):
-        error = _parsed(build_parser(name), argv)
-        assert error.startswith("error: ") and error == _parsed(build_parser(), argv), argv
-
-
-def test_main_builds_only_the_invoked_commands_parser(capsys, monkeypatch):
-    import argparse
-
-    calls = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counted(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert run_cli(capsys, "classes", "--n", "5")[0] == 0
-    assert calls == ["classes"]
-    # a bad command name still sees all twelve in its error
-    expected = _parsed(build_parser(), ["bogus"])
-    assert "invalid choice" in expected
-    calls.clear()
-    assert run_cli(capsys, "bogus") == (1, "", expected + "\n")
-    assert calls == COMMANDS
+    assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_help()
 
 
 def test_a_capped_engine_argv_loads_no_engine():
