@@ -1,17 +1,35 @@
 """Ground-truth oracle: explicit permutation arithmetic for small n.
 
 Everything here works by explicit permutations and is capped at n <= 8
-(Alt(8) has 20160 elements).  Permutations are tuples of images on the
-points 0..n-1, composed right-to-left: ``compose(p, q)(i) == p(q(i))``.
-The convention matters because split-class membership of products depends
-on it; it is frozen here and used consistently everywhere.
+(Alt(8) has 20160 elements).  A permutation lists the images of the
+points 0..n-1, and products are composed right-to-left:
+``compose(p, q)(i) == p(q(i))``.  The convention matters because
+split-class membership of products depends on it; it is frozen here and
+used consistently everywhere.
+
+Two representations carry the same images.  Tuples of ints are the
+public one: ``compose``, ``inverse``, ``cycles``, the representatives,
+the generators and ``GroupTable`` take and return tuples.  The oracle's
+own working set is n-byte ``bytes`` (41 bytes at n = 8, against 120 for
+a tuple): every orbit member of ``class_members``, every product that
+``oracle_class_product`` forms and every key of its memo.  Padded with
+the fixed points n..255, a permutation r is a translation table, so
+``m.translate(table)`` is the product r·m in one C call (m first, then
+r); reading a table through m's own padded images is the gather
+m·g^-1.
 
 A class product is computed from the members of one class only:
 ``class_members`` conjugates a representative by two generators of
 Alt(n) until the orbit closes, and insists that the orbit has the size
 ``class_size`` predicts.  Each orbit files its members in one memo from
 permutation to class, which classifies later products by lookup.
-``alt_conjugacy_classes`` is the union of the orbits, each sorted.
+``alt_conjugacy_classes`` is the union of the orbits, each sorted and
+converted to tuples once (bytes sort in the order of their tuples).
+
+A product of classes A and B is the set of classes met by m·r, for m in
+A and one fixed r in B; the oracle forms r·m instead.  That is
+r (m·r) r^-1, and r is even, so conjugating by it fixes every Alt(n)
+class, split classes included: both products meet the same classes.
 
 A product the memo does not know is classified from one walk of its
 cycles, then filed in it: the number of cycles gives the parity (odd
@@ -30,7 +48,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .alt_group import (
@@ -137,12 +154,12 @@ class GroupTable(NamedTuple):
 def alt_conjugacy_classes(n: int) -> GroupTable:
     """Alt(n) as the union of its classes' orbits (``class_members``).
 
-    Each class's members, and the keys of ``class_of``, are sorted: the
-    lexicographic order of ``itertools.permutations``.  Capped at n = 8 to
-    bound memory and time.
+    Each class's members, and the keys of ``class_of``, are tuples, sorted
+    as the orbit's bytes before one conversion: the lexicographic order of
+    ``itertools.permutations``.  Capped at n = 8 to bound memory and time.
     """
     check_oracle_n(n)
-    members = {c: tuple(sorted(class_members(c))) for c in enumerate_alt_classes(n)}
+    members = {c: tuple(map(tuple, sorted(class_members(c)))) for c in enumerate_alt_classes(n)}
     class_of = dict(sorted((p, c) for c, ps in members.items() for p in ps))
     return GroupTable(n, enumerate_alt_classes(n), members, class_of)
 
@@ -167,29 +184,30 @@ def _representative(cls: AltClass) -> Perm:
     return compose(compose(swap, rep), swap)
 
 
+def _table(p: Perm) -> bytes:
+    """p as a translation table: ``m.translate(_table(p))`` is p·m."""
+    return bytes(p) + bytes(range(len(p), 256))
+
+
 # every permutation filed by an orbit of class_members or walked by
-# oracle_class_product, and its class
-_class_of: dict[Perm, AltClass] = {}
-
-
-def _times(q: Perm):
-    """p -> compose(p, q) in one C call (itemgetter returns a bare point
-    for a single index, so n = 1 is wrapped)."""
-    pick = itemgetter(*q)
-    return pick if len(q) > 1 else lambda p: (pick(p),)
+# oracle_class_product, as bytes, and its class
+_class_of: dict[bytes, AltClass] = {}
 
 
 @lru_cache(maxsize=None)
-def class_members(cls: AltClass) -> tuple[Perm, ...]:
+def class_members(cls: AltClass) -> tuple[bytes, ...]:
     """The members of cls: the orbit of its representative under
     conjugation by the generators of Alt(n), representative first."""
     check_oracle_n(cls.n)
-    gens = [(g, _times(inverse(g))) for g in _alt_generators(cls.n)]
-    orbit = [_representative(cls)]
+    # g p g^-1 gathers p through g^-1 (g^-1 translated through p's table),
+    # then translates the gather through g's
+    gens = [(bytes(inverse(g)), _table(g)) for g in _alt_generators(cls.n)]
+    fixed = bytes(range(cls.n, 256))
+    orbit = [bytes(_representative(cls))]
     seen = set(orbit)
     for p in orbit:  # grows while it is walked
-        for g, times_g_inv in gens:
-            q = itemgetter(*times_g_inv(p))(g)  # g p g^-1
+        for g_inv, g in gens:
+            q = g_inv.translate(p + fixed).translate(g)
             if q not in seen:
                 seen.add(q)
                 orbit.append(q)
@@ -204,18 +222,25 @@ def class_members(cls: AltClass) -> tuple[Perm, ...]:
 def oracle_class_product(a: AltClass, b: AltClass) -> frozenset[AltClass]:
     """Classes meeting AB, from the members of the smaller class times one
     element of the other.  AB = BA is normal, so every class meeting it
-    meets Ab and Ba for any fixed a in A and b in B."""
+    meets Ab and Ba for any fixed a in A and b in B.  Stops once every
+    class of Alt(n) is met."""
     if a.n != b.n:
         raise UsageError("classes of different groups")
     small, other = (a, b) if class_size(a) <= class_size(b) else (b, a)
-    times_rep = _times(_representative(other))
+    members = class_members(small)
+    # r·m in place of m·r: a conjugate by the even r, in the same class
+    times_rep = _table(_representative(other))
     by_type = classes_by_type(a.n)
+    every = len(enumerate_alt_classes(a.n))
     hit = set()
-    for p in map(times_rep, class_members(small)):
+    for m in members:
+        p = m.translate(times_rep)
         cls = _class_of.get(p)
         if cls is None:
             cls = _class_of[p] = _even_class(p, by_type)
         hit.add(cls)
+        if len(hit) == every:
+            break
     return frozenset(hit)
 
 

@@ -192,7 +192,7 @@ def test_class_members_are_the_enumerated_class(n):
     table = alt_conjugacy_classes(n)
     for cls in table.classes:
         members = class_members(cls)
-        assert set(members) == set(table.members[cls])
+        assert set(map(tuple, members)) == set(table.members[cls])
         assert len(members) == class_size(cls)
 
 
@@ -215,6 +215,17 @@ def test_a_repeated_oracle_product_walks_nothing(monkeypatch, fresh_oracle):
     walks.clear()
     assert oracle_class_product(a, b) == first
     assert walks == []
+
+
+def test_a_covering_oracle_product_stops_once_every_class_is_met(monkeypatch, fresh_oracle):
+    # 4,2,1,1 squared covers Alt(8): once every class is met, the rest of
+    # the orbit is not multiplied out
+    a = AltClass((4, 2, 1, 1))
+    walks = count_walks(monkeypatch)
+    got = oracle_class_product(a, a)
+    assert 0 < len(walks) < class_size(a) // 2
+    assert got == frozenset(enumerate_alt_classes(8))
+    assert got == oracle_class_product_reference(alt_conjugacy_classes_reference(8), a, a)
 
 
 def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch, fresh_oracle):

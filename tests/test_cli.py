@@ -631,6 +631,35 @@ def test_four_class_json_holds_no_row_list():
     assert peak < 6_000_000
 
 
+def test_the_oracle_holds_its_permutations_as_bytes():
+    # after a cross-checked product, the one orbit the oracle built and
+    # every permutation it filed are bytes, not tuples of ints
+    import subprocess
+    import sys
+
+    code = (
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "import classprod.brute_force as bf\n"
+        "from classprod.alt_group import AltClass\n"
+        "from classprod.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = main(['product', '--n', '8', '--a', '6,2', '--b', '5,3-', '--mode', 'both'])\n"
+        "held = bf.class_members.cache_info()\n"
+        "orbit = bf.class_members(AltClass((5, 3), '-'))\n"
+        "assert bf.class_members.cache_info().misses == held.misses\n"
+        "print(code, held.currsize, len(orbit), len(bf._class_of))\n"
+        "print(sorted({type(p).__name__ for p in (*orbit, *bf._class_of)}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts, types = proc.stdout.splitlines()
+    code, orbits, members, filed = map(int, counts.split())
+    assert (code, orbits, members) == (0, 1, 1344)
+    assert filed > members
+    assert types == "['bytes']"
+
+
 def test_commands_without_character_sums_load_no_engine():
     # start-up: the package level and the CLI import the engine only in
     # the commands that use it
