@@ -10,13 +10,13 @@ used consistently everywhere.
 Two representations carry the same images.  Tuples of ints are the
 public one: ``compose``, ``inverse``, ``cycles``, the representatives,
 the generators and ``GroupTable`` take and return tuples.  The oracle's
-own working set is n-byte ``bytes`` (41 bytes at n = 8, against 120 for
+own working set is n-byte ``bytes`` (41 bytes at n = 8, against 104 for
 a tuple): every orbit member of ``class_members``, every product that
 ``oracle_class_product`` forms and every key of its memo.  Padded with
 the fixed points n..255, a permutation r is a translation table, so
 ``m.translate(table)`` is the product r·m in one C call (m first, then
-r); reading a table through m's own padded images is the gather
-m·g^-1.
+r); translating g^-1 through m's table gathers m·g^-1, so a conjugate
+g m g^-1 is two translates.
 
 A class product is computed from the members of one class only:
 ``class_members`` conjugates a representative by two generators of
