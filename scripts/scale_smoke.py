@@ -1,9 +1,11 @@
 """Scale smoke test of the four-class sweep.
 
-Runs three ``verify-theorem`` commands above the catalogue, each as a child
+Runs five ``verify-theorem`` commands beyond the catalogue, each as a child
 process (``python -m classprod.cli`` with ``src`` on the path): text mode
-twice at n = 14, and JSON at n = 13, whose 68,630,641 bytes check the JSON
-writer.  Each child must exit 0 within 120 s and print the stdout recorded
+twice at n = 14, JSON at n = 13, whose 68,630,641 bytes check the JSON
+writer, and both formats at n = 11, epsilon = 1/10, whose one uncovered
+row runs the JSON writer's branch for a row that misses a class, which no
+catalogue argv reaches.  Each child must exit 0 within 120 s and print the stdout recorded
 for it (compared by sha256, hashed in chunks as it streams, so this script
 never holds it), and the peak RSS must stay at or below 100 MB.  The peak
 is ``ru_maxrss`` from ``resource.getrusage(RUSAGE_CHILDREN)``, read after
@@ -40,6 +42,12 @@ EXPECTED = {
         "ebc878c3317d14cfa7637a1f0b4e3e6ed085caa129b53a5b86acd51c6bacf136",
     ("verify-theorem", "--n", "13", "--epsilon", "1/10", "--format", "json"):
         "d2c063e707896e9c4de4b2e0566b85fa89dca40dc282363fc49c0dd2ecb70461",
+    # one row does not cover; every row of the catalogue's four-class JSON
+    # argvs covers
+    ("verify-theorem", "--n", "11", "--epsilon", "1/10", "--format", "json"):
+        "f9fdbbec8e171a7853c6eb5cca7489185f22f745923628cea89792a963bb4a72",
+    ("verify-theorem", "--n", "11", "--epsilon", "1/10", "--format", "text"):
+        "62947ace5c68d907dca831147c1517cf45723cfe3b610477a6568e36c277cb29",
 }
 TIMEOUT_S = 120
 MAX_RSS_MB = 100

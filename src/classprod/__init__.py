@@ -31,7 +31,7 @@ _MODULES = {
     "contains": "product_engine",
     "covering_number": "product_engine",
     "delta_bound_report": "alt_group",
-    "frobenius_sum": "product_engine",
+    "frobenius_sum": "pair_sums",
     "long_cycle_product_checks": "sweeps",
     "missing_classes": "product_engine",
     "parse_char": "characters",

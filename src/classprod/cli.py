@@ -1,5 +1,8 @@
 """Command-line surface: every engine capability, reproducible output.
 
+This module parses, dispatches and prints; each sweep's report renders
+its own output (``classprod.sweeps``).
+
 Exit codes: 0 success, 1 usage error (or a stdout closed by its reader),
 2 internal consistency failure (an exactness invariant broke, or engine
 and oracle disagreed in ``--mode both``), 3 capability exceeded (n too
@@ -12,9 +15,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import accumulate
-from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
 from .alt_group import (
@@ -230,113 +231,26 @@ def _cmd_dvir(args):
     from .sweeps import check_dvir_rodgers
 
     report = check_dvir_rodgers(args.n, mode=args.mode)
-    lines = [
-        f"n={report.n}: {report.pairs_checked} qualifying pairs, "
-        f"{len(report.violations)} violations",
-    ]
-    lines += [f"VIOLATION: {a} * {b} misses {g}" for a, b, g in report.violations]
-    return report.to_dict(), lines
-
-
-def _write_four_class_json(report) -> None:
-    """Write ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-    and a newline without building the dict.  The totals are counted
-    first, and the rows go to stdout one group of equal least product at a
-    time.  A row of "quadruples" is one template over the encoded names of
-    its four classes and the text of the rest of the row, cached per (least
-    pair product, missing-class mask), since few of those recur."""
-    from .product_engine import names_in
-
-    names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(report.n)]
-    tails: dict[tuple[int, int], str] = {}
-
-    def tail(least: int, mask: int) -> str:
-        if mask:
-            missing = ",\n        ".join(names_in(names, mask))
-            covered, missing = "false", "[\n        " + missing + "\n      ]"
-        else:
-            covered, missing = "true", "[]"
-        return (
-            f'      "covered": {covered},\n      "min_pair_product": {least},\n'
-            f'      "missing": {missing}\n    }}'
-        )
-
-    write = sys.stdout.write
-    total = report.total
-    write(
-        f'{{\n  "covered": {report.covered_count},\n'
-        f'  "epsilon": {encode_basestring_ascii(str(report.epsilon))},\n'
-        f'  "mode": {encode_basestring_ascii(report.mode)},\n'
-        f'  "n": {report.n},\n  "quadruples": ' + ("[\n" if total else "[]")
-    )
-    separator = ""
-    for group in report.groups():
-        texts = []
-        for (a, b, c, d), least, mask in group:
-            key = (least, mask)
-            end = tails.get(key)
-            if end is None:
-                end = tails[key] = tail(least, mask)
-            texts.append(
-                f'    {{\n      "classes": [\n        {names[a]},\n        {names[b]},\n'
-                f"        {names[c]},\n        {names[d]}\n      ],\n{end}"
-            )
-        write(separator + ",\n".join(texts))
-        separator = ",\n"
-    write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')
+    return report.to_dict(), report.text_lines()
 
 
 def _cmd_verify_theorem(args):
     """Stream the report to stdout itself: too many rows to hand back."""
-    from .product_engine import names_in
     from .sweeps import verify_four_class_theorem
 
     report = verify_four_class_theorem(args.n, _parse_fraction(args.epsilon), mode=args.mode)
     if args.format == "json":
-        _write_four_class_json(report)
+        report.write_json(sys.stdout)
         return
-    names = [c.name for c in enumerate_alt_classes(report.n)]
-    covered, total, m = report.covered_count, report.total, len(report.order)
-    # the rows of every pair with a miss, and of every pair down to the
-    # least product at which the pairs' covered rows reach --show
-    reached = accumulate(pair[3] for pair in report.pairs)
-    cut = next((pair[2] for pair, count in zip(report.pairs, reached) if count >= args.show), 0)
-    pairs = [
-        (p, q, least, count)
-        for p, q, least, count in report.pairs
-        if least >= cut or count < (m - q) * (m - q + 1) // 2
-    ]
-    print(
-        f"n={report.n} epsilon={report.epsilon} mode={report.mode}: "
-        f"{covered}/{total} qualifying quadruples cover Alt({report.n})"
-    )
-    shown = 0
-    for group in report.groups(pairs):
-        for quad, least, mask in group:
-            if mask:
-                missing = ", ".join(names_in(names, mask))
-                print(f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}")
-            elif shown < args.show:
-                print(f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})")
-                shown += 1
-    if covered > shown:
-        print(f"... {covered - shown} further covered quadruples omitted (use --format json)")
+    for line in report.text_lines(args.show):
+        print(line)
 
 
 def _cmd_excon(args):
     from .sweeps import long_cycle_product_checks
 
     report = long_cycle_product_checks(args.n, mode=args.mode)
-    lines = []
-    for part in report.parts:
-        status = "pass" if part.passed else "FAIL"
-        lines.append(f"part {part.part} [{status}]: {part.statement}")
-        for case in part.cases:
-            if not case.passed:
-                lines.append(
-                    f"  counterexample {', '.join(case.classes)}: misses {', '.join(case.missing)}"
-                )
-    return report.to_dict(), lines
+    return report.to_dict(), report.text_lines()
 
 
 def _cmd_delta_report(args):
@@ -419,7 +333,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: Optional[Iterable[str]] = None) -> argparse.ArgumentParser:
+    """The parser of the commands ``names`` (None: all twelve)."""
     parser = _Parser(
         prog="classprod",
         description=(
@@ -432,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"classprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in _COMMANDS.items():
+    for name in _COMMANDS if names is None else names:
+        cmd = _COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--n", type=int, required=True, help="number of letters")
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
@@ -453,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # an argv that starts with a command parses alike with that command's
+    # subparser alone; any other (--help, --version, a bad word) needs all
+    parser = build_parser([argv[0]] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         cmd = _COMMANDS[args.command]

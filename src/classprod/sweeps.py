@@ -4,15 +4,19 @@ four-class sweep (``verify-theorem``) and the long-cycle product checks
 
 They live apart from the product engine so that a command asking for a
 few pairs (``product``, ``contains``, ``covering``) compiles none of them.
+Each report also renders its own command's output (``text_lines``, and
+the streamed JSON of ``FourClassReport.write_json``), so the CLI compiles
+no sweep's output code either.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby
+from itertools import accumulate, chain, combinations_with_replacement, groupby
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .alt_group import (
     AltClass,
@@ -28,11 +32,11 @@ from .alt_group import (
 )
 from .errors import UsageError
 from .partitions import format_partition
-from .product_engine import _algebra, _check_same_n, _mask_of, names_in
+from .pair_sums import _check_same_n
+from .product_engine import _algebra, _mask_of, names_in
 
 if TYPE_CHECKING:  # imported where used: dvir and excon need no rationals
     from fractions import Fraction
-
 
 
 def dvir_rodgers_applies(a: AltClass, b: AltClass) -> bool:
@@ -59,6 +63,14 @@ class DvirRodgersReport(NamedTuple):
             "violations": [list(v) for v in self.violations],
             "passed": self.passed,
         }
+
+    def text_lines(self) -> list[str]:
+        lines = [
+            f"n={self.n}: {self.pairs_checked} qualifying pairs, "
+            f"{len(self.violations)} violations",
+        ]
+        lines += [f"VIOLATION: {a} * {b} misses {g}" for a, b, g in self.violations]
+        return lines
 
 
 def _type_masks(n: int) -> list[tuple[str, AltClass, int]]:
@@ -198,6 +210,82 @@ class FourClassReport(NamedTuple):
             ],
         }
 
+    def write_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``
+        and a newline to ``out`` without building the dict.  The totals
+        are counted first, and the rows are written one group of equal
+        least product at a time.  A row of "quadruples" is one template
+        over the encoded names of its four classes and the text of the
+        rest of the row, cached per (least pair product, missing-class
+        mask), since few of those recur."""
+        names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(self.n)]
+        tails: dict[tuple[int, int], str] = {}
+
+        def tail(least: int, mask: int) -> str:
+            if mask:
+                missing = ",\n        ".join(names_in(names, mask))
+                covered, missing = "false", "[\n        " + missing + "\n      ]"
+            else:
+                covered, missing = "true", "[]"
+            return (
+                f'      "covered": {covered},\n      "min_pair_product": {least},\n'
+                f'      "missing": {missing}\n    }}'
+            )
+
+        write = out.write
+        total = self.total
+        write(
+            f'{{\n  "covered": {self.covered_count},\n'
+            f'  "epsilon": {encode_basestring_ascii(str(self.epsilon))},\n'
+            f'  "mode": {encode_basestring_ascii(self.mode)},\n'
+            f'  "n": {self.n},\n  "quadruples": ' + ("[\n" if total else "[]")
+        )
+        separator = ""
+        for group in self.groups():
+            texts = []
+            for (a, b, c, d), least, mask in group:
+                key = (least, mask)
+                end = tails.get(key)
+                if end is None:
+                    end = tails[key] = tail(least, mask)
+                texts.append(
+                    f'    {{\n      "classes": [\n        {names[a]},\n        {names[b]},\n'
+                    f"        {names[c]},\n        {names[d]}\n      ],\n{end}"
+                )
+            write(separator + ",\n".join(texts))
+            separator = ",\n"
+        write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')
+
+    def text_lines(self, show: int) -> Iterator[str]:
+        """The text report, line by line: the totals, every row that does
+        not cover, and the first ``show`` covering rows."""
+        names = [c.name for c in enumerate_alt_classes(self.n)]
+        covered, total, m = self.covered_count, self.total, len(self.order)
+        # the rows of every pair with a miss, and of every pair down to the
+        # least product at which the pairs' covered rows reach ``show``
+        reached = accumulate(pair[3] for pair in self.pairs)
+        cut = next((pair[2] for pair, count in zip(self.pairs, reached) if count >= show), 0)
+        pairs = [
+            (p, q, least, count)
+            for p, q, least, count in self.pairs
+            if least >= cut or count < (m - q) * (m - q + 1) // 2
+        ]
+        yield (
+            f"n={self.n} epsilon={self.epsilon} mode={self.mode}: "
+            f"{covered}/{total} qualifying quadruples cover Alt({self.n})"
+        )
+        shown = 0
+        for group in self.groups(pairs):
+            for quad, least, mask in group:
+                if mask:
+                    missing = ", ".join(names_in(names, mask))
+                    yield f"NOT COVERED: {' * '.join(names[i] for i in quad)} misses {missing}"
+                elif shown < show:
+                    yield f"covered: {' * '.join(names[i] for i in quad)} (min pair product {least})"
+                    shown += 1
+        if covered > shown:
+            yield f"... {covered - shown} further covered quadruples omitted (use --format json)"
+
 
 def verify_four_class_theorem(
     n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
@@ -312,6 +400,18 @@ class LongCycleProductReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"n": self.n, "parts": [p.to_dict() for p in self.parts]}
+
+    def text_lines(self) -> list[str]:
+        lines = []
+        for part in self.parts:
+            status = "pass" if part.passed else "FAIL"
+            lines.append(f"part {part.part} [{status}]: {part.statement}")
+            for case in part.cases:
+                if not case.passed:
+                    lines.append(
+                        f"  counterexample {', '.join(case.classes)}: misses {', '.join(case.missing)}"
+                    )
+        return lines
 
 
 def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> LongCycleProductReport:

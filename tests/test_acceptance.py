@@ -19,11 +19,10 @@ from classprod.characters import (
     alt_irreducibles,
     character_table,
 )
+from classprod.pair_sums import exactness_check_count, frobenius_sum
 from classprod.partitions import conjugate, is_self_adjoint
 from classprod.product_engine import (
     covering_number,
-    exactness_check_count,
-    frobenius_sum,
     missing_classes,
     product_set,
 )

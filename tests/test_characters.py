@@ -26,7 +26,7 @@ from classprod.partitions import (
     is_self_adjoint,
     validate_partition,
 )
-from classprod.product_engine import _lifted
+from classprod.pair_sums import _lifted
 from classprod.quadvalue import QuadValue
 from helpers import (
     column_orthogonality_holds,

@@ -517,7 +517,8 @@ def test_engine_commands_build_no_quadvalue_table(capsys):
     # the engine reads the integer character table; the QuadValue table is
     # only a view of it for the library
     from classprod.characters import character_table, integer_table
-    from classprod.product_engine import _engine_algebra, _lifted
+    from classprod.pair_sums import _lifted
+    from classprod.product_engine import _engine_algebra
 
     for cache in (character_table, integer_table, _lifted, _engine_algebra):
         cache.cache_clear()
@@ -553,6 +554,113 @@ COMMANDS = [
 
 def test_the_full_parser_lists_the_twelve_commands_in_order():
     assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_help()
+
+
+def test_main_builds_only_the_invoked_commands_subparser():
+    # a fresh interpreter, counting every subparser argparse is asked for:
+    # an argv that starts with a command builds that command's alone, and
+    # --help builds all twelve
+    import subprocess
+    import sys
+
+    code = (
+        "import argparse, io\n"
+        "from contextlib import redirect_stdout\n"
+        "from classprod.cli import main\n"
+        "added = []\n"
+        "add_parser = argparse._SubParsersAction.add_parser\n"
+        "def counted(self, name, **kwargs):\n"
+        "    added.append(name)\n"
+        "    return add_parser(self, name, **kwargs)\n"
+        "argparse._SubParsersAction.add_parser = counted\n"
+        "def adds(*argv):\n"
+        "    added.clear()\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(list(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, len(added))\n"
+        "adds('contains', '--n', '6', '--a', '3,3', '--b', '3,3', '--g', '3,1,1,1')\n"
+        "adds('covering', '--n', '6', '--class', '3,3')\n"
+        "adds('verify-theorem', '--n', '6', '--epsilon', '1/10')\n"
+        "adds('--help')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 1", "0 1", "0 1", "0 12"]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help, --version
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h"],
+        ["--version"],
+        ["-h", "contains"],
+        ["contains", "--help"],
+        ["bogus", "--n", "6"],
+        ["-5"],
+        ["contains", "--n", "6", "--a", "3,3", "--b", "3,3"],
+        ["product", "--n", "6", "--a", "3,3", "--b", "3,3", "--mode", "fast"],
+        ["covering", "--n", "6", "--class", "3,3", "--max-k", "0"],
+        ["classes", "--n", "6", "extra"],
+        ["contains", "--n", "6", "--a", "3,3", "--b", "3,3", "--g", "3,1,1,1", "--version"],
+        ["verify-theorem", "--n", "6", "--epsilon", "1/10", "--show", "2"],
+    ],
+)
+def test_the_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    import classprod.cli as cli
+
+    alone = _outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names=None: full())
+    assert _outcome(capsys, argv) == alone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--n", "8", "--a", "6,2", "--b", "5,3-"],
+        ["covering", "--n", "8", "--class", "7,1+", "--mode", "both"],
+        ["dvir", "--n", "8"],
+        ["verify-theorem", "--n", "8", "--epsilon", "1/20", "--format", "json"],
+        ["verify-theorem", "--n", "8", "--epsilon", "1/20", "--format", "text"],
+        ["excon", "--n", "8"],
+        ["delta-report", "--n", "8", "--gamma", "1/2"],
+    ],
+)
+def test_the_cli_run_as_main_is_not_imported_again(argv):
+    # a fresh interpreter runs the CLI as ``python -m`` and the benchmark
+    # do: as __main__, not as classprod.cli; a module that imported
+    # classprod.cli would compile and run it a second time
+    import subprocess
+    import sys
+
+    code = (
+        "import io, runpy, sys\n"
+        "from contextlib import redirect_stdout\n"
+        f"sys.argv = ['classprod', *{argv!r}]\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('classprod.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'classprod.cli' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_a_capped_engine_argv_loads_no_engine():
@@ -611,14 +719,13 @@ def test_four_class_json_holds_no_row_list():
     code = (
         "import os, sys, tracemalloc\n"
         "from fractions import Fraction\n"
-        "from classprod.cli import _write_four_class_json\n"
         "from classprod.product_engine import ensure_pair_masks\n"
         "from classprod.sweeps import verify_four_class_theorem\n"
         "ensure_pair_masks(12)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
         "tracemalloc.start()\n"
         "report = verify_four_class_theorem(12, Fraction(1, 10))\n"
-        "_write_four_class_json(report)\n"
+        "report.write_json(sys.stdout)\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "sys.stdout.close()\n"
         "sys.stdout = stdout\n"

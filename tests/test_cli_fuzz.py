@@ -5,10 +5,12 @@ and character names it prints parse back to the same objects."""
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classprod.cli as cli
 from classprod.alt_group import enumerate_alt_classes, parse_class_or_union
 from classprod.characters import alt_irreducibles, parse_char
 from classprod.cli import main
@@ -143,4 +145,15 @@ def test_generated_argvs_end_cleanly(argv):
         assert parse_char(payload["char"]).name == payload["char"]
     if command == "delta":  # the class as given, which may be a union
         assert all(c.n == payload["n"] for c in parse_class_or_union(payload["class"]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(argvs())
+def test_generated_argvs_parse_alike_with_the_full_parser(argv):
+    # ``main`` builds only the invoked command's subparser; the full parser
+    # must give the same stdout, stderr and exit code
+    full = cli.build_parser
+    alone = run(argv)
+    with patch.object(cli, "build_parser", lambda names=None: full()):
+        assert run(argv) == alone, argv
 

@@ -20,18 +20,20 @@ from classprod.alt_group import (
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
 from classprod.characters import character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
-from classprod.product_engine import (
-    ProductAlgebra,
+from classprod.pair_sums import (
     _counted,
-    _engine_algebra,
     _layout,
     _lifted,
     _pair_sums,
+    exactness_check_count,
+    frobenius_sum,
+)
+from classprod.product_engine import (
+    ProductAlgebra,
+    _engine_algebra,
     contains,
     covering_number,
     ensure_pair_masks,
-    exactness_check_count,
-    frobenius_sum,
     missing_classes,
     product_set,
 )
@@ -427,17 +429,17 @@ def test_slots_too_narrow_for_the_sums_fail_loudly(monkeypatch):
     # the layout's own width holds them all; packed into 16-bit slots, the
     # sums overflow or come out garbled, which the count checks refuse, so
     # no pair gets a mask
-    import classprod.product_engine as engine
+    import classprod.pair_sums as pair_sums
 
     sound = _lifted(8)
-    monkeypatch.setattr(engine, "_slot_width", lambda weights, reach: 16)
+    monkeypatch.setattr(pair_sums, "_slot_width", lambda weights, reach: 16)
     narrow = _layout(integer_table(8))
     assert narrow.width == 16
-    monkeypatch.setattr(engine, "_lifted", lambda n: narrow)
+    monkeypatch.setattr(pair_sums, "_lifted", lambda n: narrow)
     for a, b in combinations_with_replacement(range(len(sound.sizes)), 2):
         assert 2**15 <= max(map(abs, _pair_sums(sound, a, b))) < 2 ** (sound.width - 1)
         with pytest.raises(ConsistencyError):
-            engine._compute_pair_mask(8, a, b)
+            pair_sums._compute_pair_mask(8, a, b)
 
 
 def test_pair_counts_must_conserve_mass():
@@ -701,7 +703,7 @@ def test_parallel_fill_counts_worker_exactness_checks():
     import subprocess
     import sys
 
-    from classprod.product_engine import _compute_pair_mask
+    from classprod.pair_sums import _compute_pair_mask
 
     code = (
         "from classprod.alt_group import enumerate_alt_classes\n"
