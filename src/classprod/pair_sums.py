@@ -11,7 +11,11 @@ slot whose width is bounded from the table's own entries, so the sums of a
 class pair at all classes are one dot product, and its radical parts one
 more per radicand.  The radical part of each radicand must cancel, each
 pair count must be a nonnegative integer, and the counts of a class pair
-must conserve mass.  Any failure raises ConsistencyError.
+must conserve mass.  The checks and the pair's class bitmask are read off
+the packed sum as whole integers (``_checked``, ``_compute_pair_mask``):
+a few bit operations and one division, and one pass over the bytes of
+the quotient for the mass; a slot is decoded on its own only to name a
+failure.  Any failure raises ConsistencyError.
 
 This is the layer below ``classprod.product_engine``, which turns each
 pair's counts into a class bitmask (``_compute_pair_mask``) and builds
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -55,6 +60,23 @@ def _check_same_n(*classes: AltClass) -> int:
     return n
 
 
+class _Slots(NamedTuple):
+    """Signed slots of ``width`` bits, one per class, in one integer,
+    class 0 lowest."""
+
+    width: int  # bits per slot, a multiple of 8
+    ones: int  # 1 in every slot
+    offset: int  # 2^(width-1) in every slot: added, it makes each slot nonnegative
+    cuts: tuple[slice, ...]  # each slot's bytes in the little-endian image, in class order
+
+
+def _slots(width: int, m: int) -> _Slots:
+    nbytes = width // 8
+    ones = int.from_bytes((b"\1" + bytes(nbytes - 1)) * m, "little")
+    cuts = tuple(slice(s, s + nbytes) for s in range(0, nbytes * m, nbytes))
+    return _Slots(width, ones, ones << (width - 1), cuts)
+
+
 class _Lifted(NamedTuple):
     """The integer Alt(n) character table laid out for the hot loop.
 
@@ -64,7 +86,7 @@ class _Lifted(NamedTuple):
     R / (8L), where R is the integer sum over i of the weight times
     (2 chi_i(a)) (2 chi_i(b)) (2 conj(chi_i(g))).
     Row i is also packed into one integer: its entry at class g is the g-th
-    signed slot of ``width`` bits, class 0 lowest.
+    signed slot of ``slots``, class 0 lowest.
     """
 
     p: tuple[tuple[int, ...], ...]  # p[j][i] for class j, character i
@@ -74,8 +96,7 @@ class _Lifted(NamedTuple):
     rad_d: tuple[int, ...]  # their radicands
     radicands: tuple[tuple[int, slice, tuple[int, ...]], ...]  # (d, span in rad_rows, packed cols)
     packed: tuple[int, ...]  # packed p of every row, then conjugated q of ``rad_rows``
-    width: int  # bits per slot, a multiple of 8
-    offset: int  # 2^(width-1) in every slot: added, it makes each slot nonnegative
+    slots: _Slots
     scale: int  # 8L
     order: int
     sizes: tuple[int, ...]
@@ -116,13 +137,12 @@ def _layout(tbl: CharacterTable) -> _Lifted:
         reach[i] = max(abs(x) + abs(d * y) for x, y in zip(p_rows[i], q_row))
     lcm = math.lcm(*tbl.degrees)
     weights = tuple(lcm // deg for deg in tbl.degrees)
-    width = _slot_width(weights, reach)
-    nbytes, half = width // 8, 1 << (width - 1)
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * m, "little")
-    slots = {x: (x + half).to_bytes(nbytes, "little") for x in set().union(*p_rows, *qbar_rows)}
+    slots = _slots(_slot_width(weights, reach), m)
+    nbytes, half = slots.width // 8, 1 << (slots.width - 1)
+    image = {x: (x + half).to_bytes(nbytes, "little") for x in set().union(*p_rows, *qbar_rows)}
 
     def pack(row: Iterable[int]) -> int:
-        return int.from_bytes(b"".join(map(slots.__getitem__, row)), "little") - offset
+        return int.from_bytes(b"".join(map(image.__getitem__, row)), "little") - slots.offset
 
     packed_p = [pack(row) for row in p_rows]
     packed_q = [pack(row) for row in qbar_rows]
@@ -139,8 +159,7 @@ def _layout(tbl: CharacterTable) -> _Lifted:
         rad_d=rad_d,
         radicands=tuple(radicands),
         packed=tuple(packed_p + packed_q),
-        width=width,
-        offset=offset,
+        slots=slots,
         scale=8 * lcm,
         order=tbl.order,
         sizes=tbl.class_sizes,
@@ -152,20 +171,27 @@ def _lifted(n: int) -> _Lifted:
     return _layout(integer_table(n))
 
 
-def _unpacked(lay: _Lifted, packed: int) -> list[int]:
-    """The signed slots of a packed sum, in class order."""
-    nbytes, half = lay.width // 8, 1 << (lay.width - 1)
-    try:
-        raw = (packed + lay.offset).to_bytes(nbytes * len(lay.sizes), "little")
-    except OverflowError:
-        raise ConsistencyError(f"character sums overflow their {lay.width}-bit slots") from None
-    return [int.from_bytes(raw[s : s + nbytes], "little") - half for s in range(0, len(raw), nbytes)]
+def _shifted(slots: _Slots, packed: int) -> int:
+    """A packed sum plus ``slots.offset``, which holds every slot
+    nonnegative; raises ConsistencyError if the sums overflow their slots."""
+    shifted = packed + slots.offset
+    if shifted >> (slots.width * len(slots.cuts)):  # below 0, or past the top slot
+        raise ConsistencyError(f"character sums overflow their {slots.width}-bit slots")
+    return shifted
 
 
-def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
+def _signed(slots: _Slots, packed: int) -> list[int]:
+    """The signed slots of a packed sum, in class order; decoded only to
+    name a failure."""
+    width, half = slots.width, 1 << (slots.width - 1)
+    shifted, full = _shifted(slots, packed), (1 << width) - 1
+    return [(shifted >> (width * g) & full) - half for g in range(len(slots.cuts))]
+
+
+def _pair_sum(lay: _Lifted, ia: int, ib: int) -> int:
     """The integer sums R of the classes a, b (indices) with every class g,
-    in class order; raises ConsistencyError unless every radical part
-    cancels."""
+    packed in ``lay.slots``; raises ConsistencyError unless every radical
+    part cancels."""
     pa, pb, qa, qb, w = lay.p[ia], lay.p[ib], lay.q[ia], lay.q[ib], lay.weights
     # u + v*sqrt(d) = weight * (2 chi(a)) * (2 chi(b)), row by row
     u = [wi * x * y for wi, x, y in zip(w, pa, pb)]
@@ -173,8 +199,6 @@ def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
     for r, (i, d) in enumerate(zip(lay.rad_rows, lay.rad_d)):
         u[i] += w[i] * d * qa[r] * qb[r]
         v.append(w[i] * (pa[i] * qb[r] + qa[r] * pb[i]))
-    rational = u + [d * x for d, x in zip(lay.rad_d, v)]
-    sums = _unpacked(lay, sum(map(mul, rational, lay.packed)))
     for d, at, cols in lay.radicands:
         # the radical part sum(u*conj(q) + v*p) over this radicand's rows:
         # ``cols`` holds their packed conj(q), then their packed p
@@ -182,49 +206,76 @@ def _pair_sums(lay: _Lifted, ia: int, ib: int) -> list[int]:
         if kept:
             from fractions import Fraction
 
-            jg, part = next((j, x) for j, x in enumerate(_unpacked(lay, kept)) if x)
+            jg, part = next((j, x) for j, x in enumerate(_signed(lay.slots, kept)) if x)
             raise ConsistencyError(
                 f"character sum at class {jg} kept a radical part "
                 f"{Fraction(part, lay.scale)}*sqrt({d})"
             )
-    return sums
+    rational = u + [d * x for d, x in zip(lay.rad_d, v)]
+    return sum(map(mul, rational, lay.packed))
 
 
-def _counted(sums: list[int], sa: int, sb: int, den: int, sizes: Iterable[int]) -> list[int]:
-    """Pair counts sa*sb*R/den from the sums R of one class pair; each must
-    be a nonnegative integer, and the counts must conserve mass:
-    sum over g of |C_g| * count(g) = sa*sb.  One exactness check per sum."""
+def _checked(
+    total: int, slots: _Slots, sizes: Sequence[int], ab: int, den: int
+) -> tuple[int, int]:
+    """Check the packed sums R of one class pair, whose pair counts are
+    ab*R/den (ab = |A||B|), as whole integers, and return (e, Q) with
+    e = den / gcd(den, ab): the sum at class g is e times the g-th slot
+    q_g of Q, and the pair count ab / gcd(den, ab) times it.
+
+    The sums must fit their slots; every count must be a nonnegative
+    integer (every R_g >= 0, and R = e*Q slot by slot); and the counts
+    must conserve mass: the sum over g of |C_g| * count(g) is ab, that is,
+    the sum of |C_g| * q_g is gcd(den, ab).  One exactness check per slot.
+    """
     global _EXACTNESS_CHECKS
-    counts = []
-    for r in sums:
-        num = sa * sb * r
-        if num < 0 or num % den:
-            from fractions import Fraction
+    width, offset, m = slots.width, slots.offset, len(sizes)
+    shifted = _shifted(slots, total)
+    unit = math.gcd(den, ab)
+    e = den // unit
+    quotient, rest = divmod(total, e)
+    # with the top bit of every slot of S + offset set, S is a plain
+    # base-2^w number whose slots are the R_g, each in [0, 2^(w-1)); a true
+    # quotient slot R_g/e is then below 2^(w-1)/e < 2^low.  Below 2^low, e
+    # times a slot stays below 2^w, so e*Q carries nothing from slot to
+    # slot and its slots are the R_g.  When e passes 2^(w-1), every R_g
+    # must be 0, and low = 0 asks Q = 0.
+    low = max(width - (e - 1).bit_length(), 0)
+    if shifted & offset != offset or rest or quotient & slots.ones * ((1 << width) - (1 << low)):
+        from fractions import Fraction
 
-            raise ConsistencyError(
-                f"pair count {Fraction(num, den)} is not a nonnegative integer"
-            )
-        counts.append(num // den)
-    total = sum(map(mul, sizes, counts))
-    if total != sa * sb:
-        raise ConsistencyError(f"pair counts give mass {total}, not |A||B| = {sa * sb}")
-    _EXACTNESS_CHECKS += len(counts)
-    return counts
+        r = next(x for x in _signed(slots, total) if x < 0 or ab * x % den)
+        raise ConsistencyError(f"pair count {Fraction(ab * r, den)} is not a nonnegative integer")
+    raw = quotient.to_bytes(width // 8 * m, "little")
+    digits = map(int.from_bytes, map(raw.__getitem__, slots.cuts), repeat("little"))
+    mass = sum(map(mul, sizes, digits))
+    if mass != unit:
+        raise ConsistencyError(f"pair counts give mass {mass * (ab // unit)}, not |A||B| = {ab}")
+    _EXACTNESS_CHECKS += m
+    return e, quotient
 
 
-def _pair_counts(n: int, ia: int, ib: int) -> tuple[_Lifted, list[int], list[int]]:
-    """The layout, the sums and the checked pair counts of one class pair."""
+def _pair_quotient(n: int, ia: int, ib: int) -> tuple[_Lifted, int, int]:
+    """The layout and the checked (e, Q) of one class pair (``_checked``)."""
     lay = _lifted(n)
-    sums = _pair_sums(lay, ia, ib)
-    sa, sb = lay.sizes[ia], lay.sizes[ib]
-    return lay, sums, _counted(sums, sa, sb, lay.scale * lay.order, lay.sizes)
+    ab = lay.sizes[ia] * lay.sizes[ib]
+    den = lay.scale * lay.order
+    return (lay, *_checked(_pair_sum(lay, ia, ib), lay.slots, lay.sizes, ab, den))
+
+
+_BITS = bytes.maketrans(b"\0\x80", b"01")
 
 
 def _compute_pair_mask(n: int, ia: int, ib: int) -> int:
     """The class bitmask of the product of the classes ia and ib: the
-    classes whose checked pair count is nonzero."""
-    _, _, counts = _pair_counts(n, ia, ib)
-    return sum(1 << jg for jg, count in enumerate(counts) if count)
+    classes whose checked pair count is nonzero.  Slot g of
+    Q + offset - ones has its top bit set exactly when q_g > 0; the
+    big-endian image of those bits, one top byte per slot, is the mask's
+    binary digits, class m-1 first."""
+    lay, _, quotient = _pair_quotient(n, ia, ib)
+    slots, nbytes = lay.slots, lay.slots.width // 8
+    bits = (quotient + slots.offset - slots.ones) & slots.offset
+    return int(bits.to_bytes(nbytes * len(lay.sizes), "big")[::nbytes].translate(_BITS), 2)
 
 
 def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
@@ -233,6 +284,9 @@ def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
 
     n = _check_same_n(a, b, g)
     idx = class_index(n)
-    lay, sums, counts = _pair_counts(n, idx[a], idx[b])
-    jg = idx[g]
-    return FrobeniusResult((a, b, g), Fraction(sums[jg], lay.scale), counts[jg])
+    ia, ib, jg = idx[a], idx[b], idx[g]
+    lay, e, quotient = _pair_quotient(n, ia, ib)
+    width = lay.slots.width
+    r = e * (quotient >> (width * jg) & ((1 << width) - 1))
+    count = lay.sizes[ia] * lay.sizes[ib] * r // (lay.scale * lay.order)
+    return FrobeniusResult((a, b, g), Fraction(r, lay.scale), count)

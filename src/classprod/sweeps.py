@@ -162,16 +162,30 @@ class FourClassReport(NamedTuple):
         """The rows of ``pairs`` (None: all; else some of ``self.pairs``,
         in their order), in row order: one group of equal least product at
         a time, sorted by the index-sorted quadruple.  Only that group is
-        held."""
-        order, masks, verdicts = self.order, self.masks, dict(self.verdicts)
+        held.
+
+        A pair's rows are built in order: with a <= b and the (c, d),
+        c <= d, in lexicographic order, a quadruple is the merge of the two
+        sorted pairs, and adding the same pair to pairs in sorted-lex order
+        keeps that order.  So sorting a group merges presorted runs."""
+        order, masks = self.order, self.masks
+        missed: dict[int, dict[int, int]] = {}  # the verdicts, per mask of AB
+        for (ab, cd), mask in self.verdicts:
+            missed.setdefault(ab, {})[cd] = mask
         for least, group_pairs in groupby(self.pairs if pairs is None else pairs, itemgetter(2)):
             group = []
             for p, q, _, _ in group_pairs:
-                a, b = order[p], order[q]
-                ab = masks[a][b]
+                a, b = sorted((order[p], order[q]))
+                by_cd = missed[masks[a][b]]
                 group.extend(
-                    (tuple(sorted((a, b, c, d))), least, verdicts[ab, masks[c][d]])
-                    for c, d in combinations_with_replacement(order[q:], 2)
+                    (
+                        (a, b, c, d) if b <= c
+                        else (c, d, a, b) if d <= a
+                        else tuple(sorted((a, b, c, d))),
+                        least,
+                        by_cd[masks[c][d]],
+                    )
+                    for c, d in combinations_with_replacement(sorted(order[q:]), 2)
                 )
             group.sort(key=itemgetter(0))
             yield group
@@ -214,12 +228,15 @@ class FourClassReport(NamedTuple):
         """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``
         and a newline to ``out`` without building the dict.  The totals
         are counted first, and the rows are written one group of equal
-        least product at a time.  A row of "quadruples" is one template
-        over the encoded names of its four classes and the text of the
-        rest of the row, cached per (least pair product, missing-class
-        mask), since few of those recur."""
+        least product at a time.  A row of "quadruples" joins the texts of
+        its four classes, built once per class for each of the three places
+        a class can take in the list (first, middle, last), and the text of
+        the rest of the row, built once per missing-class mask in a group,
+        since few of those recur."""
         names = [encode_basestring_ascii(c.name) for c in enumerate_alt_classes(self.n)]
-        tails: dict[tuple[int, int], str] = {}
+        first = [f'    {{\n      "classes": [\n        {name},\n' for name in names]
+        middle = [f"        {name},\n" for name in names]
+        last = [f"        {name}\n      ],\n" for name in names]
 
         def tail(least: int, mask: int) -> str:
             if mask:
@@ -242,16 +259,12 @@ class FourClassReport(NamedTuple):
         )
         separator = ""
         for group in self.groups():
-            texts = []
-            for (a, b, c, d), least, mask in group:
-                key = (least, mask)
-                end = tails.get(key)
-                if end is None:
-                    end = tails[key] = tail(least, mask)
-                texts.append(
-                    f'    {{\n      "classes": [\n        {names[a]},\n        {names[b]},\n'
-                    f"        {names[c]},\n        {names[d]}\n      ],\n{end}"
-                )
+            least = group[0][1]
+            ends = {mask: tail(least, mask) for mask in {row[2] for row in group}}
+            texts = [
+                f"{first[a]}{middle[b]}{middle[c]}{last[d]}{ends[mask]}"
+                for (a, b, c, d), _, mask in group
+            ]
             write(separator + ",\n".join(texts))
             separator = ",\n"
         write(("\n  ]" if total else "") + f',\n  "total": {total}\n}}\n')

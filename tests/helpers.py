@@ -4,7 +4,8 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from classprod.alt_group import AltClass
@@ -79,6 +80,60 @@ def column_orthogonality_holds(table) -> bool:
             if total != expect:
                 return False
     return True
+
+
+def unpacked_reference(slots, packed: int) -> list[int]:
+    """The signed slots of a packed sum, in class order, decoded one slot
+    at a time."""
+    nbytes, half = slots.width // 8, 1 << (slots.width - 1)
+    try:
+        raw = (packed + slots.offset).to_bytes(nbytes * len(slots.cuts), "little")
+    except OverflowError:
+        raise ConsistencyError(f"character sums overflow their {slots.width}-bit slots") from None
+    return [int.from_bytes(raw[s : s + nbytes], "little") - half for s in range(0, len(raw), nbytes)]
+
+
+def counted_reference(sums: list[int], sa: int, sb: int, den: int, sizes) -> list[int]:
+    """Pair counts sa*sb*R/den from the sums R of one class pair, checked
+    one at a time: each must be a nonnegative integer, and the counts must
+    conserve mass, sum over g of |C_g| * count(g) = sa*sb."""
+    counts = []
+    for r in sums:
+        num = sa * sb * r
+        if num < 0 or num % den:
+            raise ConsistencyError(f"pair count {Fraction(num, den)} is not a nonnegative integer")
+        counts.append(num // den)
+    total = sum(size * count for size, count in zip(sizes, counts))
+    if total != sa * sb:
+        raise ConsistencyError(f"pair counts give mass {total}, not |A||B| = {sa * sb}")
+    return counts
+
+
+def pair_reference(lay, total: int, ia: int, ib: int) -> tuple[list[int], list[int], int]:
+    """The sums, the pair counts and the class bitmask of the class pair
+    (ia, ib), from its packed sum ``total`` in the layout ``lay``, by the
+    per-slot decode and checks."""
+    sums = unpacked_reference(lay.slots, total)
+    sizes = lay.sizes
+    counts = counted_reference(sums, sizes[ia], sizes[ib], lay.scale * lay.order, sizes)
+    return sums, counts, sum(1 << g for g, count in enumerate(counts) if count)
+
+
+def four_class_groups_reference(report, pairs=None):
+    """``FourClassReport.groups`` by sorting: each row's quadruple sorted on
+    its own, then each group of equal least product sorted whole."""
+    order, masks, verdicts = report.order, report.masks, dict(report.verdicts)
+    for least, group_pairs in groupby(report.pairs if pairs is None else pairs, itemgetter(2)):
+        group = []
+        for p, q, _, _ in group_pairs:
+            a, b = order[p], order[q]
+            ab = masks[a][b]
+            group.extend(
+                (tuple(sorted((a, b, c, d))), least, verdicts[ab, masks[c][d]])
+                for c, d in combinations_with_replacement(order[q:], 2)
+            )
+        group.sort(key=itemgetter(0))
+        yield group
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,13 @@ from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
 from classprod.characters import character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.pair_sums import (
-    _counted,
+    _checked,
+    _compute_pair_mask,
     _layout,
     _lifted,
-    _pair_sums,
+    _pair_quotient,
+    _pair_sum,
+    _slots,
     exactness_check_count,
     frobenius_sum,
 )
@@ -45,7 +48,14 @@ from classprod.sweeps import (
     long_cycle_product_checks,
     verify_four_class_theorem,
 )
-from helpers import SWEEP_EPSILONS, frobenius_reference, qualifying_quadruples_reference
+from helpers import (
+    SWEEP_EPSILONS,
+    four_class_groups_reference,
+    frobenius_reference,
+    pair_reference,
+    qualifying_quadruples_reference,
+    unpacked_reference,
+)
 
 
 def test_frobenius_identity_triple():
@@ -403,25 +413,65 @@ def test_exactness_guards():
     assert d == 5
     bad = _layout(_table_with(5, i, j, (p, q - 2, d)))
     with pytest.raises(ConsistencyError, match=f"at class {j} kept a radical part"):
-        _pair_sums(bad, e, e)
+        _pair_sum(bad, e, e)
     # one that the pair brings in, on a class where the table is rational:
     # the same character given the value 1 (not 0) on the 3-cycles, with 5+ * 5+
     three = tbl.classes.index(AltClass((3, 1, 1)))
     assert tbl.values[i][three] == (0, 0, 1)
     bad = _layout(_table_with(5, i, three, (2, 0, 1)))
     with pytest.raises(ConsistencyError, match=f"at class {three} kept a radical part"):
-        _pair_sums(bad, j, j)
+        _pair_sum(bad, j, j)
     # sum of chi(1)**2 = |G|, scaled by 8L
-    assert _pair_sums(_lifted(5), e, e)[e] == 8 * math.lcm(*tbl.degrees) * 60
-    # counts 1*1*R/2 over classes of sizes 1 and 2: R = (2, 0) conserves
-    assert _counted([2, 0], 1, 1, 2, (1, 2)) == [1, 0]
+    lay = _lifted(5)
+    sums = unpacked_reference(lay.slots, _pair_sum(lay, e, e))
+    assert sums[e] == 8 * math.lcm(*tbl.degrees) * 60
+    # counts 1*1*R/2 over classes of sizes 1 and 2: R = (2, 0) conserves;
+    # e = 2 and Q = (1, 0)
+    before = exactness_check_count()
+    assert _checked(_packed(2, 0), _slots(8, 2), (1, 2), 1, 2) == (2, _packed(1, 0))
+    assert exactness_check_count() == before + 2
     with pytest.raises(ConsistencyError, match="nonnegative integer"):
-        _counted([1, 0], 1, 1, 2, (1, 2))  # count 1/2
+        _checked(_packed(1, 0), _slots(8, 2), (1, 2), 1, 2)  # count 1/2
     with pytest.raises(ConsistencyError, match="nonnegative integer"):
-        _counted([6, -2], 1, 1, 2, (1, 2))  # counts 3 and -1 conserve mass
+        _checked(_packed(6, -2), _slots(8, 2), (1, 2), 1, 2)  # counts 3 and -1 conserve mass
     before = exactness_check_count()
     frobenius_sum(identity_class(4), identity_class(4), identity_class(4))
     assert exactness_check_count() > before
+
+
+def _packed(*slots, width=8):
+    """Signed slot values packed as the layout packs them, class 0 lowest."""
+    return sum(x << (width * g) for g, x in enumerate(slots))
+
+
+def test_each_bit_check_refuses_a_sum_the_others_pass():
+    # each sum below passes every check but one, so dropping that check
+    # (or loosening it by one bit) lets it through as a mask
+    s8 = _slots(8, 2)
+    # the slots (-1, 1) read as (255, 0) without their signs: e = 1, and
+    # 255 = gcd(255, 255) conserves mass
+    assert _packed(-1, 1) == 255
+    with pytest.raises(ConsistencyError, match="pair count -1 is not"):
+        _checked(_packed(-1, 1), s8, (1, 1), 255, 255)
+    # e = 258 / gcd(258, 86) = 3 divides 258 = (2, 1) as a whole, giving
+    # Q = (86, 0), which conserves mass (86) but has 86 >= 2^(8 - 2): slot
+    # 0 holds 2, not a multiple of 3, and 3 * 86 carries into slot 1
+    with pytest.raises(ConsistencyError, match="pair count 2/3 is not"):
+        _checked(_packed(2, 1), s8, (1, 1), 86, 258)
+    # e = 2 leaves the remainder 1 of (3, 0); Q = (1, 0) conserves mass
+    with pytest.raises(ConsistencyError, match="pair count 3/2 is not"):
+        _checked(_packed(3, 0), s8, (1, 2), 1, 2)
+    # e = 200 past 2^7: no slot can hold a nonzero multiple, so every sum
+    # must be 0 (the integrality shift 8 - bit_length(199) is negative),
+    # and the sums that are all 0 fail on mass
+    with pytest.raises(ConsistencyError, match="pair count 1/200 is not"):
+        _checked(_packed(1, 0), s8, (1, 1), 1, 200)
+    with pytest.raises(ConsistencyError, match="mass 0"):
+        _checked(0, s8, (1, 1), 1, 200)
+    # past the top slot, or below 0
+    for total in (1 << 16, -(1 << 16)):
+        with pytest.raises(ConsistencyError, match="overflow their 8-bit slots"):
+            _checked(total, s8, (1, 1), 1, 1)
 
 
 def test_slots_too_narrow_for_the_sums_fail_loudly(monkeypatch):
@@ -434,19 +484,65 @@ def test_slots_too_narrow_for_the_sums_fail_loudly(monkeypatch):
     sound = _lifted(8)
     monkeypatch.setattr(pair_sums, "_slot_width", lambda weights, reach: 16)
     narrow = _layout(integer_table(8))
-    assert narrow.width == 16
+    assert narrow.slots.width == 16
     monkeypatch.setattr(pair_sums, "_lifted", lambda n: narrow)
     for a, b in combinations_with_replacement(range(len(sound.sizes)), 2):
-        assert 2**15 <= max(map(abs, _pair_sums(sound, a, b))) < 2 ** (sound.width - 1)
+        sums = unpacked_reference(sound.slots, _pair_sum(sound, a, b))
+        assert 2**15 <= max(map(abs, sums)) < 2 ** (sound.slots.width - 1)
         with pytest.raises(ConsistencyError):
             pair_sums._compute_pair_mask(8, a, b)
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_slots_one_byte_narrower_fail_loudly(n, monkeypatch):
+    # one byte below the width the layout chooses, every pair whose sums
+    # reach the narrower slots' bound raises; at n >= 8 that is one pair,
+    # whose identity sum 8L|G| overflows the top slot
+    import classprod.pair_sums as pair_sums
+
+    sound = _lifted(n)
+    width = pair_sums._slot_width
+    monkeypatch.setattr(pair_sums, "_slot_width", lambda weights, reach: width(weights, reach) - 8)
+    narrow = _layout(integer_table(n))
+    assert narrow.slots.width == sound.slots.width - 8
+    monkeypatch.setattr(pair_sums, "_lifted", lambda n: narrow)
+    reached = 0
+    for a, b in combinations_with_replacement(range(len(sound.sizes)), 2):
+        sums = unpacked_reference(sound.slots, _pair_sum(sound, a, b))
+        if max(map(abs, sums)) >= 2 ** (narrow.slots.width - 1):
+            reached += 1
+            with pytest.raises(ConsistencyError):
+                pair_sums._compute_pair_mask(n, a, b)
+    assert reached
+
+
 def test_pair_counts_must_conserve_mass():
     with pytest.raises(ConsistencyError, match="mass"):
-        _counted([2, 2], 1, 1, 2, (1, 2))  # 1*1 + 2*1 != 1*1
+        _checked(_packed(2, 2), _slots(8, 2), (1, 2), 1, 2)  # 1*1 + 2*1 != 1*1
     with pytest.raises(ConsistencyError, match="mass"):
-        _counted([0, 0], 1, 1, 2, (1, 2))
+        _checked(_packed(0, 0), _slots(8, 2), (1, 2), 1, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bit_checks_match_the_per_slot_reference(n):
+    # every pair's mask, sums and counts, against the slot-by-slot decode
+    # and checks; the oracle checks the masks only up to n = 8
+    lay = _lifted(n)
+    m, den = len(lay.sizes), lay.scale * lay.order
+    for a in range(m):
+        for b in range(m):
+            sums, counts, mask = pair_reference(lay, _pair_sum(lay, a, b), a, b)
+            assert _compute_pair_mask(n, a, b) == mask, (n, a, b)
+            _, e, quotient = _pair_quotient(n, a, b)
+            slots = unpacked_reference(lay.slots, quotient)
+            assert [e * q for q in slots] == sums, (n, a, b)
+            assert [lay.sizes[a] * lay.sizes[b] * e * q // den for q in slots] == counts, (n, a, b)
+            if n <= 8:
+                classes = enumerate_alt_classes(n)
+                for g, cls in enumerate(classes):
+                    result = frobenius_sum(classes[a], classes[b], cls)
+                    assert result.sum_value == Fraction(sums[g], lay.scale), (n, a, b, g)
+                    assert result.pair_count == counts[g], (n, a, b, g)
 
 
 def test_lifted_layout_rebuilds_the_table():
@@ -554,6 +650,31 @@ def test_four_class_counts_and_streams_agree(n, monkeypatch):
         leasts = [group[0][1] for group in groups]
         assert all(row[1] == least for group, least in zip(groups, leasts) for row in group)
         assert leasts == sorted(set(leasts), reverse=True), (n, epsilon)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_four_class_rows_match_the_sorted_reference(n, monkeypatch):
+    # the rows merged from index-sorted pairs are the rows sorted one by
+    # one, and each pair's rows come out in order before its group is sorted
+    import classprod.sweeps as sweeps
+    from operator import itemgetter
+
+    built = []
+
+    def recording(i):
+        # the group sort's key reads each row once, in the order it was built
+        return (lambda row: built.append(row[0]) or row[0]) if i == 0 else itemgetter(i)
+
+    for epsilon in SWEEP_EPSILONS:
+        report = verify_four_class_theorem(n, epsilon)
+        assert list(report.groups()) == list(four_class_groups_reference(report)), (n, epsilon)
+        for pair in report.pairs:
+            built.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(sweeps, "itemgetter", recording)
+                rows = list(report.groups([pair]))
+            assert rows == list(four_class_groups_reference(report, [pair])), (n, epsilon, pair)
+            assert len(built) == len(rows[0]) and built == sorted(built), (n, epsilon, pair)
 
 
 def test_package_names_resolve_on_first_read():
@@ -702,8 +823,6 @@ def test_parallel_fill_counts_worker_exactness_checks():
     # accepted and the fill is serial, so each check is counted where it ran
     import subprocess
     import sys
-
-    from classprod.pair_sums import _compute_pair_mask
 
     code = (
         "from classprod.alt_group import enumerate_alt_classes\n"
