@@ -12,7 +12,6 @@ no sweep's output code either.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -28,7 +27,6 @@ from .alt_group import (
     enumerate_alt_classes,
     is_exceptional,
     long_cycle_classes,
-    power_at_least,
 )
 from .errors import UsageError
 from .partitions import format_partition
@@ -57,12 +55,7 @@ class DvirRodgersReport(NamedTuple):
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs_checked": self.pairs_checked,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
+        return {**self._asdict(), "passed": self.passed}
 
     def text_lines(self) -> list[str]:
         lines = [
@@ -71,16 +64,6 @@ class DvirRodgersReport(NamedTuple):
         ]
         lines += [f"VIOLATION: {a} * {b} misses {g}" for a, b, g in self.violations]
         return lines
-
-
-def _type_masks(n: int) -> list[tuple[str, AltClass, int]]:
-    """Even cycle types as (name, one class of the type, class bitmask)
-    triples; a split type contributes the union of its two classes,
-    matching the classes of Sym(n) that lie inside Alt(n)."""
-    return [
-        (format_partition(ct), group[0], _mask_of(n, group))
-        for ct, group in classes_by_type(n).items()
-    ]
 
 
 def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodgersReport:
@@ -95,9 +78,13 @@ def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodge
         raise UsageError("the long-cycle inclusion sweep needs n >= 3")
     idx = class_index(n)
     targets = [(c.name, idx[c]) for c in long_cycle_classes(n)]
+    types = [
+        (format_partition(ct), group[0], _mask_of(n, group))
+        for ct, group in classes_by_type(n).items()
+    ]
     qualifying = [
         (t1, t2)
-        for t1, t2 in combinations_with_replacement(_type_masks(n), 2)
+        for t1, t2 in combinations_with_replacement(types, 2)
         if dvir_rodgers_applies(t1[1], t2[1])
     ]
     alg = _algebra(n, mode)
@@ -213,15 +200,7 @@ class FourClassReport(NamedTuple):
             "mode": self.mode,
             "total": self.total,
             "covered": self.covered_count,
-            "quadruples": [
-                {
-                    "classes": list(quad.classes),
-                    "min_pair_product": quad.min_pair_product,
-                    "covered": quad.covered,
-                    "missing": list(quad.missing),
-                }
-                for quad in self.quadruples
-            ],
+            "quadruples": [quad._asdict() for quad in self.quadruples],
         }
 
     def write_json(self, out: TextIO) -> None:
@@ -335,15 +314,16 @@ def verify_four_class_theorem(
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
     m = len(sizes)
     order = sorted(range(m), key=lambda i: (sizes[i], i))
-    group_order = math.factorial(n) // 2
-    reaches = lru_cache(maxsize=None)(lambda p: power_at_least(p, group_order, 1 + epsilon))
+    # a size product x reaches (n!/2)**(num/den) iff x**den >= (n!/2)**num
+    exponent = 1 + epsilon
+    den, bound = exponent.denominator, (math.factorial(n) // 2) ** exponent.numerator
     pairs = []
     for q, b in enumerate(order):
-        if reaches(sizes[b] * sizes[b]):  # else no (p, q) does
+        if (sizes[b] * sizes[b]) ** den >= bound:  # else no (p, q) does
             pairs.extend(
                 (p, q, sizes[a] * sizes[b])
                 for p, a in enumerate(order[: q + 1])
-                if reaches(sizes[a] * sizes[b])
+                if (sizes[a] * sizes[b]) ** den >= bound
             )
     pairs.sort(key=lambda pair: -pair[2])
     alg = _algebra(n, mode)
@@ -381,13 +361,6 @@ class ProductCheckCase(NamedTuple):
     passed: bool
     missing: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "passed": self.passed,
-            "missing": list(self.missing),
-        }
-
 
 class ProductCheckPart(NamedTuple):
     part: int
@@ -400,10 +373,9 @@ class ProductCheckPart(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "part": self.part,
-            "statement": self.statement,
+            **self._asdict(),
+            "cases": [c._asdict() for c in self.cases],
             "passed": self.passed,
-            "cases": [c.to_dict() for c in self.cases],
         }
 
 

@@ -135,6 +135,23 @@ def test_excon_command(capsys):
     assert [p["part"] for p in payload["parts"]] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "n, sha256",
+    [
+        (3, "edb778b8f46324112b09e8703f09054ffeba65d481f865aa5b3f0a8b6b220c28"),
+        (4, "ed2aa15f1ce31362e114b17b947118acd4da81d8100ef6f2484f90cb298f7f24"),
+    ],
+)
+def test_excon_json_with_failing_cases_is_unchanged(capsys, n, sha256):
+    # every part fails at n = 3 and 4, so each part's "passed" and each
+    # case's "missing" are written; digests of the payload as it was when
+    # to_dict named every key
+    code, out, _ = run_cli(capsys, "excon", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert not any(part["passed"] for part in json.loads(out)["parts"])
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_delta_report_command(capsys):
     code, out, _ = run_cli(
         capsys, "delta-report", "--n", "8", "--gamma", "1/2", "--format", "json"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from classprod.alt_group import (
+    EXPONENT_MAX_PART,
     AltClass,
     NormalSet,
     class_size,
@@ -16,6 +18,7 @@ from classprod.alt_group import (
     inverse_class,
     long_cycle_classes,
     long_cycle_type,
+    power_at_least,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
 from classprod.characters import character_table, integer_table, parse_char
@@ -42,6 +45,7 @@ from classprod.product_engine import (
 )
 from classprod.quadvalue import QuadValue
 from classprod.sweeps import (
+    DvirRodgersReport,
     QuadrupleVerdict,
     check_dvir_rodgers,
     dvir_rodgers_applies,
@@ -277,6 +281,16 @@ def test_serial_dvir_sweep_computes_only_the_masks_it_asks_for():
     assert proc.stdout.split() == ["49"]
 
 
+def test_dvir_report_with_a_violation_dumps_its_fields_and_passed():
+    # no sweep at n <= 12 has a violation, so the report is built by hand;
+    # the text is what the report dumped when to_dict named every key
+    report = DvirRodgersReport(8, 3, (("8+", "2,2,2,2", "7+"),))
+    assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == (
+        '{\n  "n": 8,\n  "pairs_checked": 3,\n  "passed": false,\n  "violations": [\n'
+        '    [\n      "8+",\n      "2,2,2,2",\n      "7+"\n    ]\n  ]\n}'
+    )
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_long_cycle_sweeps_need_n_at_least_3(n):
     with pytest.raises(UsageError, match="n >= 3"):
@@ -387,6 +401,37 @@ def test_four_class_report_names_its_rows_and_compares_by_value():
 def test_four_class_sweep_huge_epsilon_is_empty():
     report = verify_four_class_theorem(7, Fraction(5))
     assert report.quadruples == ()
+
+
+# epsilons whose parts reach EXPONENT_MAX_PART, and two far below it
+CAP_EPSILONS = [
+    Fraction(1, 100), Fraction(1, 10), Fraction(99, 100), Fraction(100, 99), Fraction(100), Fraction(37, 41)
+]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_four_class_pairs_match_power_at_least_at_the_exponent_cap(n):
+    # the sweep tests x >= (n!/2)**(1+epsilon) as one integer bound; every
+    # size-order position pair p <= q filtered by power_at_least must give
+    # the same pairs, up to the engine's cap n = 14 (the quadruple reference
+    # stops at n = 12)
+    assert max(max(e.numerator, e.denominator) for e in CAP_EPSILONS) == EXPONENT_MAX_PART
+    sizes = [class_size(c) for c in enumerate_alt_classes(n)]
+    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    group_order = math.factorial(n) // 2
+    for epsilon in CAP_EPSILONS:
+        report = verify_four_class_theorem(n, epsilon)
+        expected = {
+            (p, q, sizes[order[p]] * sizes[order[q]])
+            for q in range(len(order))
+            for p in range(q + 1)
+            if power_at_least(sizes[order[p]] * sizes[order[q]], group_order, 1 + epsilon)
+        }
+        pairs = [pair[:3] for pair in report.pairs]
+        assert report.order == tuple(order), (n, epsilon)
+        assert len(pairs) == len(expected) and set(pairs) == expected, (n, epsilon)
+        leasts = [least for _, _, least in pairs]
+        assert leasts == sorted(leasts, reverse=True), (n, epsilon)
 
 
 def test_four_class_sweep_matches_oracle_n7():
