@@ -1,13 +1,17 @@
-"""Scale smoke test of the four-class sweep.
+"""Scale smoke test of the four-class sweep and the delta report.
 
-Runs five ``verify-theorem`` commands beyond the catalogue, each as a child
-process (``python -m classprod.cli`` with ``src`` on the path): text mode
-twice at n = 14, JSON at n = 13, whose 68,630,641 bytes check the JSON
-writer, and both formats at n = 11, epsilon = 1/10, whose one uncovered
-row runs the JSON writer's branch for a row that misses a class, which no
-catalogue argv reaches.  Each child must exit 0 within 120 s and print the stdout recorded
-for it (compared by sha256, hashed in chunks as it streams, so this script
-never holds it), and the peak RSS must stay at or below 100 MB.  The peak
+Runs eight commands beyond the catalogue, each as a child process
+(``python -m classprod.cli`` with ``src`` on the path).  Five are
+``verify-theorem``: text mode twice at n = 14, JSON at n = 13, whose
+68,630,641 bytes check the JSON writer, and both formats at n = 11,
+epsilon = 1/10, whose one uncovered row runs the JSON writer's branch for
+a row that misses a class, which no catalogue argv reaches.  Three are
+``delta-report`` at its cap, n = 40: gamma = 99/100 (the largest
+exponent parts) in JSON, and gamma = 1/2 in both formats: each of the
+18,738 classes of Alt(40) is tested against the size threshold.  Each
+child must exit 0 within 120 s and print the stdout recorded for it
+(compared by sha256, hashed in chunks as it streams, so this script never
+holds it), and the peak RSS must stay at or below 100 MB.  The peak
 is ``ru_maxrss`` from ``resource.getrusage(RUSAGE_CHILDREN)``, read after
 each child.  This script starts no other child, so after a later child
 that figure is the largest of the children's peaks so far, not that
@@ -48,6 +52,13 @@ EXPECTED = {
         "f9fdbbec8e171a7853c6eb5cca7489185f22f745923628cea89792a963bb4a72",
     ("verify-theorem", "--n", "11", "--epsilon", "1/10", "--format", "text"):
         "62947ace5c68d907dca831147c1517cf45723cfe3b610477a6568e36c277cb29",
+    # the delta report at CHAR_MAX_N = 40; no catalogue argv runs it
+    ("delta-report", "--n", "40", "--gamma", "99/100", "--format", "json"):
+        "feff8c5c2ce1cc9ec522a2e0f185e7c13e7f0a38258ba953187cf275978ade6f",
+    ("delta-report", "--n", "40", "--gamma", "1/2", "--format", "json"):
+        "fa44c632b576c1f99139396748e784e181a7589e5ecb8217893bf286c3b21538",
+    ("delta-report", "--n", "40", "--gamma", "1/2"):
+        "6bddadffdc2aaf9a91c62a2265e3118d016e151dc4ca3ed5c463b244394af240",
 }
 TIMEOUT_S = 120
 MAX_RSS_MB = 100

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .errors import CapabilityError, UsageError
 from .partitions import (
@@ -256,7 +256,7 @@ EXPONENT_MAX_PART = 100
 
 def check_exponent_parts(value: Fraction, name: str) -> None:
     """Reject a threshold exponent whose numerator or denominator exceeds
-    EXPONENT_MAX_PART: power_at_least raises integers to both, so larger
+    EXPONENT_MAX_PART: size_at_least raises integers to both, so larger
     parts would make one size comparison run for minutes."""
     if max(value.numerator, value.denominator) > EXPONENT_MAX_PART:
         raise UsageError(
@@ -264,17 +264,14 @@ def check_exponent_parts(value: Fraction, name: str) -> None:
         )
 
 
-def power_at_least(value: int, base: int, exponent: Fraction) -> bool:
-    """Exact test of value >= base**exponent via cross-multiplied integer
-    powers; value, base >= 1 and exponent > 0."""
-    from fractions import Fraction
-
-    if value < 1 or base < 1:
-        raise ValueError("power comparison needs positive integers")
-    exponent = Fraction(exponent)
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    return value**exponent.denominator >= base**exponent.numerator
+def size_at_least(base: int, exponent: Fraction) -> Callable[[int], bool]:
+    """The exact test x >= base**exponent of a size x, as x**den >= bound
+    with num/den = exponent (an int or a Fraction) and bound = base**num
+    computed once; base >= 1 and exponent > 0."""
+    if base < 1 or exponent <= 0:
+        raise UsageError("a size threshold needs a base >= 1 and an exponent > 0")
+    den, bound = exponent.denominator, base**exponent.numerator
+    return lambda x: x**den >= bound
 
 
 class DeltaBoundRow(NamedTuple):
@@ -285,13 +282,9 @@ class DeltaBoundRow(NamedTuple):
     minimal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.cls.name,
-            "size": self.size,
-            "delta": self.delta,
-            "ratio": str(self.ratio),
-            "minimal": self.minimal,
-        }
+        fields = self._asdict()
+        fields["class"] = fields.pop("cls").name
+        return {**fields, "ratio": str(self.ratio)}
 
 
 class DeltaBoundReport(NamedTuple):
@@ -304,10 +297,11 @@ class DeltaBoundReport(NamedTuple):
         return min((r.ratio for r in self.rows), default=None)
 
     def to_dict(self) -> dict:
+        least = self.min_ratio
         return {
-            "n": self.n,
+            **self._asdict(),
             "gamma": str(self.gamma),
-            "min_ratio": None if self.min_ratio is None else str(self.min_ratio),
+            "min_ratio": None if least is None else str(least),
             "rows": [r.to_dict() for r in self.rows],
         }
 
@@ -327,19 +321,9 @@ def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
     if n < 2:
         raise UsageError("delta report needs n >= 2")
     check_exponent_parts(gamma, "gamma")
-    order = math.factorial(n) // 2
-    rows = []
-    for cls in enumerate_alt_classes(n):
-        size = class_size(cls)
-        if not power_at_least(size, order, gamma):
-            continue
-        rows.append((cls, size, delta(cls), Fraction(delta(cls), n)))
-    min_ratio = min((r[3] for r in rows), default=None)
-    return DeltaBoundReport(
-        n,
-        gamma,
-        tuple(
-            DeltaBoundRow(cls, size, d, ratio, ratio == min_ratio)
-            for cls, size, d, ratio in rows
-        ),
-    )
+    reaches = size_at_least(math.factorial(n) // 2, gamma)
+    classes = enumerate_alt_classes(n)
+    kept = [(c, s, delta(c)) for c, s in zip(classes, map(class_size, classes)) if reaches(s)]
+    least = min((d for _, _, d in kept), default=None)  # delta/n is least where delta is
+    rows = tuple(DeltaBoundRow(c, s, d, Fraction(d, n), d == least) for c, s, d in kept)
+    return DeltaBoundReport(n, gamma, rows)

@@ -74,7 +74,7 @@ def check_oracle_n(n: int) -> None:
 def compose(p: Perm, q: Perm) -> Perm:
     """Right-to-left product: apply q first, then p."""
     if len(p) != len(q):
-        raise ValueError("permutations act on different point sets")
+        raise UsageError("permutations act on different point sets")
     return tuple(map(p.__getitem__, q))
 
 

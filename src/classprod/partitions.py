@@ -126,7 +126,7 @@ def diagonal_hook_partition(lam: Partition) -> Partition:
     lengths drop by at least 2 down the diagonal).
     """
     if not is_self_adjoint(lam):
-        raise ValueError(f"diagonal hooks require a self-adjoint partition, got {lam}")
+        raise UsageError(f"diagonal hooks require a self-adjoint partition, got {lam}")
     parts = []
     for i, p in enumerate(lam):
         if p <= i:

@@ -27,6 +27,7 @@ from .alt_group import (
     enumerate_alt_classes,
     is_exceptional,
     long_cycle_classes,
+    size_at_least,
 )
 from .errors import UsageError
 from .partitions import format_partition
@@ -314,16 +315,14 @@ def verify_four_class_theorem(
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
     m = len(sizes)
     order = sorted(range(m), key=lambda i: (sizes[i], i))
-    # a size product x reaches (n!/2)**(num/den) iff x**den >= (n!/2)**num
-    exponent = 1 + epsilon
-    den, bound = exponent.denominator, (math.factorial(n) // 2) ** exponent.numerator
+    reaches = size_at_least(math.factorial(n) // 2, 1 + epsilon)
     pairs = []
     for q, b in enumerate(order):
-        if (sizes[b] * sizes[b]) ** den >= bound:  # else no (p, q) does
+        if reaches(sizes[b] * sizes[b]):  # else no (p, q) does
             pairs.extend(
                 (p, q, sizes[a] * sizes[b])
                 for p, a in enumerate(order[: q + 1])
-                if (sizes[a] * sizes[b]) ** den >= bound
+                if reaches(sizes[a] * sizes[b])
             )
     pairs.sort(key=lambda pair: -pair[2])
     alg = _algebra(n, mode)

@@ -264,12 +264,24 @@ SWEEP_EPSILONS = [
 ]
 
 
+def power_at_least(value: int, base: int, exponent: Fraction) -> bool:
+    """Exact test of value >= base**exponent via cross-multiplied integer
+    powers, recomputed on each call; value, base >= 1 and exponent > 0.
+    The reference that the package's size_at_least is compared against."""
+    if value < 1 or base < 1:
+        raise ValueError("power comparison needs positive integers")
+    exponent = Fraction(exponent)
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    return value**exponent.denominator >= base**exponent.numerator
+
+
 def qualifying_quadruples_reference(n: int, epsilons) -> list[list]:
     """The four-class sweep's quadruples by the direct filter, for each
     epsilon: every class quadruple whose least pairwise size product (that
     of its two smallest classes) reaches (n!/2)**(1+epsilon), with that
     product, in descending product order."""
-    from classprod.alt_group import class_size, enumerate_alt_classes, power_at_least
+    from classprod.alt_group import class_size, enumerate_alt_classes
 
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
     least = []

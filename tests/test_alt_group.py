@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from classprod.alt_group import (
+    EXPONENT_MAX_PART,
     AltClass,
     NormalSet,
     centralizer_order_sym,
@@ -20,12 +21,14 @@ from classprod.alt_group import (
     long_cycle_type,
     parse_class,
     parse_class_or_union,
-    power_at_least,
+    size_at_least,
 )
 from classprod.characters import AltChar, alt_irreducibles, character_table
 from classprod.errors import UsageError
 from classprod.partitions import enumerate_partitions
 from classprod.sweeps import verify_four_class_theorem
+
+from helpers import power_at_least
 
 
 def double_factorial(n):
@@ -204,12 +207,17 @@ def test_record_reprs_are_unchanged():
 
 
 def test_power_at_least():
-    assert power_at_least(4, 2, Fraction(2))
-    assert not power_at_least(3, 2, Fraction(2))
-    assert power_at_least(3, 9, Fraction(1, 2))
-    assert not power_at_least(2, 9, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        power_at_least(3, 2, Fraction(0))
+    # the package's size rule, size_at_least(base, exponent)(value), on the
+    # cases that pinned the tests' reference power_at_least
+    cases = [(4, 2, Fraction(2), True), (3, 2, Fraction(2), False),
+             (3, 9, Fraction(1, 2), True), (2, 9, Fraction(1, 2), False)]
+    for value, base, exponent, expected in cases:
+        assert size_at_least(base, exponent)(value) is expected
+        assert power_at_least(value, base, exponent) is expected
+    for base, exponent in ((2, Fraction(0)), (2, Fraction(-1, 2)), (0, Fraction(1, 2))):
+        with pytest.raises(ValueError) as exc:
+            size_at_least(base, exponent)
+        assert type(exc.value) is UsageError
 
 
 def test_delta_bound_report_thresholds():
@@ -233,6 +241,22 @@ def test_delta_bound_report_n8_half():
     for row in report.rows:
         assert row.size * row.size >= math.factorial(8) // 2
     assert report.min_ratio == Fraction(1, 4)
+
+
+# gammas whose parts reach EXPONENT_MAX_PART, and three below it
+CAP_GAMMAS = [Fraction(1, 100), Fraction(1, 2), Fraction(2, 3), Fraction(37, 41), Fraction(99, 100)]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_delta_bound_report_matches_power_at_least_at_the_exponent_cap(n):
+    # the report keeps exactly the classes that the reference power_at_least
+    # passes, in class order
+    assert max(max(g.numerator, g.denominator) for g in CAP_GAMMAS) == EXPONENT_MAX_PART
+    classes = enumerate_alt_classes(n)
+    group_order = math.factorial(n) // 2
+    for gamma in CAP_GAMMAS:
+        expected = [c for c in classes if power_at_least(class_size(c), group_order, gamma)]
+        assert [r.cls for r in delta_bound_report(n, gamma).rows] == expected, (n, gamma)
 
 
 def test_delta_bound_report_rejects_bad_gamma():

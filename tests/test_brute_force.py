@@ -64,10 +64,12 @@ def test_compose_convention():
 
 
 def test_compose_refuses_mismatched_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         compose((0, 1, 2), (0, 1))
-    with pytest.raises(ValueError):
+    assert type(exc.value) is UsageError
+    with pytest.raises(ValueError) as exc:
         compose((0, 1), (0, 1, 2))
+    assert type(exc.value) is UsageError
 
 
 def test_compose_is_associative():

@@ -163,6 +163,31 @@ def test_delta_report_command(capsys):
     assert "7,1+" in names
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("--n", "8", "--gamma", "1/2", "--format", "json"),
+            "eed5ec578f6e91888ade1ce6fb08c95ac108833aa7e7b6e5c12f4fe8b83e4128",
+        ),
+        (
+            ("--n", "12", "--gamma", "3/4"),
+            "d7cc0d32d75229c4d155f4b6fd5a9e01ce047a5ce5519545d24cba42952f13ff",
+        ),
+        (
+            ("--n", "12", "--gamma", "3/4", "--format", "json"),
+            "2b15dcde4a46fca0cb3f4c77756c03f7a47c1856cd1b07138e12f977e51aad35",
+        ),
+    ],
+)
+def test_delta_report_output_is_unchanged(capsys, argv, sha256):
+    # digests of the output as it was when DeltaBoundRow.to_dict named
+    # every key
+    code, out, _ = run_cli(capsys, "delta-report", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_theorem_deterministic(capsys):
     args = ["verify-theorem", "--n", "6", "--epsilon", "1/10", "--format", "json"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -58,8 +58,9 @@ def test_diagonal_hook_partition_examples():
 
 
 def test_diagonal_hook_partition_rejects_non_self_adjoint():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         diagonal_hook_partition((3, 1))
+    assert type(exc.value) is UsageError
 
 
 def test_diagonal_hook_parts_distinct_odd_up_to_30():

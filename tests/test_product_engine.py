@@ -18,7 +18,6 @@ from classprod.alt_group import (
     inverse_class,
     long_cycle_classes,
     long_cycle_type,
-    power_at_least,
 )
 from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
 from classprod.characters import character_table, integer_table, parse_char
@@ -57,6 +56,7 @@ from helpers import (
     four_class_groups_reference,
     frobenius_reference,
     pair_reference,
+    power_at_least,
     qualifying_quadruples_reference,
     unpacked_reference,
 )
