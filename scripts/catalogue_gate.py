@@ -4,9 +4,11 @@ Runs each argv of ``perfbench/catalogue.json`` as a fresh process
 (``python -m classprod.cli ARGV`` with ``src`` on the path), as many at a
 time as there are cores, and checks its exit code and stdout with
 ``perfbench/workloads.gate``: the sha256 recorded for that argv, plus the
-workload's structural checks.  A command still running after 120 s is
-killed and fails.  Prints each failure, in catalogue order, and a summary
-line; exits 1 if any command fails.
+workload's structural checks.  A command that exits 0 must also leave
+stderr empty, so a warning or a traceback printed on the way out fails
+it.  A command still running after 120 s is killed and fails.  Prints
+each failure, in catalogue order, and a summary line; exits 1 if any
+command fails.
 
     python scripts/catalogue_gate.py
 """
@@ -40,7 +42,10 @@ def main() -> int:
             )
         except subprocess.TimeoutExpired:
             return f"still running after {TIMEOUT_S} s"
-        return gate(entry, proc.returncode, proc.stdout)
+        why = gate(entry, proc.returncode, proc.stdout)
+        if not why and proc.returncode == 0 and proc.stderr:
+            why = f"exit code 0 with stderr: {proc.stderr.decode(errors='replace').strip()}"
+        return why
 
     failed = 0
     with ThreadPoolExecutor(os.cpu_count()) as pool:

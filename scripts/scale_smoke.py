@@ -9,9 +9,10 @@ a row that misses a class, which no catalogue argv reaches.  Three are
 ``delta-report`` at its cap, n = 40: gamma = 99/100 (the largest
 exponent parts) in JSON, and gamma = 1/2 in both formats: each of the
 18,738 classes of Alt(40) is tested against the size threshold.  Each
-child must exit 0 within 120 s and print the stdout recorded for it
-(compared by sha256, hashed in chunks as it streams, so this script never
-holds it), and the peak RSS must stay at or below 100 MB.  The peak
+child must exit 0 within 120 s, leave stderr empty (a warning or a
+traceback printed on the way out fails it) and print the stdout recorded
+for it (compared by sha256, hashed in chunks as it streams, so this
+script never holds it), and the peak RSS must stay at or below 100 MB.  The peak
 is ``ru_maxrss`` from ``resource.getrusage(RUSAGE_CHILDREN)``, read after
 each child.  This script starts no other child, so after a later child
 that figure is the largest of the children's peaks so far, not that
@@ -89,7 +90,7 @@ def run(argv: tuple[str, ...], env: dict) -> tuple[int, str, str] | None:
                 digest.update(chunk)
         code = proc.wait()  # its stdout is closed: it has exited or is exiting
         err.seek(0)
-        return code, digest.hexdigest(), err.read().decode(errors="replace").strip()
+        return code, digest.hexdigest(), err.read().decode(errors="replace")
 
 
 def main() -> int:
@@ -103,7 +104,10 @@ def main() -> int:
             return 1
         code, digest, stderr = result
         if code != 0:
-            print(f"FAIL {command}: exit code {code}: {stderr}")
+            print(f"FAIL {command}: exit code {code}: {stderr.strip()}")
+            return 1
+        if stderr:
+            print(f"FAIL {command}: exit code 0 with stderr: {stderr.strip()}")
             return 1
         if digest != sha256:
             print(f"FAIL {command}: stdout sha256 {digest}, expected {sha256}")

@@ -256,8 +256,9 @@ EXPONENT_MAX_PART = 100
 
 def check_exponent_parts(value: Fraction, name: str) -> None:
     """Reject a threshold exponent whose numerator or denominator exceeds
-    EXPONENT_MAX_PART: size_at_least raises integers to both, so larger
-    parts would make one size comparison run for minutes."""
+    EXPONENT_MAX_PART: size_at_least raises the base to the numerator and
+    takes the root of that power by the denominator, so larger parts would
+    make one size threshold run for minutes."""
     if max(value.numerator, value.denominator) > EXPONENT_MAX_PART:
         raise UsageError(
             f"{name} {value}: numerator and denominator must be at most {EXPONENT_MAX_PART}"
@@ -265,13 +266,17 @@ def check_exponent_parts(value: Fraction, name: str) -> None:
 
 
 def size_at_least(base: int, exponent: Fraction) -> Callable[[int], bool]:
-    """The exact test x >= base**exponent of a size x, as x**den >= bound
-    with num/den = exponent (an int or a Fraction) and bound = base**num
-    computed once; base >= 1 and exponent > 0."""
+    """The exact test x >= base**exponent of an integer size x, as x >= t
+    with num/den = exponent (an int or a Fraction) and t the least integer
+    with t**den >= base**num, computed once; base >= 1 and exponent > 0."""
     if base < 1 or exponent <= 0:
         raise UsageError("a size threshold needs a base >= 1 and an exponent > 0")
     den, bound = exponent.denominator, base**exponent.numerator
-    return lambda x: x**den >= bound
+    # Newton's iteration from above ends at the floor of the den-th root
+    t = 1 << -(-bound.bit_length() // den)
+    while (step := ((den - 1) * t + bound // t ** (den - 1)) // den) < t:
+        t = step
+    return (t if t**den == bound else t + 1).__le__
 
 
 class DeltaBoundRow(NamedTuple):

@@ -1,7 +1,9 @@
 """Command-line surface: every engine capability, reproducible output.
 
 This module parses, dispatches and prints; each sweep's report renders
-its own output (``classprod.sweeps``).
+its own output (``classprod.sweeps``).  One table, ``_COMMANDS``, holds
+each command's handler, help text, options (``--mode`` and ``--jobs``
+among them) and cap on n, which ``main`` checks before the handler runs.
 
 Exit codes: 0 success, 1 usage error (or a stdout closed by its reader),
 2 internal consistency failure (an exactness invariant broke, or engine
@@ -107,7 +109,6 @@ def _normal_set(names: list[str], n: int) -> NormalSet:
 
 
 def _cmd_partitions(args):
-    check_n(args.n, PARTITION_MAX_N, "partition listing")
     parts = enumerate_partitions(args.n)
     return (
         {"n": args.n, "count": len(parts), "partitions": [list(p) for p in parts]},
@@ -121,7 +122,6 @@ def _cmd_degree(args):
     lam = parse_partition(args.partition)
     if sum(lam) != args.n:
         raise UsageError(f"{args.partition!r} is not a partition of {args.n}")
-    check_n(args.n, CHAR_MAX_N, "degree computation")
     d = degree(lam)
     return {"n": args.n, "partition": list(lam), "degree": d}, [str(d)]
 
@@ -129,7 +129,6 @@ def _cmd_degree(args):
 def _cmd_char_value(args):
     from .characters import alt_value, parse_char
 
-    check_n(args.n, CHAR_MAX_N, "character evaluation")
     psi = parse_char(args.char)
     if psi.n != args.n:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
@@ -148,27 +147,19 @@ def _cmd_char_value(args):
 
 
 def _cmd_classes(args):
-    check_n(args.n, CHAR_MAX_N, "class listing")
-    classes = enumerate_alt_classes(args.n)
     rows = [
-        (c.name, class_size(c), delta(c), "yes" if is_exceptional(c.cycle_type) else "no")
-        for c in classes
-    ]
-    return (
         {
-            "n": args.n,
-            "count": len(classes),
-            "classes": [
-                {
-                    "name": name,
-                    "size": size,
-                    "delta": d,
-                    "exceptional": exc == "yes",
-                }
-                for name, size, d, exc in rows
-            ],
-        },
-        _table(rows, ("class", "size", "delta", "exceptional")),
+            "name": c.name,
+            "size": class_size(c),
+            "delta": delta(c),
+            "exceptional": is_exceptional(c.cycle_type),
+        }
+        for c in enumerate_alt_classes(args.n)
+    ]
+    table = [(r["name"], r["size"], r["delta"], "yes" if r["exceptional"] else "no") for r in rows]
+    return (
+        {"n": args.n, "count": len(rows), "classes": rows},
+        _table(table, ("class", "size", "delta", "exceptional")),
     )
 
 
@@ -254,7 +245,6 @@ def _cmd_excon(args):
 
 
 def _cmd_delta_report(args):
-    check_n(args.n, CHAR_MAX_N, "delta report")
     report = delta_bound_report(args.n, _parse_fraction(args.gamma))
     rows = [
         (r.cls.name, r.size, r.delta, str(r.ratio), "*" if r.minimal else "")
@@ -272,63 +262,81 @@ def _cmd_delta_report(args):
 
 
 class _Command(NamedTuple):
-    """A subcommand: beyond ``--n`` and ``--format``, its ``options``; an
-    engine command also takes ``--mode`` and is held to ENGINE_MAX_N
-    before its handler runs, and a sweep takes ``--jobs``.  The handler
-    returns the JSON payload and the text lines, or None once it has
-    written its own output."""
+    """A subcommand: its ``handler`` (it returns the JSON payload and the
+    text lines, or None once it has written its own output), ``help``, the
+    ``options`` beyond ``--n`` and ``--format`` (``add_argument`` keywords
+    by flag) and the ``cap``: the largest n and the name a refusal gives
+    it, or None for no cap, which ``main`` checks before the handler runs."""
 
     handler: Callable
     help: str
     options: dict = {}
-    engine: bool = False
-    sweep: bool = False
+    cap: Optional[tuple[int, str]] = None
 
+
+# the options the engine commands and the sweeps share
+_MODE = {"--mode": dict(
+    choices=MODES,
+    default="engine",
+    help="character-sum engine, brute force (n <= 8), or cross-check",
+)}
+_JOBS = {"--jobs": dict(type=_int_at_least(1), default=1, help="accepted; the sweep runs serially")}
+_ENGINE_CAP = (ENGINE_MAX_N, "the character-sum engine")
 
 _COMMANDS = {
-    "partitions": _Command(_cmd_partitions, "list the partitions of n"),
+    "partitions": _Command(
+        _cmd_partitions, "list the partitions of n", cap=(PARTITION_MAX_N, "partition listing")
+    ),
     "degree": _Command(_cmd_degree, "Sym(n) character degree of a partition", {
         "--partition": dict(required=True, help='e.g. "9,1"'),
-    }),
+    }, (CHAR_MAX_N, "degree computation")),
     "char-value": _Command(_cmd_char_value, "Alt(n) character value on a class", {
         "--char": dict(required=True, help='character name, e.g. "3,2,1+"'),
         "--class": dict(dest="cls", required=True, help='class name, e.g. "5,3,1-"'),
-    }),
-    "classes": _Command(_cmd_classes, "list the conjugacy classes of Alt(n)"),
+    }, (CHAR_MAX_N, "character evaluation")),
+    "classes": _Command(
+        _cmd_classes, "list the conjugacy classes of Alt(n)", cap=(CHAR_MAX_N, "class listing")
+    ),
     "delta": _Command(_cmd_delta, "n minus the number of cycles of a class", {
         "--class": dict(dest="cls", required=True),
     }),
     "product": _Command(_cmd_product, "classes in the product of two normal sets", {
+        **_MODE,
         "--a": dict(action="append", required=True, help="class in the left set (repeatable)"),
         "--b": dict(action="append", required=True, help="class in the right set (repeatable)"),
-    }, engine=True),
+    }, _ENGINE_CAP),
     "contains": _Command(_cmd_contains, "is every --g class inside the product of --a and --b?", {
-        flag: dict(action="append", required=True) for flag in ("--a", "--b", "--g")
-    }, engine=True),
+        **_MODE, **{flag: dict(action="append", required=True) for flag in ("--a", "--b", "--g")}
+    }, _ENGINE_CAP),
     "covering": _Command(_cmd_covering, "covering number of a class", {
+        **_MODE,
         "--class": dict(dest="cls", required=True),
         "--max-k": dict(type=_int_at_least(1), default=8, help="largest power to try"),
-    }, engine=True),
+    }, _ENGINE_CAP),
     "dvir": _Command(
-        _cmd_dvir, "exhaustive long-cycle inclusion sweep at one n", engine=True, sweep=True
+        _cmd_dvir, "exhaustive long-cycle inclusion sweep at one n", {**_MODE, **_JOBS}, _ENGINE_CAP
     ),
     "verify-theorem": _Command(
         _cmd_verify_theorem,
         "sweep all size-qualified class quadruples and report coverage",
         {
+            **_MODE,
+            **_JOBS,
             "--epsilon": dict(required=True, help='exact rational threshold exponent, e.g. "1/10"'),
             "--show": dict(
                 type=_int_at_least(0), default=10, help="covered quadruples to print in text mode"
             ),
         },
-        engine=True,
-        sweep=True,
+        _ENGINE_CAP,
     ),
-    "excon": _Command(_cmd_excon, "long-cycle product checks at one n", engine=True, sweep=True),
+    "excon": _Command(
+        _cmd_excon, "long-cycle product checks at one n", {**_MODE, **_JOBS}, _ENGINE_CAP
+    ),
     "delta-report": _Command(
         _cmd_delta_report,
         "delta/n table for classes above a size threshold",
         {"--gamma": dict(required=True, help='exact rational exponent in (0,1), e.g. "1/2"')},
+        (CHAR_MAX_N, "delta report"),
     ),
 }
 
@@ -352,17 +360,6 @@ def build_parser(names: Optional[Iterable[str]] = None) -> argparse.ArgumentPars
         p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--n", type=int, required=True, help="number of letters")
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-        if cmd.engine:
-            p.add_argument(
-                "--mode",
-                choices=MODES,
-                default="engine",
-                help="character-sum engine, brute force (n <= 8), or cross-check",
-            )
-        if cmd.sweep:
-            p.add_argument(
-                "--jobs", type=_int_at_least(1), default=1, help="accepted; the sweep runs serially"
-            )
         for flag, options in cmd.options.items():
             p.add_argument(flag, **options)
     return parser
@@ -376,8 +373,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cmd = _COMMANDS[args.command]
-        if cmd.engine:
-            check_n(args.n, ENGINE_MAX_N, "the character-sum engine")
+        if cmd.cap is not None:
+            check_n(args.n, *cmd.cap)
         result = cmd.handler(args)
         if result is not None:
             payload, lines = result

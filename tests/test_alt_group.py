@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -208,9 +209,16 @@ def test_record_reprs_are_unchanged():
 
 def test_power_at_least():
     # the package's size rule, size_at_least(base, exponent)(value), on the
-    # cases that pinned the tests' reference power_at_least
+    # cases that pinned the tests' reference power_at_least, then at the
+    # least passing value and one below it
     cases = [(4, 2, Fraction(2), True), (3, 2, Fraction(2), False),
-             (3, 9, Fraction(1, 2), True), (2, 9, Fraction(1, 2), False)]
+             (3, 9, Fraction(1, 2), True), (2, 9, Fraction(1, 2), False),
+             (4, 8, Fraction(2, 3), True), (3, 8, Fraction(2, 3), False),  # 8**2 = 4**3
+             (10**10, 10**6, Fraction(5, 3), True), (10**10 - 1, 10**6, Fraction(5, 3), False),
+             (3, 3, Fraction(2, 3), True), (2, 3, Fraction(2, 3), False),  # 3**2 = 2**3 + 1
+             (3, 2, Fraction(3, 2), True), (2, 2, Fraction(3, 2), False),  # 2**3 = 3**2 - 1
+             (7**5, 7, Fraction(5), True), (7**5 - 1, 7, Fraction(5), False),
+             (1, 1, Fraction(1, 2), True), (1, 1, Fraction(99, 100), True)]
     for value, base, exponent, expected in cases:
         assert size_at_least(base, exponent)(value) is expected
         assert power_at_least(value, base, exponent) is expected
@@ -218,6 +226,37 @@ def test_power_at_least():
         with pytest.raises(ValueError) as exc:
             size_at_least(base, exponent)
         assert type(exc.value) is UsageError
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 7, 100])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_size_at_least_is_exact_at_a_perfect_power_and_one_off(den, offset):
+    # base = t**den + offset, exponent 1/den: the least passing size is t
+    # (t + offset when den = 1), and t + 1 when base lies above t**den,
+    # where the floor of the root would still let t pass
+    t = 10**30 + 7
+    base = t**den + offset
+    least = t + offset if den == 1 else t + (offset > 0)
+    passes = size_at_least(base, Fraction(1, den))
+    assert passes(least) and not passes(least - 1)
+    for value in (least - 1, least, least + 1):
+        assert passes(value) is power_at_least(value, base, Fraction(1, den))
+
+
+def test_size_at_least_agrees_with_power_at_least_at_the_root():
+    # seeded random thresholds, with exponent parts up to EXPONENT_MAX_PART:
+    # the least size the reference passes, found by bisection, is the least
+    # size_at_least passes
+    rng = random.Random(1)
+    for _ in range(300):
+        base = rng.choice([rng.randint(1, 30), rng.randint(1, 10**6), rng.randint(1, 10**20)])
+        exponent = Fraction(rng.randint(1, EXPONENT_MAX_PART), rng.randint(1, EXPONENT_MAX_PART))
+        lo, hi = 1, base ** -(-exponent.numerator // exponent.denominator)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if power_at_least(mid, base, exponent) else (mid + 1, hi)
+        passes = size_at_least(base, exponent)
+        assert passes(lo) and not passes(lo - 1), (base, exponent)
 
 
 def test_delta_bound_report_thresholds():

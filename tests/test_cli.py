@@ -571,7 +571,26 @@ def test_engine_commands_build_no_quadvalue_table(capsys):
     assert character_table.cache_info().currsize == 0
 
 
-def test_capability_errors_exit_3(capsys):
+# each capped command: its cap, the name its refusal gives it, and the
+# rest of an argv, invalid where the command checks its arguments
+CAPS = {
+    "partitions": (50, "partition listing", []),
+    "degree": (40, "degree computation", ["--partition", "3,4"]),
+    "char-value": (40, "character evaluation", ["--char", "x", "--class", "y"]),
+    "classes": (40, "class listing", []),
+    "delta-report": (40, "delta report", ["--gamma", "zero"]),
+    "product": (14, "the character-sum engine", ["--a", "x", "--b", "y"]),
+    "contains": (14, "the character-sum engine", ["--a", "x", "--b", "y", "--g", "z"]),
+    "covering": (14, "the character-sum engine", ["--class", "x", "--mode", "oracle"]),
+    "dvir": (14, "the character-sum engine", ["--mode", "both"]),
+    "verify-theorem": (14, "the character-sum engine", ["--epsilon", "zero"]),
+    "excon": (14, "the character-sum engine", []),
+}
+
+
+def test_capability_errors_exit_3(capsys, monkeypatch):
+    import classprod.cli as cli
+
     code, _, err = run_cli(capsys, "covering", "--n", "9", "--class", "9+", "--mode", "oracle")
     assert code == 3 and "n <= 8" in err
     code, _, err = run_cli(capsys, "product", "--n", "9", "--a", "9+", "--b", "9+", "--mode", "both")
@@ -580,6 +599,23 @@ def test_capability_errors_exit_3(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "partitions", "--n", "80")
     assert code == 3
+    # above its cap a command is refused before its handler runs, whatever
+    # its other arguments; at its cap the handler runs
+    assert set(CAPS) == set(COMMANDS) - {"delta"}
+    reached = []
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(
+            cli._COMMANDS, name, command._replace(handler=lambda args: reached.append(args.n))
+        )
+    for name, (cap, what, rest) in CAPS.items():
+        code, out, err = run_cli(capsys, name, "--n", str(cap + 1), *rest)
+        assert (code, out, err) == (3, "", f"error: {what} supports n <= {cap}, got {cap + 1}\n")
+        assert reached == [], name
+        assert run_cli(capsys, name, "--n", str(cap), *rest)[0] == 0 and reached == [cap], name
+        reached.clear()
+    monkeypatch.undo()
+    # delta has no cap
+    assert run_cli(capsys, "delta", "--n", "60", "--class", "59,1") == (0, "58\n", "")
 
 
 def test_version_flag(capsys):
@@ -596,6 +632,30 @@ COMMANDS = [
 
 def test_the_full_parser_lists_the_twelve_commands_in_order():
     assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_help()
+
+
+MODE_COMMANDS = {"product", "contains", "covering", "dvir", "verify-theorem", "excon"}
+JOBS_COMMANDS = {"dvir", "verify-theorem", "excon"}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_mode_and_jobs_are_offered_by_the_engine_commands_and_the_sweeps(name):
+    # read from the command's own subparser: --mode by the six engine
+    # commands, --jobs by the three sweeps, both right after --format
+    import argparse
+
+    sub = next(a for a in build_parser([name])._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.option_strings[-1]: a for a in sub.choices[name]._actions}
+    shared = ["--mode"] * (name in MODE_COMMANDS) + ["--jobs"] * (name in JOBS_COMMANDS)
+    assert list(actions)[:3 + len(shared)] == ["--help", "--n", "--format", *shared]
+    assert ("--mode" in actions, "--jobs" in actions) == (
+        name in MODE_COMMANDS, name in JOBS_COMMANDS
+    )
+    if "--mode" in actions:
+        assert actions["--mode"].choices == ("engine", "oracle", "both")
+        assert actions["--mode"].default == "engine"
+    if "--jobs" in actions:
+        assert actions["--jobs"].default == 1
 
 
 def test_main_builds_only_the_invoked_commands_subparser():
