@@ -195,8 +195,7 @@ class NormalSet:
 
     def __init__(self, n: int, classes: frozenset[AltClass]):
         for cls in classes:
-            if cls.n != n:
-                raise UsageError(f"class {cls.name} is not a class of Alt({n})")
+            check_in_alt(cls, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", classes)
 
@@ -249,6 +248,23 @@ def check_n(n: int, cap: int, what: str) -> None:
         raise UsageError("n must be positive")
     if n > cap:
         raise CapabilityError(f"{what} supports n <= {cap}, got {n}")
+
+
+def check_same_n(*items: AltClass | NormalSet) -> int:
+    """The n of classes or normal sets that all belong to Alt(n), refused
+    when they belong to different groups."""
+    n = items[0].n
+    if any(item.n != n for item in items[1:]):
+        raise UsageError("classes belong to different alternating groups")
+    return n
+
+
+def check_in_alt(cls: AltClass, n: int, name: Optional[str] = None) -> AltClass:
+    """``cls``, refused unless it is a class of Alt(n); the error names it
+    by ``name``, by default its own."""
+    if cls.n != n:
+        raise UsageError(f"class {name or cls.name} is not a class of Alt({n})")
+    return cls
 
 
 EXPONENT_MAX_PART = 100

@@ -7,24 +7,17 @@ points 0..n-1, and products are composed right-to-left:
 split-class membership of products depends on it; it is frozen here and
 used consistently everywhere.
 
-Two representations carry the same images.  Tuples of ints are the
-public one: ``compose``, ``inverse``, ``cycles``, the representatives,
-the generators and ``GroupTable`` take and return tuples.  The oracle's
-own working set is n-byte ``bytes`` (41 bytes at n = 8, against 104 for
-a tuple): every orbit member of ``class_members``, every product that
-``oracle_class_product`` forms and every key of its memo.  Padded with
-the fixed points n..255, a permutation r is a translation table, so
-``m.translate(table)`` is the product r·m in one C call (m first, then
-r); translating g^-1 through m's table gathers m·g^-1, so a conjugate
-g m g^-1 is two translates.
+A permutation is the n ``bytes`` of its images, so these functions serve
+n <= 255, and padded with the fixed points n..255 it is a translation
+table: ``m.translate(_table(r))`` is the product r·m in one C call, which
+is ``compose`` and every product the oracle forms.
 
 A class product is computed from the members of one class only:
 ``class_members`` conjugates a representative by two generators of
 Alt(n) until the orbit closes, and insists that the orbit has the size
 ``class_size`` predicts.  Each orbit files its members in one memo from
 permutation to class, which classifies later products by lookup.
-``alt_conjugacy_classes`` is the union of the orbits, each sorted and
-converted to tuples once (bytes sort in the order of their tuples).
+``alt_conjugacy_classes`` is the union of the orbits, each sorted.
 
 A product of classes A and B is the set of classes met by m·r, for m in
 A and one fixed r in B; the oracle forms r·m instead.  That is
@@ -54,6 +47,7 @@ from .alt_group import (
     AltClass,
     NormalSet,
     check_n,
+    check_same_n,
     class_size,
     classes_by_type,
     enumerate_alt_classes,
@@ -61,7 +55,7 @@ from .alt_group import (
 from .errors import ConsistencyError, UsageError
 from .partitions import Partition
 
-Perm = tuple[int, ...]
+Perm = bytes
 
 ORACLE_MAX_N = 8
 
@@ -75,12 +69,12 @@ def compose(p: Perm, q: Perm) -> Perm:
     """Right-to-left product: apply q first, then p."""
     if len(p) != len(q):
         raise UsageError("permutations act on different point sets")
-    return tuple(map(p.__getitem__, q))
+    return q.translate(_table(p))
 
 
 def inverse(p: Perm) -> Perm:
     # the point sent to j is the one that sorts to position j by its image
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
+    return bytes(sorted(range(len(p)), key=p.__getitem__))
 
 
 def cycles(p: Perm) -> list[list[int]]:
@@ -113,7 +107,7 @@ def canonical_representative(ct: Partition) -> Perm:
         images.extend(range(start + 1, start + length))
         images.append(start)
         start += length
-    return tuple(images)
+    return bytes(images)
 
 
 def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Optional[AltClass]:
@@ -127,12 +121,15 @@ def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Opti
         return found[0]
     # exceptional: the lengths are distinct, so the cycles laid end to end
     # are the canonical conjugator, and its parity picks '+' or '-'
-    sigma = tuple(chain.from_iterable(cycs))
+    sigma = bytes(chain.from_iterable(cycs))
     return found[(len(sigma) - len(cycles(sigma))) % 2]
 
 
 class GroupTable(NamedTuple):
-    """Alt(n) fully enumerated: every even permutation and its class."""
+    """Alt(n) fully enumerated: every even permutation and its class.
+
+    ``representative`` is a class's least member in sort order, not the
+    canonical representative that fixes the split tag."""
 
     n: int
     classes: tuple[AltClass, ...]
@@ -154,12 +151,12 @@ class GroupTable(NamedTuple):
 def alt_conjugacy_classes(n: int) -> GroupTable:
     """Alt(n) as the union of its classes' orbits (``class_members``).
 
-    Each class's members, and the keys of ``class_of``, are tuples, sorted
-    as the orbit's bytes before one conversion: the lexicographic order of
-    ``itertools.permutations``.  Capped at n = 8 to bound memory and time.
+    Each class's members are its orbit sorted, the lexicographic order of
+    ``itertools.permutations``, and the keys of ``class_of`` are the same
+    objects.  Capped at n = 8 to bound memory and time.
     """
     check_oracle_n(n)
-    members = {c: tuple(map(tuple, sorted(class_members(c)))) for c in enumerate_alt_classes(n)}
+    members = {c: tuple(sorted(class_members(c))) for c in enumerate_alt_classes(n)}
     class_of = dict(sorted((p, c) for c, ps in members.items() for p in ps))
     return GroupTable(n, enumerate_alt_classes(n), members, class_of)
 
@@ -169,10 +166,10 @@ def _alt_generators(n: int) -> tuple[Perm, ...]:
     even), which generate Alt(n) for n >= 3."""
     if n < 3:
         return ()
-    three = (1, 2, 0) + tuple(range(3, n))
+    three = bytes((1, 2, 0, *range(3, n)))
     if n % 2:
-        return three, tuple(range(1, n)) + (0,)
-    return three, (0,) + tuple(range(2, n)) + (1,)
+        return three, bytes((*range(1, n), 0))
+    return three, bytes((0, *range(2, n), 1))
 
 
 def _representative(cls: AltClass) -> Perm:
@@ -180,7 +177,7 @@ def _representative(cls: AltClass) -> Perm:
     rep = canonical_representative(cls.cycle_type)
     if cls.split != "-":
         return rep
-    swap = (1, 0) + tuple(range(2, cls.n))
+    swap = bytes((1, 0, *range(2, cls.n)))
     return compose(compose(swap, rep), swap)
 
 
@@ -190,7 +187,7 @@ def _table(p: Perm) -> bytes:
 
 
 # every permutation filed by an orbit of class_members or walked by
-# oracle_class_product, as bytes, and its class
+# oracle_class_product, and its class
 _class_of: dict[bytes, AltClass] = {}
 
 
@@ -201,9 +198,9 @@ def class_members(cls: AltClass) -> tuple[bytes, ...]:
     check_oracle_n(cls.n)
     # g p g^-1 gathers p through g^-1 (g^-1 translated through p's table),
     # then translates the gather through g's
-    gens = [(bytes(inverse(g)), _table(g)) for g in _alt_generators(cls.n)]
+    gens = [(inverse(g), _table(g)) for g in _alt_generators(cls.n)]
     fixed = bytes(range(cls.n, 256))
-    orbit = [bytes(_representative(cls))]
+    orbit = [_representative(cls)]
     seen = set(orbit)
     for p in orbit:  # grows while it is walked
         for g_inv, g in gens:
@@ -224,14 +221,13 @@ def oracle_class_product(a: AltClass, b: AltClass) -> frozenset[AltClass]:
     element of the other.  AB = BA is normal, so every class meeting it
     meets Ab and Ba for any fixed a in A and b in B.  Stops once every
     class of Alt(n) is met."""
-    if a.n != b.n:
-        raise UsageError("classes of different groups")
+    n = check_same_n(a, b)
     small, other = (a, b) if class_size(a) <= class_size(b) else (b, a)
     members = class_members(small)
     # r·m in place of m·r: a conjugate by the even r, in the same class
     times_rep = _table(_representative(other))
-    by_type = classes_by_type(a.n)
-    every = len(enumerate_alt_classes(a.n))
+    by_type = classes_by_type(n)
+    every = len(enumerate_alt_classes(n))
     hit = set()
     for m in members:
         p = m.translate(times_rep)

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 from . import __version__
 from .alt_group import (
     MODES,
-    AltClass,
     NormalSet,
+    check_in_alt,
     check_n,
     class_size,
     delta,
@@ -90,14 +90,6 @@ def _table(rows, headers) -> list[str]:
     return lines
 
 
-def _in_alt(cls: AltClass, n: int, name: Optional[str] = None) -> AltClass:
-    """``cls``, refused unless it is a class of Alt(n); the error names it
-    by ``name``, by default its own."""
-    if cls.n != n:
-        raise UsageError(f"class {name or cls.name} is not a class of Alt({n})")
-    return cls
-
-
 def _normal_set(names: list[str], n: int) -> NormalSet:
     # NormalSet rejects a class of another Alt(m)
     return NormalSet.of([cls for name in names for cls in parse_class_or_union(name)], n)
@@ -132,7 +124,7 @@ def _cmd_char_value(args):
     psi = parse_char(args.char)
     if psi.n != args.n:
         raise UsageError(f"character {psi.name} does not live in Alt({args.n})")
-    cls = _in_alt(parse_class(args.cls), args.n)
+    cls = check_in_alt(parse_class(args.cls), args.n)
     value = alt_value(psi, cls)
     return (
         {
@@ -167,7 +159,7 @@ def _cmd_delta(args):
     classes = parse_class_or_union(args.cls)
     # both split classes: the bare type names their union
     name = classes[0].name if len(classes) == 1 else format_partition(classes[0].cycle_type)
-    d = delta(_in_alt(classes[0], args.n, name))
+    d = delta(check_in_alt(classes[0], args.n, name))
     return {"n": args.n, "class": name, "delta": d}, [str(d)]
 
 
@@ -200,7 +192,7 @@ def _cmd_contains(args):
 def _cmd_covering(args):
     from .product_engine import covering_number, missing_classes
 
-    cls = _in_alt(parse_class(args.cls), args.n)
+    cls = check_in_alt(parse_class(args.cls), args.n)
     result = covering_number(cls, args.max_k, mode=args.mode)
     payload = {
         "n": args.n,

@@ -30,9 +30,9 @@ from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .alt_group import AltClass, class_index
+from .alt_group import AltClass, check_same_n, class_index
 from .characters import CharacterTable, integer_table
-from .errors import ConsistencyError, UsageError
+from .errors import ConsistencyError
 
 if TYPE_CHECKING:  # imported where a sum or an error message builds one
     from fractions import Fraction
@@ -50,14 +50,6 @@ class FrobeniusResult(NamedTuple):
     class_triple: tuple[AltClass, AltClass, AltClass]
     sum_value: Fraction
     pair_count: int
-
-
-def _check_same_n(*classes: AltClass) -> int:
-    n = classes[0].n
-    for c in classes[1:]:
-        if c.n != n:
-            raise UsageError("classes belong to different alternating groups")
-    return n
 
 
 class _Slots(NamedTuple):
@@ -282,7 +274,7 @@ def frobenius_sum(a: AltClass, b: AltClass, g: AltClass) -> FrobeniusResult:
     """Exact factorization count data for g = xy, x in A, y in B."""
     from fractions import Fraction
 
-    n = _check_same_n(a, b, g)
+    n = check_same_n(a, b, g)
     idx = class_index(n)
     ia, ib, jg = idx[a], idx[b], idx[g]
     lay, e, quotient = _pair_quotient(n, ia, ib)

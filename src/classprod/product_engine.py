@@ -22,19 +22,20 @@ from .alt_group import (
     MODES,
     AltClass,
     NormalSet,
+    check_same_n,
     class_index,
     enumerate_alt_classes,
     identity_class,
 )
 from .errors import ConsistencyError, UsageError
-from .pair_sums import _check_same_n, _compute_pair_mask
+from .pair_sums import _compute_pair_mask
 from .pair_sums import exactness_check_count  # noqa: F401  read from here by perfbench/replay.py
 
 
 def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
     """Does the normal set AB contain the class of g?  Read from the
     engine's pair mask of (A, B), computed once."""
-    n = _check_same_n(a, b, g)
+    n = check_same_n(a, b, g)
     idx = class_index(n)
     return bool(_engine_algebra(n).pair(idx[a], idx[b]) >> idx[g] & 1)
 
@@ -201,10 +202,9 @@ def _algebra(n: int, mode: str) -> ProductAlgebra:
 
 def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
-    if s.n != t.n:
-        raise UsageError("normal sets over different groups")
-    mask = _algebra(s.n, mode).product(_mask_of(s.n, s.classes), _mask_of(t.n, t.classes))
-    return NormalSet(s.n, frozenset(names_in(enumerate_alt_classes(s.n), mask)))
+    n = check_same_n(s, t)
+    mask = _algebra(n, mode).product(_mask_of(n, s.classes), _mask_of(n, t.classes))
+    return NormalSet(n, frozenset(names_in(enumerate_alt_classes(n), mask)))
 
 
 def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:

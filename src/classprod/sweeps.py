@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Text
 from .alt_group import (
     AltClass,
     check_exponent_parts,
+    check_same_n,
     class_index,
     class_size,
     classes_by_type,
@@ -31,7 +32,6 @@ from .alt_group import (
 )
 from .errors import UsageError
 from .partitions import format_partition
-from .pair_sums import _check_same_n
 from .product_engine import _algebra, _mask_of, names_in
 
 if TYPE_CHECKING:  # imported where used: dvir and excon need no rationals
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # imported where used: dvir and excon need no rationals
 def dvir_rodgers_applies(a: AltClass, b: AltClass) -> bool:
     """The long-cycle inclusion criterion: delta(A) + delta(B) > n-1 for n
     odd, > n for n even."""
-    n = _check_same_n(a, b)
+    n = check_same_n(a, b)
     bound = n - 1 if n % 2 else n
     return delta(a) + delta(b) > bound
 

@@ -9,7 +9,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from classprod.alt_group import AltClass
-from classprod.brute_force import GroupTable, Perm, compose, inverse
+from classprod.brute_force import GroupTable, Perm
 from classprod.characters import _squarefree_decompose
 from classprod.errors import CapabilityError, ConsistencyError
 from classprod.partitions import conjugate
@@ -404,11 +404,12 @@ def oracle_class_product_reference(table, a, b):
 
 
 def oracle_pair_count(table: GroupTable, a: AltClass, b: AltClass, g: Perm) -> int:
-    """|{(x, y) in A x B : xy = g}| by direct enumeration of x."""
+    """|{(x, y) in A x B : xy = g}| by direct enumeration of x, multiplied
+    by the reference composition."""
     count = 0
     b_lookup = set(table.members[b])
     for x in table.members[a]:
-        if compose(inverse(x), g) in b_lookup:
+        if bytes(compose_reference(inverse_reference(x), g)) in b_lookup:
             count += 1
     return count
 
@@ -422,7 +423,8 @@ TABLE_MAX_N = 7
 
 def _class_algebra_matrices(table: GroupTable) -> list[list[list[int]]]:
     """a[i][j][k] = number of pairs (x, y) in C_i x C_j with x y = g_k,
-    for a fixed representative g_k."""
+    for a fixed representative g_k, multiplied by the reference
+    composition."""
     classes = table.classes
     k = len(classes)
     index = {c: i for i, c in enumerate(classes)}
@@ -431,7 +433,7 @@ def _class_algebra_matrices(table: GroupTable) -> list[list[list[int]]]:
     for i, ci in enumerate(classes):
         for kk, rep in enumerate(reps):
             for x in table.members[ci]:
-                j = index[table.class_of[compose(inverse(x), rep)]]
+                j = index[table.class_of[bytes(compose_reference(inverse_reference(x), rep))]]
                 a[i][j][kk] += 1
     return a
 

@@ -842,7 +842,9 @@ def test_four_class_json_holds_no_row_list():
 
 def test_the_oracle_holds_its_permutations_as_bytes():
     # after a cross-checked product, the one orbit the oracle built and
-    # every permutation it filed are bytes, not tuples of ints
+    # every permutation it filed are bytes, not tuples of ints; so are the
+    # group table's members and keys, and every permutation the module's
+    # functions build
     import subprocess
     import sys
 
@@ -859,14 +861,21 @@ def test_the_oracle_holds_its_permutations_as_bytes():
         "assert bf.class_members.cache_info().misses == held.misses\n"
         "print(code, held.currsize, len(orbit), len(bf._class_of))\n"
         "print(sorted({type(p).__name__ for p in (*orbit, *bf._class_of)}))\n"
+        "table = bf.alt_conjugacy_classes(8)\n"
+        "p, q = orbit[:2]\n"
+        "made = [*(m for ms in table.members.values() for m in ms), *table.class_of,\n"
+        "        bf.compose(p, q), bf.inverse(p), bf.canonical_representative((5, 3)),\n"
+        "        *bf._alt_generators(7), *bf._alt_generators(8)]\n"
+        "print(len(made), sorted({type(p).__name__ for p in made}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    counts, types = proc.stdout.splitlines()
+    counts, types, made = proc.stdout.splitlines()
     code, orbits, members, filed = map(int, counts.split())
     assert (code, orbits, members) == (0, 1, 1344)
     assert filed > members
     assert types == "['bytes']"
+    assert made == f"{2 * 20160 + 7} ['bytes']"
 
 
 def test_commands_without_character_sums_load_no_engine():

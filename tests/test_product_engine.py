@@ -19,7 +19,7 @@ from classprod.alt_group import (
     long_cycle_classes,
     long_cycle_type,
 )
-from classprod.brute_force import alt_conjugacy_classes, oracle_product_set
+from classprod.brute_force import alt_conjugacy_classes, oracle_class_product, oracle_product_set
 from classprod.characters import character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.pair_sums import (
@@ -779,10 +779,20 @@ def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
 
 
 def test_engine_rejects_mixed_n():
-    with pytest.raises(ValueError):
-        contains(identity_class(4), identity_class(5), identity_class(5))
-    with pytest.raises(ValueError):
-        product_set(NormalSet.of(enumerate_alt_classes(4)), NormalSet.of(enumerate_alt_classes(5)))
+    # one rule for classes and normal sets, in the engine, the sweeps and
+    # the oracle: Alt(4) with Alt(5) is a usage error with one message
+    four, five = identity_class(4), identity_class(5)
+    calls = [
+        lambda: contains(four, five, five),
+        lambda: frobenius_sum(four, five, five),
+        lambda: product_set(NormalSet.of(enumerate_alt_classes(4)), NormalSet.of(enumerate_alt_classes(5))),
+        lambda: dvir_rodgers_applies(four, five),
+        lambda: oracle_class_product(four, five),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError) as exc:
+            call()
+        assert str(exc.value) == "classes belong to different alternating groups"
 
 
 def test_contains_reads_the_cached_pair_mask():
