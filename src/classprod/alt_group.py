@@ -30,6 +30,9 @@ if TYPE_CHECKING:  # imported where used: listing classes needs no rationals
 # permutation oracle, or by both with their answers compared
 MODES = ("engine", "oracle", "both")
 
+# the largest n the brute-force oracle serves (Alt(8) has 20160 elements)
+ORACLE_MAX_N = 8
+
 
 def is_even_type(rho: Partition) -> bool:
     """True when permutations of this cycle type are even."""
@@ -193,7 +196,8 @@ class NormalSet:
     n: int
     classes: frozenset[AltClass]
 
-    def __init__(self, n: int, classes: frozenset[AltClass]):
+    def __init__(self, n: int, classes: Iterable[AltClass]):
+        classes = frozenset(classes)
         for cls in classes:
             check_in_alt(cls, n)
         object.__setattr__(self, "n", n)

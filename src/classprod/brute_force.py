@@ -44,6 +44,7 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 from .alt_group import (
+    ORACLE_MAX_N,
     AltClass,
     NormalSet,
     check_n,
@@ -56,8 +57,6 @@ from .errors import ConsistencyError, UsageError
 from .partitions import Partition
 
 Perm = bytes
-
-ORACLE_MAX_N = 8
 
 
 def check_oracle_n(n: int) -> None:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 from . import __version__
 from .alt_group import (
     MODES,
+    ORACLE_MAX_N,
     NormalSet,
     check_in_alt,
     check_n,
@@ -270,7 +271,7 @@ class _Command(NamedTuple):
 _MODE = {"--mode": dict(
     choices=MODES,
     default="engine",
-    help="character-sum engine, brute force (n <= 8), or cross-check",
+    help=f"character-sum engine, brute force (n <= {ORACLE_MAX_N}), or cross-check",
 )}
 _JOBS = {"--jobs": dict(type=_int_at_least(1), default=1, help="accepted; the sweep runs serially")}
 _ENGINE_CAP = (ENGINE_MAX_N, "the character-sum engine")

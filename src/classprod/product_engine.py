@@ -1,20 +1,19 @@
-"""Class-product analysis over the pair masks of the exact engine.
+"""Class-product analysis over class bitmasks.
 
-Pairwise class products are bitmasks over the canonical class order, each
-computed once, when first asked for, by the ProductAlgebra that holds it;
-the engine's masks come from the exact character sums of
-``classprod.pair_sums``, and the ``jobs`` parameters are accepted and
-change nothing.  Every larger product (product sets, powers, the named
-sweeps in ``classprod.sweeps``) is a chain of one step in ProductAlgebra,
-"normal set times class".  Each computation runs once, over the algebra of
-its mode (``_algebra``): the engine's, the brute-force oracle's, or one
-whose every pair mask comes from both and raises ConsistencyError where
-they differ.
+A normal set of Alt(n) is the bitmask of its classes in the canonical
+order.  Products are asked of a ProductAlgebra, and there is one cached
+algebra per (n, mode) (``_algebra``): the engine's, whose pair masks come
+from the exact character sums of ``classprod.pair_sums``; the brute-force
+oracle's; and, for ``both``, one that asks the other two for each pair
+mask and raises ConsistencyError where they differ.  Each pair mask is
+computed once, when first asked for.  ``times`` and ``product`` multiply,
+and ``powers`` is the one routine for iterated products; the named sweeps
+in ``classprod.sweeps`` are built from these.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -37,7 +36,7 @@ def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
     engine's pair mask of (A, B), computed once."""
     n = check_same_n(a, b, g)
     idx = class_index(n)
-    return bool(_engine_algebra(n).pair(idx[a], idx[b]) >> idx[g] & 1)
+    return bool(_algebra(n, "engine").pair(idx[a], idx[b]) >> idx[g] & 1)
 
 
 def ensure_pair_masks(
@@ -46,7 +45,7 @@ def ensure_pair_masks(
     """Compute the engine's masks of the class pairs (i, j), i <= j, in
     ``pairs`` (None: all) that it does not hold yet, one after another;
     ``jobs`` is accepted and changes nothing."""
-    alg, k = _engine_algebra(n), len(enumerate_alt_classes(n))
+    alg, k = _algebra(n, "engine"), len(enumerate_alt_classes(n))
     for i, j in combinations_with_replacement(range(k), 2) if pairs is None else pairs:
         alg.pair(i, j)
 
@@ -75,15 +74,17 @@ def names_in(names: Sequence, mask: int) -> tuple:
 
 
 class ProductAlgebra:
-    """Normal-set products of Alt(n) as class bitmasks.  ``pairs`` holds
-    the mask of each class pair (i, j), i <= j (normal sets commute), that
-    has been asked for; ``pair_mask(i, j)`` computes a missing one.
-    ``times(mask, c)`` asks only for the pairs of c with the classes in the
-    mask and stops as soon as their union is all of Alt(n), as
-    ``product`` does; all of Alt(n) times any class is all of Alt(n)
-    (GC = G) without a pair.  So only the pairs a product needs are
-    computed.  Its results are memoised, so a chain met again asks for
-    none.
+    """Normal-set products of Alt(n) as class bitmasks; ``_algebra(n,
+    mode)`` holds the one algebra of each (n, mode).  ``pairs`` holds the
+    mask of each class pair (i, j), i <= j (normal sets commute), that has
+    been asked for; ``pair_mask(i, j)`` computes a missing one.
+    ``times(mask, c)`` multiplies a normal set by a class: it asks only for
+    the pairs of c with the classes in the mask and stops as soon as their
+    union is all of Alt(n); all of Alt(n) times any class is all of Alt(n)
+    (GC = G) without a pair.  ``product`` multiplies two normal sets, and
+    ``powers`` is the one iterated product.  So only the pairs a product
+    needs are computed, and ``times`` is memoised, so a product or a power
+    met again asks for none.
     """
 
     def __init__(self, n: int, pair_mask: Callable[[int, int], int]):
@@ -122,14 +123,6 @@ class ProductAlgebra:
                 break
         return out
 
-    def chain(self, classes: Iterable[int]) -> int:
-        """The product of the classes with these indices, left to right."""
-        first, *rest = classes
-        mask = 1 << first
-        for c in rest:
-            mask = self.times(mask, c)
-        return mask
-
     def powers(self, c: int, k: int) -> tuple[list[int], Optional[int]]:
         """C, C^2, ..., C^k for the class C with index c, cut before the
         first repeated mask, and the position in that list of the mask the
@@ -146,65 +139,53 @@ class ProductAlgebra:
             masks.append(mask)
         return masks, None
 
-    def power(self, c: int, k: int) -> int:
-        """C^k for the class C with index c, read off the cycle of its
-        powers once one repeats."""
-        masks, start = self.powers(c, k)
-        if k <= len(masks):
-            return masks[k - 1]
-        return masks[start + (k - 1 - start) % (len(masks) - start)]
 
-
-@lru_cache(maxsize=None)
-def _engine_algebra(n: int) -> ProductAlgebra:
-    """One engine algebra per n, so its memo outlives a single call."""
-    return ProductAlgebra(n, partial(_compute_pair_mask, n))
-
-
-@lru_cache(maxsize=None)
-def _oracle_algebra(n: int) -> ProductAlgebra:
-    """One oracle algebra per n, like the engine's."""
-    from . import brute_force
-
-    brute_force.check_oracle_n(n)
-    classes = enumerate_alt_classes(n)
-    return ProductAlgebra(
-        n, lambda i, j: _mask_of(n, brute_force.oracle_class_product(classes[i], classes[j]))
-    )
+_ALGEBRAS: dict[tuple[int, str], ProductAlgebra] = {}
 
 
 def _algebra(n: int, mode: str) -> ProductAlgebra:
-    """The algebra of a mode: the engine's, the brute-force oracle's, or,
-    for ``both``, a fresh one whose every pair mask is asked of the engine,
-    then of the oracle, and must agree.  The oracle's algebra comes first,
-    so a group too large for it fails before any engine work.
+    """The one algebra of (n, mode), built when first asked for, so its
+    pairs and memo outlive a single call: the engine's, the brute-force
+    oracle's, or, for ``both``, one whose every pair mask is asked of the
+    other two and must agree.  ``both`` builds the oracle's first, so a
+    group too large for it fails before any engine work.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
+    if (n, mode) in _ALGEBRAS:
+        return _ALGEBRAS[n, mode]
     if mode == "engine":
-        return _engine_algebra(n)
-    oracle = _oracle_algebra(n)
-    if mode == "oracle":
-        return oracle
-    engine, classes = _engine_algebra(n), enumerate_alt_classes(n)
+        pair_mask = partial(_compute_pair_mask, n)
+    elif mode == "oracle":
+        from . import brute_force
 
-    def checked(i: int, j: int) -> int:
-        mask = engine.pair(i, j)
-        if mask != oracle.pair(i, j):
-            raise ConsistencyError(
-                f"engine and oracle products of {classes[i].name} and "
-                f"{classes[j].name} disagree at n={n}"
-            )
-        return mask
+        brute_force.check_oracle_n(n)
+        classes = enumerate_alt_classes(n)
 
-    return ProductAlgebra(n, checked)
+        def pair_mask(i: int, j: int) -> int:
+            return _mask_of(n, brute_force.oracle_class_product(classes[i], classes[j]))
+    else:
+        oracle, engine = _algebra(n, "oracle"), _algebra(n, "engine")
+        classes = enumerate_alt_classes(n)
+
+        def pair_mask(i: int, j: int) -> int:
+            mask = engine.pair(i, j)
+            if mask != oracle.pair(i, j):
+                raise ConsistencyError(
+                    f"engine and oracle products of {classes[i].name} and "
+                    f"{classes[j].name} disagree at n={n}"
+                )
+            return mask
+
+    _ALGEBRAS[n, mode] = ProductAlgebra(n, pair_mask)
+    return _ALGEBRAS[n, mode]
 
 
 def product_set(s: NormalSet, t: NormalSet, mode: str = "engine") -> NormalSet:
     """All classes meeting the product of two normal sets."""
     n = check_same_n(s, t)
     mask = _algebra(n, mode).product(_mask_of(n, s.classes), _mask_of(n, t.classes))
-    return NormalSet(n, frozenset(names_in(enumerate_alt_classes(n), mask)))
+    return NormalSet(n, names_in(enumerate_alt_classes(n), mask))
 
 
 def covering_number(cls: AltClass, k_max: int, mode: str = "engine") -> Optional[int]:
@@ -222,8 +203,11 @@ def missing_classes(cls: AltClass, k: int, mode: str = "engine") -> tuple[AltCla
     """Classes not reached by the k-fold product of a class with itself."""
     if k < 1:
         raise UsageError("k must be positive")
-    alg, c = _algebra(cls.n, mode), class_index(cls.n)[cls]
-    return names_in(enumerate_alt_classes(cls.n), alg.full & ~alg.power(c, k))
+    alg = _algebra(cls.n, mode)
+    masks, start = alg.powers(class_index(cls.n)[cls], k)
+    if k > len(masks):  # C^k is read off the cycle of the powers
+        k = start + 1 + (k - 1 - start) % (len(masks) - start)
+    return names_in(enumerate_alt_classes(cls.n), alg.full & ~masks[k - 1])
 
 
 _SWEEPS = {

@@ -1,6 +1,7 @@
 """The named sweeps: the long-cycle inclusion criterion (``dvir``), the
 four-class sweep (``verify-theorem``) and the long-cycle product checks
-(``excon``), each a chain of products in the algebra of its mode.
+(``excon``), each a chain of products in the algebra of its mode.  Their
+``jobs`` parameters are accepted and unused: every sweep runs serially.
 
 They live apart from the product engine so that a command asking for a
 few pairs (``product``, ``contains``, ``covering``) compiles none of them.
@@ -402,8 +403,7 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
     """Exercise the four long-cycle product statements at a single n.
 
     These hold for all sufficiently large n; at desk scale the report is
-    descriptive, recording pass/fail per case.  ``jobs`` is accepted and
-    changes nothing.
+    descriptive, recording pass/fail per case.
     """
     if n < 3:
         raise UsageError("the long-cycle checks need n >= 3")
@@ -424,24 +424,21 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
             names_in(names, missing),
         )
 
-    def chain_case(members, targets_mask):
-        return case(members, alg.chain(idx[c] for c in members), targets_mask)
-
     parts = (
         ProductCheckPart(
             1,
             "a product of two exceptional classes contains both long-cycle classes",
             tuple(
-                chain_case(pair, long_mask)
-                for pair in combinations_with_replacement(exceptional, 2)
+                case((a, b), alg.pair(idx[a], idx[b]), long_mask)
+                for a, b in combinations_with_replacement(exceptional, 2)
             ),
         ),
         ProductCheckPart(
             2,
             "a product of two long-cycle classes contains every exceptional class",
             tuple(
-                chain_case(pair, exc_mask)
-                for pair in combinations_with_replacement(long_pair, 2)
+                case((a, b), alg.pair(idx[a], idx[b]), exc_mask)
+                for a, b in combinations_with_replacement(long_pair, 2)
             ),
         ),
         ProductCheckPart(
@@ -456,8 +453,8 @@ def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> Lo
             4,
             "the product of any three long-cycle classes covers Alt(n)",
             tuple(
-                chain_case(triple, alg.full)
-                for triple in combinations_with_replacement(long_pair, 3)
+                case((a, b, c), alg.times(alg.pair(idx[a], idx[b]), idx[c]), alg.full)
+                for a, b, c in combinations_with_replacement(long_pair, 3)
             ),
         ),
     )

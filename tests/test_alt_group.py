@@ -161,6 +161,20 @@ def test_normal_set_basics():
         NormalSet.of([classes[0], enumerate_alt_classes(6)[0]])
 
 
+@pytest.mark.parametrize("kind", [set, list, lambda cs: [*cs, *cs]], ids=["set", "list", "duplicates"])
+def test_normal_set_freezes_the_classes_it_is_given(kind):
+    classes = enumerate_alt_classes(5)
+    given = kind(classes[:2])
+    s = NormalSet(5, given)
+    assert s == NormalSet.of(classes[:2]) and len(s) == 2
+    assert hash(s) == hash(NormalSet.of(classes[:2]))
+    if isinstance(given, set):
+        given.add(classes[2])
+    else:
+        given.append(classes[2])
+    assert s == NormalSet.of(classes[:2]) and classes[2] not in s
+
+
 @pytest.mark.parametrize(
     "make, fields",
     [

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from classprod.alt_group import enumerate_alt_classes, parse_class
+from classprod.brute_force import ORACLE_MAX_N
 from classprod.characters import parse_char
 from classprod.cli import build_parser, main
 from classprod.sweeps import verify_four_class_theorem
@@ -555,15 +556,16 @@ def test_oracle_commands_do_not_enumerate_the_group():
     assert proc.stdout.strip() == "0"
 
 
-def test_engine_commands_build_no_quadvalue_table(capsys):
+def test_engine_commands_build_no_quadvalue_table(capsys, monkeypatch):
     # the engine reads the integer character table; the QuadValue table is
     # only a view of it for the library
+    import classprod.product_engine as engine
     from classprod.characters import character_table, integer_table
     from classprod.pair_sums import _lifted
-    from classprod.product_engine import _engine_algebra
 
-    for cache in (character_table, integer_table, _lifted, _engine_algebra):
+    for cache in (character_table, integer_table, _lifted):
         cache.cache_clear()
+    monkeypatch.setattr(engine, "_ALGEBRAS", {})
     code, out, _ = run_cli(
         capsys, "contains", "--n", "12", "--a", "3,3,3,3", "--b", "5,5,1,1", "--g", "11,1+"
     )
@@ -654,6 +656,7 @@ def test_mode_and_jobs_are_offered_by_the_engine_commands_and_the_sweeps(name):
     if "--mode" in actions:
         assert actions["--mode"].choices == ("engine", "oracle", "both")
         assert actions["--mode"].default == "engine"
+        assert f"n <= {ORACLE_MAX_N}" in actions["--mode"].help
     if "--jobs" in actions:
         assert actions["--jobs"].default == 1
 

@@ -3,13 +3,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
 
 from classprod.alt_group import (
     EXPONENT_MAX_PART,
+    MODES,
     AltClass,
     NormalSet,
     class_size,
@@ -35,11 +36,12 @@ from classprod.pair_sums import (
 )
 from classprod.product_engine import (
     ProductAlgebra,
-    _engine_algebra,
+    _algebra,
     contains,
     covering_number,
     ensure_pair_masks,
     missing_classes,
+    names_in,
     product_set,
 )
 from classprod.quadvalue import QuadValue
@@ -60,6 +62,12 @@ from helpers import (
     qualifying_quadruples_reference,
     unpacked_reference,
 )
+
+
+def _chain(alg, classes):
+    """The product of the classes with these indices, left to right, one
+    ``times`` step each."""
+    return reduce(alg.times, classes[1:], 1 << classes[0])
 
 
 def test_frobenius_identity_triple():
@@ -210,8 +218,8 @@ def test_powers_match_oracle_up_to_7():
 def test_powers_read_past_their_cycle_match_the_walk():
     # C^k for k beyond the first repeated power is read off the cycle
     for n in range(3, 9):
-        alg = _engine_algebra(n)
-        for c in range(len(enumerate_alt_classes(n))):
+        alg, classes = _algebra(n, "engine"), enumerate_alt_classes(n)
+        for c in range(len(classes)):
             walked, mask = [], 1 << c
             for _ in range(40):
                 walked.append(mask)
@@ -220,7 +228,29 @@ def test_powers_read_past_their_cycle_match_the_walk():
             assert masks == walked[: len(masks)]
             if start is not None:
                 assert walked[len(masks)] == masks[start]
-            assert [alg.power(c, k) for k in range(1, 41)] == walked, (n, c)
+            assert [missing_classes(classes[c], k) for k in range(1, 41)] == [
+                names_in(classes, alg.full & ~mask) for mask in walked
+            ], (n, c)
+
+
+def test_each_n_and_mode_has_one_cached_algebra():
+    for mode in MODES:
+        assert _algebra(5, mode) is _algebra(5, mode), mode
+
+
+@pytest.mark.parametrize("mode", ["bogus", ["engine"]])
+def test_library_calls_refuse_an_unknown_mode(mode):
+    # refused before the algebra cache is looked up, so an unhashable mode
+    # is a usage error too
+    cls = AltClass((3, 1, 1))
+    calls = [
+        lambda: product_set(NormalSet.of([cls]), NormalSet.of([cls]), mode=mode),
+        lambda: covering_number(cls, 3, mode=mode),
+        lambda: missing_classes(cls, 2, mode=mode),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match="unknown mode"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -271,10 +301,10 @@ def test_serial_dvir_sweep_computes_only_the_masks_it_asks_for():
     import sys
 
     code = (
-        "from classprod.product_engine import _engine_algebra\n"
+        "from classprod.product_engine import _algebra\n"
         "from classprod.sweeps import check_dvir_rodgers\n"
         "assert check_dvir_rodgers(8).passed\n"
-        "print(len(_engine_algebra(8).pairs))\n"
+        "print(len(_algebra(8, 'engine').pairs))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -311,11 +341,9 @@ def test_excon_fills_only_the_pairs_it_asks_for(monkeypatch):
     # of Alt(n): 10 of the 171 class pairs at n=9
     import classprod.product_engine as engine
 
-    monkeypatch.setattr(
-        engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
-    )
+    monkeypatch.setattr(engine, "_ALGEBRAS", {})
     assert all(part.passed for part in long_cycle_product_checks(9).parts)
-    assert len(engine._engine_algebra(9).pairs) == 10
+    assert len(engine._algebra(9, "engine").pairs) == 10
 
 
 def test_covering_of_a_long_cycle_stops_at_all_of_alt_n(monkeypatch, capsys):
@@ -325,12 +353,10 @@ def test_covering_of_a_long_cycle_stops_at_all_of_alt_n(monkeypatch, capsys):
     import classprod.product_engine as engine
     from classprod.cli import main
 
-    monkeypatch.setattr(
-        engine, "_engine_algebra", lru_cache(maxsize=None)(engine._engine_algebra.__wrapped__)
-    )
+    monkeypatch.setattr(engine, "_ALGEBRAS", {})
     assert main(["covering", "--n", "12", "--class", "11,1+"]) == 0
     capsys.readouterr()
-    assert len(engine._engine_algebra(12).pairs) == 2
+    assert len(engine._algebra(12, "engine").pairs) == 2
 
 
 def test_large_pair_coverage_report_structure():
@@ -645,7 +671,8 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
 
     # the sweep asks its algebra for every pair mask before any verdict
     monkeypatch.setattr(engine.ProductAlgebra, "pair", enumerated)
-    monkeypatch.setattr(engine, "_engine_algebra", enumerated)
+    monkeypatch.setattr(engine.ProductAlgebra, "__init__", enumerated)
+    monkeypatch.setattr(engine, "_ALGEBRAS", {})
     monkeypatch.setattr(sweeps, "combinations_with_replacement", enumerated)
     for mode in ("oracle", "both"):
         with pytest.raises(CapabilityError):
@@ -656,13 +683,13 @@ def test_four_class_sweep_checks_the_oracle_cap_before_enumerating(monkeypatch):
 def test_size_order_enumeration_matches_the_direct_filter(n):
     # empty sweeps included: n = 3, and epsilon = 1 for n >= 3
     sweeps = qualifying_quadruples_reference(n, SWEEP_EPSILONS)
-    alg = _engine_algebra(n)
+    alg = _algebra(n, "engine")
     for epsilon, expected in zip(SWEEP_EPSILONS, sweeps):
         report = verify_four_class_theorem(n, epsilon)
         assert [(quad, least) for quad, least, _ in report.rows] == expected, (n, epsilon)
         if n <= 9:
             for quad, _, mask in report.rows:
-                assert mask == alg.full & ~alg.chain(quad), (n, epsilon, quad)
+                assert mask == alg.full & ~_chain(alg, quad), (n, epsilon, quad)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -765,7 +792,7 @@ def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
     # verdict on every quadruple of nontrivial classes (split in size
     # order, as the sweep splits them)
     ensure_pair_masks(n)
-    alg = _engine_algebra(n)
+    alg = _algebra(n, "engine")
     classes = enumerate_alt_classes(n)
     nontrivial = [i for i, c in enumerate(classes) if c != identity_class(n)]
     by_size = sorted(nontrivial, key=lambda i: (class_size(classes[i]), i))
@@ -775,7 +802,7 @@ def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
         key = (alg.pair(w, x), alg.pair(y, z))
         if key not in decided:
             decided[key] = alg.full & ~alg.product(*key)
-        assert decided[key] == alg.full & ~alg.chain(quad), (n, quad)
+        assert decided[key] == alg.full & ~_chain(alg, quad), (n, quad)
 
 
 def test_engine_rejects_mixed_n():
@@ -799,7 +826,7 @@ def test_contains_reads_the_cached_pair_mask():
     # one pair mask answers contains at every class g, and it agrees with
     # the pair counts of every triple
     classes = enumerate_alt_classes(7)
-    alg = _engine_algebra(7)
+    alg = _algebra(7, "engine")
     alg.pairs.pop((1, 2), None)
     before = len(alg.pairs)
     for g in classes:
@@ -838,7 +865,7 @@ def test_product_algebra_asks_only_for_touched_pairs():
     assert alg.times(0b101, 3) == mask and len(asked) == 2
     assert alg.product(0b101, 0b1001) == mask | alg.times(0b101, 0)
     assert sorted(asked[2:]) == [(0, 0), (0, 2)]  # asked with i <= j
-    assert alg.chain([0, 2, 3]) == alg.times(alg.times(1, 2), 3)
+    assert alg.times(alg.pair(0, 2), 3) == alg.times(alg.times(1, 2), 3)
     # a pair is asked for once, in order, and kept in ``pairs``
     alg = ProductAlgebra(5, pair_mask)
     asked.clear()
@@ -852,7 +879,7 @@ def test_products_stopping_at_all_of_alt_n_equal_the_plain_union(n):
     # Alt(n) changes no product of two pair masks, no mask times a class,
     # and G times any class is G
     ensure_pair_masks(n)
-    pairs = _engine_algebra(n).pairs
+    pairs = _algebra(n, "engine").pairs
     k = len(enumerate_alt_classes(n))
     alg = ProductAlgebra(n, lambda i, j: pairs[(i, j)])
 
@@ -881,11 +908,11 @@ def test_parallel_fill_counts_worker_exactness_checks():
 
     code = (
         "from classprod.alt_group import enumerate_alt_classes\n"
-        "from classprod.product_engine import _engine_algebra, ensure_pair_masks, exactness_check_count\n"
+        "from classprod.product_engine import _algebra, ensure_pair_masks, exactness_check_count\n"
         "ensure_pair_masks(9, jobs=2)\n"
         "k = len(enumerate_alt_classes(9))\n"
         "print(exactness_check_count(), k * k * (k + 1) // 2)\n"
-        "print(sorted(_engine_algebra(9).pairs.items()))\n"
+        "print(sorted(_algebra(9, 'engine').pairs.items()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
