@@ -274,15 +274,33 @@ def check_in_alt(cls: AltClass, n: int, name: Optional[str] = None) -> AltClass:
 EXPONENT_MAX_PART = 100
 
 
-def check_exponent_parts(value: Fraction, name: str) -> None:
-    """Reject a threshold exponent whose numerator or denominator exceeds
-    EXPONENT_MAX_PART: size_at_least raises the base to the numerator and
-    takes the root of that power by the denominator, so larger parts would
-    make one size threshold run for minutes."""
-    if max(value.numerator, value.denominator) > EXPONENT_MAX_PART:
+def read_exponent(value: Fraction | int | str, name: str) -> Fraction:
+    """The threshold exponent ``name`` (epsilon or gamma) as a Fraction,
+    from a Fraction, an int or text such as "1/10".  Refused: exponent
+    notation, text that is not a rational number, and a numerator or
+    denominator above EXPONENT_MAX_PART, since size_at_least raises the
+    base to the numerator and takes the root of that power by the
+    denominator, so larger parts would make one size threshold run for
+    minutes."""
+    from fractions import Fraction
+
+    # Fraction() expands "1e-10000000" into a power of ten before any bound
+    # can look at it, which alone takes seconds
+    if isinstance(value, str) and "e" in value.lower():
+        raise UsageError(f"exponent notation is not accepted, write p/q: {value!r}")
+    try:
+        value = Fraction(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise UsageError(f"not a rational number: {value!r}") from None
+    largest = max(value.numerator, value.denominator)
+    if largest > EXPONENT_MAX_PART:
+        # a part of more than 50 digits is not shown: past 4300 digits str()
+        # refuses it, and the message stays one short line
+        shown = f" {value}" if largest < 10**50 else ""
         raise UsageError(
-            f"{name} {value}: numerator and denominator must be at most {EXPONENT_MAX_PART}"
+            f"{name}{shown}: numerator and denominator must be at most {EXPONENT_MAX_PART}"
         )
+    return value
 
 
 def size_at_least(base: int, exponent: Fraction) -> Callable[[int], bool]:
@@ -331,7 +349,7 @@ class DeltaBoundReport(NamedTuple):
         }
 
 
-def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
+def delta_bound_report(n: int, gamma: Fraction | int | str) -> DeltaBoundReport:
     """For each class at least as large as (n!/2)**gamma, report delta and
     delta/n, marking the minimum ratio.  Size comparisons are exact.
 
@@ -340,12 +358,11 @@ def delta_bound_report(n: int, gamma: Fraction) -> DeltaBoundReport:
     """
     from fractions import Fraction
 
-    gamma = Fraction(gamma)
+    gamma = read_exponent(gamma, "gamma")
     if not 0 < gamma < 1:
         raise UsageError("gamma must lie strictly between 0 and 1")
     if n < 2:
         raise UsageError("delta report needs n >= 2")
-    check_exponent_parts(gamma, "gamma")
     reaches = size_at_least(math.factorial(n) // 2, gamma)
     classes = enumerate_alt_classes(n)
     kept = [(c, s, delta(c)) for c, s in zip(classes, map(class_size, classes)) if reaches(s)]

@@ -57,20 +57,18 @@ def _squarefree_decompose(m: int) -> tuple[int, int]:
 # at most n is its beta-set for n beads, as a bitmask (bead b at bit b).
 # Removing a border strip of length L moves a bead from b to a gap at b - L,
 # and the strip's height is the number of beads strictly between the two.
-# A cycle type is interned with all its suffixes; suffix id 0 is the empty
-# one, and _SUFFIXES[sid] holds the suffix's first part, the id of the rest
-# and the memo of its values by bead mask, which every column shares.
-_SUFFIX_IDS: dict[Partition, int] = {(): 0}
-_SUFFIXES: list[tuple[int, int, dict[int, int]]] = [(0, 0, {})]
+# A cycle type is interned with all its suffixes: _SUFFIXES maps each
+# nonempty suffix to its record, (first part, the record of the rest, the
+# memo of its values by bead mask, which every column shares); the empty
+# suffix's record is None.
+_SUFFIXES: dict[Partition, tuple] = {}
 
 
-def _suffix_id(rho: Partition) -> int:
-    sid = _SUFFIX_IDS.get(rho)
-    if sid is None:
-        rest = _suffix_id(rho[1:])
-        sid = _SUFFIX_IDS[rho] = len(_SUFFIXES)
-        _SUFFIXES.append((rho[0], rest, {}))
-    return sid
+def _suffix(rho: Partition) -> Optional[tuple]:
+    record = _SUFFIXES.get(rho)
+    if record is None and rho:
+        record = _SUFFIXES[rho] = (rho[0], _suffix(rho[1:]), {})
+    return record
 
 
 def _abacus(lam: Partition, n: int) -> int:
@@ -81,11 +79,11 @@ def _abacus(lam: Partition, n: int) -> int:
     return mask
 
 
-def _mn(mask: int, sid: int) -> int:
-    """The Sym character of the abacus ``mask`` on the suffix ``sid``."""
-    if not sid:
+def _mn(mask: int, suffix: Optional[tuple]) -> int:
+    """The Sym character of the abacus ``mask`` on the suffix record ``suffix``."""
+    if suffix is None:
         return 1
-    length, rest, memo = _SUFFIXES[sid]
+    length, rest, memo = suffix
     value = memo.get(mask)
     if value is None:
         value = 0
@@ -114,7 +112,7 @@ def mn_value(lam: Partition, rho: Partition) -> int:
         raise UsageError(
             f"partition sizes differ: |{lam}| = {n}, |{rho}| = {sum(rho)}"
         )
-    return _mn(_abacus(lam, n), _suffix_id(rho))
+    return _mn(_abacus(lam, n), _suffix(rho))
 
 
 @lru_cache(maxsize=None)
@@ -267,14 +265,14 @@ def integer_table(n: int) -> CharacterTable:
     partition and one Murnaghan-Nakayama evaluation per even cycle type."""
     chars = alt_irreducibles(n)
     classes = enumerate_alt_classes(n)
-    sids = {ct: _suffix_id(ct) for ct in dict.fromkeys(c.cycle_type for c in classes)}
+    suffixes = {ct: _suffix(ct) for ct in dict.fromkeys(c.cycle_type for c in classes)}
     rows = []
     lam = chis = crit = None
     for psi in chars:
         if psi.partition != lam:  # a split pair shares its Sym values
             lam = psi.partition
             mask = _abacus(lam, n)
-            chis = {ct: _mn(mask, sid) for ct, sid in sids.items()}
+            chis = {ct: _mn(mask, suffix) for ct, suffix in suffixes.items()}
             crit = diagonal_hook_partition(lam) if psi.split else None
         rows.append(tuple(_alt_parts(psi, c, chis[c.cycle_type], crit) for c in classes))
     return CharacterTable(

@@ -17,9 +17,9 @@ a few bit operations and one division, and one pass over the bytes of
 the quotient for the mass; a slot is decoded on its own only to name a
 failure.  Any failure raises ConsistencyError.
 
-This is the layer below ``classprod.product_engine``, which turns each
-pair's counts into a class bitmask (``_compute_pair_mask``) and builds
-every larger product from those masks.
+This is the layer below ``classprod.product_engine``, which takes each
+pair's class bitmask from ``_compute_pair_mask`` here and builds every
+larger product from those masks.
 """
 
 from __future__ import annotations

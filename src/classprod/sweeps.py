@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Text
 
 from .alt_group import (
     AltClass,
-    check_exponent_parts,
     check_same_n,
     class_index,
     class_size,
@@ -29,6 +28,7 @@ from .alt_group import (
     enumerate_alt_classes,
     is_exceptional,
     long_cycle_classes,
+    read_exponent,
     size_at_least,
 )
 from .errors import UsageError
@@ -282,7 +282,7 @@ class FourClassReport(NamedTuple):
 
 
 def verify_four_class_theorem(
-    n: int, epsilon: Fraction, jobs: int = 1, mode: str = "engine"
+    n: int, epsilon: Fraction | int | str, jobs: int = 1, mode: str = "engine"
 ) -> FourClassReport:
     """Sweep all class quadruples (up to multiset symmetry; normal-set
     products commute) whose six pairwise size products reach
@@ -305,14 +305,11 @@ def verify_four_class_theorem(
     (n <= 8); ``mode="both"`` insists the two agree on every pair mask,
     which decides every verdict and every count.
     """
-    from fractions import Fraction
-
-    epsilon = Fraction(epsilon)
+    epsilon = read_exponent(epsilon, "epsilon")
     if n < 2:
         raise UsageError("the four-class sweep needs n >= 2")
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
-    check_exponent_parts(epsilon, "epsilon")
     sizes = [class_size(c) for c in enumerate_alt_classes(n)]
     m = len(sizes)
     order = sorted(range(m), key=lambda i: (sizes[i], i))

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -313,9 +314,29 @@ def test_delta_bound_report_matches_power_at_least_at_the_exponent_cap(n):
 
 
 def test_delta_bound_report_rejects_bad_gamma():
-    for gamma in (Fraction(0), Fraction(1), Fraction(3, 2)):
-        with pytest.raises(ValueError):
+    for gamma in (Fraction(0), Fraction(1), Fraction(3, 2), None, float("inf")):
+        with pytest.raises(UsageError):
             delta_bound_report(8, gamma)
+
+
+def test_exponent_parts_past_printing_raise_a_short_usage_error():
+    # str() of a part past 4300 digits raises ValueError; the refusal must
+    # not format it
+    huge = Fraction(1, 10**5000)
+    for call in (lambda: verify_four_class_theorem(5, huge), lambda: delta_bound_report(8, huge)):
+        with pytest.raises(UsageError) as exc:
+            call()
+        message = str(exc.value)
+        assert "\n" not in message and len(message) < 200, message
+
+
+def test_exponent_notation_is_refused_at_once():
+    # Fraction("1e-10000000") alone would build 10**10000000
+    for report, n in ((verify_four_class_theorem, 6), (delta_bound_report, 8)):
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="exponent notation is not accepted"):
+            report(n, "1e-10000000")
+        assert time.perf_counter() - start < 1.0, report.__name__
 
 
 def test_class_parsing_round_trip():

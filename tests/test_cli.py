@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from classprod.alt_group import enumerate_alt_classes, parse_class
+from classprod.alt_group import delta_bound_report, enumerate_alt_classes, parse_class
 from classprod.brute_force import ORACLE_MAX_N
 from classprod.characters import parse_char
 from classprod.cli import build_parser, main
+from classprod.errors import UsageError
 from classprod.sweeps import verify_four_class_theorem
 from helpers import SWEEP_EPSILONS
 
@@ -383,6 +384,9 @@ def test_usage_errors_exit_1(capsys):
         ["verify-theorem", "--n", "6", "--epsilon", "1/1000000"],
         ["delta-report", "--n", "8", "--gamma", "1/1000000"],
         ["verify-theorem", "--n", "6", "--epsilon", "1e-10000000"],
+        # 10**4300 as a denominator: str() of it raises, so the refusal
+        # must not print it
+        ["verify-theorem", "--n", "6", "--epsilon", "0." + "0" * 4299 + "1"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "0"],
         ["covering", "--n", "5", "--class", "5+", "--max-k", "-3"],
         ["verify-theorem", "--n", "6", "--epsilon", "1/10", "--show", "-1"],
@@ -393,6 +397,23 @@ def test_usage_errors_exit_1(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and len(err.splitlines()) == 1, argv
         assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["verify-theorem", "--n", "6", "--epsilon"], lambda x: verify_four_class_theorem(6, x)),
+        (["delta-report", "--n", "8", "--gamma"], lambda x: delta_bound_report(8, x)),
+    ],
+    ids=["epsilon", "gamma"],
+)
+def test_cli_and_library_read_an_exponent_by_one_rule(capsys, argv, call):
+    # a bad text gets the same refusal from the command and from the library
+    for text in ("zero", "1/0", "1e-3", "1/101", "0"):
+        with pytest.raises(UsageError) as exc:
+            call(text)
+        code, out, err = run_cli(capsys, *argv, text)
+        assert (code, out, err) == (1, "", f"error: {exc.value}\n"), text
 
 
 def test_both_mode_disagreement_exits_2(capsys, monkeypatch, fresh_oracle):
