@@ -282,25 +282,35 @@ def read_exponent(value: Fraction | int | str, name: str) -> Fraction:
     base to the numerator and takes the root of that power by the
     denominator, so larger parts would make one size threshold run for
     minutes."""
+    import re
+    import sys
     from fractions import Fraction
 
-    # Fraction() expands "1e-10000000" into a power of ten before any bound
-    # can look at it, which alone takes seconds
-    if isinstance(value, str) and "e" in value.lower():
-        raise UsageError(f"exponent notation is not accepted, write p/q: {value!r}")
+    text, cut = value, 0
+    if isinstance(value, str):
+        # Fraction() expands "1e-10000000" into a power of ten before any
+        # bound can look at it, which alone takes seconds
+        if "e" in value.lower():
+            raise UsageError(f"exponent notation is not accepted, write p/q: {value!r}")
+        # int() refuses a part longer than its digit limit, leading zeros
+        # included: read those off each part.  A part still that long is
+        # over 100, so it is parsed cut to one digit and refused unshown
+        text = re.sub(r"(?<![\d.])0+(?=\d)", "", value)
+        if limit := sys.get_int_max_str_digits():
+            text, cut = re.subn(rf"\d{{{limit + 1},}}", "1", text)
     try:
-        value = Fraction(value)
+        parsed = Fraction(text)
     except (ArithmeticError, TypeError, ValueError):
         raise UsageError(f"not a rational number: {value!r}") from None
-    largest = max(value.numerator, value.denominator)
-    if largest > EXPONENT_MAX_PART:
+    largest = max(parsed.numerator, parsed.denominator)
+    if cut or largest > EXPONENT_MAX_PART:
         # a part of more than 50 digits is not shown: past 4300 digits str()
         # refuses it, and the message stays one short line
-        shown = f" {value}" if largest < 10**50 else ""
+        shown = f" {parsed}" if not cut and largest < 10**50 else ""
         raise UsageError(
             f"{name}{shown}: numerator and denominator must be at most {EXPONENT_MAX_PART}"
         )
-    return value
+    return parsed
 
 
 def size_at_least(base: int, exponent: Fraction) -> Callable[[int], bool]:

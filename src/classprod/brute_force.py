@@ -17,7 +17,7 @@ A class product is computed from the members of one class only:
 Alt(n) until the orbit closes, and insists that the orbit has the size
 ``class_size`` predicts.  Each orbit files its members in one memo from
 permutation to class, which classifies later products by lookup.
-``alt_conjugacy_classes`` is the union of the orbits, each sorted.
+``alt_conjugacy_classes`` is the union of the orbits, as they were walked.
 
 A product of classes A and B is the set of classes met by m·r, for m in
 A and one fixed r in B; the oracle forms r·m instead.  That is
@@ -25,9 +25,10 @@ r (m·r) r^-1, and r is even, so conjugating by it fixes every Alt(n)
 class, split classes included: both products meet the same classes.
 
 A product the memo does not know is classified from one walk of its
-cycles, then filed in it: the number of cycles gives the parity (odd
-permutations are dropped), their sorted lengths give the cycle type, and
-the class is looked up in ``classes_by_type(n)``.  For an exceptional type
+cycles, then filed in it: the number of cycles gives the parity (a
+product of even permutations is even, so an odd one raises
+ConsistencyError), their sorted lengths give the cycle type, and the class
+is looked up in ``classes_by_type(n)``.  For an exceptional type
 the split tag is read off the same cycles.  Laid end to end, longest
 first, they spell the canonical conjugator: position i of the canonical
 representative (whose cycles fill 0..n-1 in order, longest first) goes to
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .alt_group import (
     ORACLE_MAX_N,
@@ -109,11 +110,13 @@ def canonical_representative(ct: Partition) -> Perm:
     return bytes(images)
 
 
-def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Optional[AltClass]:
-    """The Alt(n) class of p, or None when p is odd, from one walk of p."""
+def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> AltClass:
+    """The Alt(n) class of p, from one walk of p.  The oracle forms only
+    products of even permutations, so an odd p means a broken kernel and
+    raises ConsistencyError."""
     cycs = cycles(p)
     if (len(p) - len(cycs)) % 2:
-        return None
+        raise ConsistencyError(f"the oracle formed the odd permutation {list(p)}")
     cycs.sort(key=len, reverse=True)
     found = by_type[tuple(map(len, cycs))]
     if len(found) == 1:
@@ -127,8 +130,8 @@ def _even_class(p: Perm, by_type: dict[Partition, tuple[AltClass, ...]]) -> Opti
 class GroupTable(NamedTuple):
     """Alt(n) fully enumerated: every even permutation and its class.
 
-    ``representative`` is a class's least member in sort order, not the
-    canonical representative that fixes the split tag."""
+    ``representative`` is a class's first member: for the oracle's table,
+    the representative its orbit starts from, which fixes the split tag."""
 
     n: int
     classes: tuple[AltClass, ...]
@@ -150,14 +153,15 @@ class GroupTable(NamedTuple):
 def alt_conjugacy_classes(n: int) -> GroupTable:
     """Alt(n) as the union of its classes' orbits (``class_members``).
 
-    Each class's members are its orbit sorted, the lexicographic order of
-    ``itertools.permutations``, and the keys of ``class_of`` are the same
-    objects.  Capped at n = 8 to bound memory and time.
+    Each class's members are its orbit, in the order the orbit was walked,
+    and the keys of ``class_of`` are the same objects, class by class.
+    Capped at n = 8 to bound memory and time.
     """
     check_oracle_n(n)
-    members = {c: tuple(sorted(class_members(c))) for c in enumerate_alt_classes(n)}
-    class_of = dict(sorted((p, c) for c, ps in members.items() for p in ps))
-    return GroupTable(n, enumerate_alt_classes(n), members, class_of)
+    classes = enumerate_alt_classes(n)
+    members = {c: class_members(c) for c in classes}
+    class_of = {p: c for c, ps in members.items() for p in ps}
+    return GroupTable(n, classes, members, class_of)
 
 
 def _alt_generators(n: int) -> tuple[Perm, ...]:
@@ -249,7 +253,7 @@ def oracle_product_set(table: GroupTable, s: NormalSet, t: NormalSet) -> NormalS
 
 def oracle_covering_number(table: GroupTable, cls: AltClass, k_max: int):
     """Least k <= k_max with the k-fold class product covering Alt(n),
-    from the oracle's class products."""
+    from the oracle's class products; ``table`` is not read."""
     from .product_engine import covering_number
 
     return covering_number(cls, k_max, mode="oracle")

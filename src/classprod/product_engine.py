@@ -14,7 +14,6 @@ in ``classprod.sweeps`` are built from these.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .alt_group import (
@@ -39,14 +38,12 @@ def contains(a: AltClass, b: AltClass, g: AltClass) -> bool:
     return bool(_algebra(n, "engine").pair(idx[a], idx[b]) >> idx[g] & 1)
 
 
-def ensure_pair_masks(
-    n: int, pairs: Optional[Iterable[tuple[int, int]]] = None, jobs: int = 1
-) -> None:
+def ensure_pair_masks(n: int, pairs: Iterable[tuple[int, int]], jobs: int = 1) -> None:
     """Compute the engine's masks of the class pairs (i, j), i <= j, in
-    ``pairs`` (None: all) that it does not hold yet, one after another;
-    ``jobs`` is accepted and changes nothing."""
-    alg, k = _algebra(n, "engine"), len(enumerate_alt_classes(n))
-    for i, j in combinations_with_replacement(range(k), 2) if pairs is None else pairs:
+    ``pairs`` that it does not hold yet, one after another.  Only
+    ``perfbench/replay.py`` calls this; it goes when the replay does."""
+    alg = _algebra(n, "engine")
+    for i, j in pairs:
         alg.pair(i, j)
 
 
@@ -218,9 +215,16 @@ _SWEEPS = {
 
 def __getattr__(name: str):
     """The sweeps ``perfbench/replay.py`` imports from here, read from
-    ``classprod.sweeps`` (PEP 562); this goes when the replay does."""
+    ``classprod.sweeps`` (PEP 562); this goes when the replay does.  The
+    replay passes the sweeps a ``jobs=`` that none of them takes, so each
+    is returned wrapped to drop it."""
     if name in _SWEEPS:
         from . import sweeps
 
-        return getattr(sweeps, name)
+        sweep = getattr(sweeps, name)
+
+        def without_jobs(*args, jobs: int = 1, **kwargs):
+            return sweep(*args, **kwargs)
+
+        return without_jobs
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,6 @@
 """The named sweeps: the long-cycle inclusion criterion (``dvir``), the
 four-class sweep (``verify-theorem``) and the long-cycle product checks
-(``excon``), each a chain of products in the algebra of its mode.  Their
-``jobs`` parameters are accepted and unused: every sweep runs serially.
+(``excon``), each a chain of products in the algebra of its mode.
 
 They live apart from the product engine so that a command asking for a
 few pairs (``product``, ``contains``, ``covering``) compiles none of them.
@@ -68,7 +67,7 @@ class DvirRodgersReport(NamedTuple):
         return lines
 
 
-def check_dvir_rodgers(n: int, jobs: int = 1, mode: str = "engine") -> DvirRodgersReport:
+def check_dvir_rodgers(n: int, mode: str = "engine") -> DvirRodgersReport:
     """Exhaustively verify the long-cycle inclusion criterion at one n.
 
     The criterion concerns classes of Sym(n) lying inside Alt(n), so the
@@ -282,7 +281,7 @@ class FourClassReport(NamedTuple):
 
 
 def verify_four_class_theorem(
-    n: int, epsilon: Fraction | int | str, jobs: int = 1, mode: str = "engine"
+    n: int, epsilon: Fraction | int | str, mode: str = "engine"
 ) -> FourClassReport:
     """Sweep all class quadruples (up to multiset symmetry; normal-set
     products commute) whose six pairwise size products reach
@@ -396,7 +395,7 @@ class LongCycleProductReport(NamedTuple):
         return lines
 
 
-def long_cycle_product_checks(n: int, jobs: int = 1, mode: str = "engine") -> LongCycleProductReport:
+def long_cycle_product_checks(n: int, mode: str = "engine") -> LongCycleProductReport:
     """Exercise the four long-cycle product statements at a single n.
 
     These hold for all sufficiently large n; at desk scale the report is

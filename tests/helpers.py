@@ -8,12 +8,21 @@ from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from classprod.alt_group import AltClass
+from classprod.alt_group import AltClass, enumerate_alt_classes
 from classprod.brute_force import GroupTable, Perm
 from classprod.characters import _squarefree_decompose
 from classprod.errors import CapabilityError, ConsistencyError
 from classprod.partitions import conjugate
+from classprod.product_engine import _algebra
 from classprod.quadvalue import QuadValue
+
+
+def fill_pair_masks(n: int) -> None:
+    """Ask the engine's algebra of Alt(n) for the mask of every class pair
+    (i, j), i <= j, so that later products find each one cached."""
+    alg = _algebra(n, "engine")
+    for i, j in combinations_with_replacement(range(len(enumerate_alt_classes(n))), 2):
+        alg.pair(i, j)
 
 
 def quad_sum(terms) -> Fraction:

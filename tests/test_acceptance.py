@@ -13,7 +13,7 @@ from classprod.alt_group import (
     class_size,
     long_cycle_classes,
 )
-from classprod.brute_force import alt_conjugacy_classes, oracle_covering_number
+from classprod.brute_force import alt_conjugacy_classes
 from classprod.characters import (
     alt_degree,
     alt_irreducibles,
@@ -95,7 +95,7 @@ def test_criterion_4_fixed_point_free_involution_covering():
         details.append(f"n={n}: k={k}, cube misses {[c.name for c in missed[:3]]}")
         if k != 4 or not missed:
             ok = False
-    oracle_k = oracle_covering_number(alt_conjugacy_classes(8), AltClass((2, 2, 2, 2)), 6)
+    oracle_k = covering_number(AltClass((2, 2, 2, 2)), 6, mode="oracle")
     if oracle_k != 4:
         ok = False
     _report(

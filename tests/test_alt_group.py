@@ -23,6 +23,7 @@ from classprod.alt_group import (
     long_cycle_type,
     parse_class,
     parse_class_or_union,
+    read_exponent,
     size_at_least,
 )
 from classprod.characters import AltChar, alt_irreducibles, character_table
@@ -328,6 +329,17 @@ def test_exponent_parts_past_printing_raise_a_short_usage_error():
             call()
         message = str(exc.value)
         assert "\n" not in message and len(message) < 200, message
+
+
+def test_exponent_parts_past_the_digit_limit_are_read_by_the_parts_rule():
+    # int() refuses more than 4300 digits, leading zeros included: those are
+    # read off each part, and a part still that long is over 100
+    with pytest.raises(UsageError) as exc:
+        read_exponent("1/" + "1" * 4400, "epsilon")
+    assert str(exc.value) == "epsilon: numerator and denominator must be at most 100"
+    assert read_exponent("0" * 5000 + "1/10", "epsilon") == Fraction(1, 10)
+    assert read_exponent("0001/0010", "epsilon") == Fraction(1, 10)
+    assert read_exponent("0.05", "epsilon") == Fraction(1, 20)
 
 
 def test_exponent_notation_is_refused_at_once():

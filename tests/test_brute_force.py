@@ -25,11 +25,10 @@ from classprod.brute_force import (
     cycles,
     inverse,
     oracle_class_product,
-    oracle_covering_number,
-    oracle_product_set,
 )
 from classprod.characters import character_table, degree
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
+from classprod.product_engine import covering_number, product_set
 from classprod.quadvalue import QuadValue
 from helpers import (
     alt_conjugacy_classes_reference,
@@ -88,7 +87,8 @@ def test_cycles_and_sign():
     assert [len(c) for c in cycles(p)] == [3, 2, 1]
     by_type = classes_by_type(6)
     assert _even_class(from_cycles(6, (0, 1, 2), (3, 4, 5)), by_type) == AltClass((3, 3))
-    assert _even_class(p, by_type) is None  # odd
+    with pytest.raises(ConsistencyError, match="odd permutation"):
+        _even_class(p, by_type)
 
 
 def test_canonical_representative():
@@ -178,8 +178,10 @@ def test_one_walk_enumeration_matches_the_reference(n, fresh_oracle):
     products_match()
     table = alt_conjugacy_classes(n)
     assert table.classes == ref.classes
-    assert list(table.members.items()) == [(c, tuple(map(bytes, ps))) for c, ps in ref.members.items()]
-    assert list(table.class_of.items()) == [(bytes(p), c) for p, c in ref.class_of.items()]
+    assert {c: set(ps) for c, ps in table.members.items()} == {
+        c: set(map(bytes, ps)) for c, ps in ref.members.items()
+    }
+    assert table.class_of == {bytes(p): c for p, c in ref.class_of.items()}
     for a in table.classes:
         rep = table.representative(a)
         assert inverse(rep) == bytes(inverse_reference(rep))
@@ -244,6 +246,22 @@ def test_orbits_under_too_few_generators_are_refused(capsys, monkeypatch, fresh_
     assert "orbit of 5,3- has" in err
 
 
+def test_an_odd_oracle_product_is_a_consistency_failure(capsys, monkeypatch, fresh_oracle):
+    # a product of two even permutations is even: a kernel whose table of
+    # the 5,1+ representative carries the transposition (0 1) forms odd
+    # products, and the oracle must say so, not file them as a class
+    from classprod.cli import main
+
+    five = bytes((1, 2, 3, 4, 0, 5))
+    odd = brute_force._table(compose(from_cycles(6, (0, 1)), five))
+    real = brute_force._table
+    monkeypatch.setattr(brute_force, "_table", lambda p: odd if p == five else real(p))
+    code = main(["product", "--n", "6", "--a", "3,1,1,1", "--b", "5,1+", "--mode", "oracle"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("internal consistency failure: ")
+
+
 def test_capability_cap():
     with pytest.raises(CapabilityError):
         alt_conjugacy_classes(9)
@@ -268,15 +286,13 @@ def test_oracle_pair_count_trivial():
 
 
 def test_oracle_product_set_long_cycles():
-    table = alt_conjugacy_classes(5)
     ol = NormalSet.of(long_cycle_classes(5))
-    assert oracle_product_set(table, ol, ol).is_full()
+    assert product_set(ol, ol, mode="oracle").is_full()
 
 
 def test_oracle_covering_number_fpf_n8():
-    table = alt_conjugacy_classes(8)
     fpf = AltClass((2, 2, 2, 2))
-    assert oracle_covering_number(table, fpf, 5) == 4
+    assert covering_number(fpf, 5, mode="oracle") == 4
 
 
 def test_oracle_covering_number_stops_at_a_repeated_power(monkeypatch, fresh_oracle):
@@ -291,7 +307,7 @@ def test_oracle_covering_number_stops_at_a_repeated_power(monkeypatch, fresh_ora
         return real(a, b)
 
     monkeypatch.setattr(brute_force, "oracle_class_product", counted)
-    assert oracle_covering_number(alt_conjugacy_classes(4), AltClass((2, 2)), 1000) is None
+    assert covering_number(AltClass((2, 2)), 1000, mode="oracle") is None
     assert len(asked) <= 3
 
 

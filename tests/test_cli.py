@@ -399,6 +399,12 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("error: "), argv
 
 
+def test_an_exponent_part_past_the_digit_limit_is_refused_in_one_short_line(capsys):
+    code, out, err = run_cli(capsys, "verify-theorem", "--n", "6", "--epsilon", "1/" + "1" * 4400)
+    assert (code, out) == (1, "") and len(err.encode()) < 200, err[:300]
+    assert err == "error: epsilon: numerator and denominator must be at most 100\n"
+
+
 @pytest.mark.parametrize(
     "argv, call",
     [
@@ -821,8 +827,11 @@ def test_four_class_text_holds_no_row_list():
         "import io, tracemalloc\n"
         "from contextlib import redirect_stdout\n"
         "from classprod.cli import main\n"
-        "from classprod.product_engine import ensure_pair_masks\n"
-        "ensure_pair_masks(12)\n"
+        "from itertools import combinations_with_replacement\n"
+        "from classprod.product_engine import _algebra\n"
+        "alg = _algebra(12, 'engine')\n"
+        "for i, j in combinations_with_replacement(range(43), 2):  # Alt(12) has 43 classes\n"
+        "    alg.pair(i, j)\n"
         "tracemalloc.start()\n"
         "with redirect_stdout(io.StringIO()) as out:\n"
         "    assert main(['verify-theorem', '--n', '12', '--epsilon', '1/10']) == 0\n"
@@ -845,9 +854,12 @@ def test_four_class_json_holds_no_row_list():
     code = (
         "import os, sys, tracemalloc\n"
         "from fractions import Fraction\n"
-        "from classprod.product_engine import ensure_pair_masks\n"
+        "from itertools import combinations_with_replacement\n"
+        "from classprod.product_engine import _algebra\n"
         "from classprod.sweeps import verify_four_class_theorem\n"
-        "ensure_pair_masks(12)\n"
+        "alg = _algebra(12, 'engine')\n"
+        "for i, j in combinations_with_replacement(range(43), 2):  # Alt(12) has 43 classes\n"
+        "    alg.pair(i, j)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
         "tracemalloc.start()\n"
         "report = verify_four_class_theorem(12, Fraction(1, 10))\n"
@@ -1037,6 +1049,81 @@ def test_every_public_src_name_is_reached_outside_the_tests():
             if node.name not in elsewhere | own:
                 unreached.append(f"{name}: {node.name}")
     assert not unreached, unreached
+
+
+# the names that only perfbench/replay.py calls; each takes a parameter
+# that the replay passes and nothing reads, as does ``without_jobs``, the
+# wrapper through which product_engine hands the replay the sweeps
+REPLAY_ONLY = {"ensure_pair_masks", "oracle_product_set", "oracle_covering_number"}
+
+
+def test_every_src_parameter_is_read():
+    # past the replay's names, only Python's own calling conventions pass
+    # what a body need not read: a method's ``self``, and the object and
+    # value that ``__setattr__`` and ``__delattr__`` hand to
+    # ``_refuse_assignment``
+    import ast
+
+    fixed = {"_refuse_assignment": {"value"}}
+    unread = []
+    for path in sorted((ROOT / "src" / "classprod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", f"<lambda>:{node.lineno}")
+            if name in REPLAY_ONLY | {"without_jobs"}:
+                continue
+            args = node.args
+            params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            read = {
+                sub.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            read |= {"self"} | fixed.get(name, set())
+            unread += [f"{path.name}: {name}({p.arg})" for p in params if p and p.arg not in read]
+    assert not unread, unread
+
+
+def test_only_the_replay_calls_its_own_names():
+    # the repo's own code asks the oracle through product_set and
+    # covering_number, fills pairs through the algebra, and imports the
+    # sweeps and the check count from where they live.  The code of a child
+    # interpreter is read from its string too (a string of several lines).
+    # The replay-resolution test reads replay.py's imports from its source,
+    # so it names none of these
+    import ast
+
+    moved = {
+        "check_dvir_rodgers", "dvir_rodgers_applies", "long_cycle_product_checks",
+        "verify_four_class_theorem", "exactness_check_count",
+    }
+
+    def trees(source):
+        yield (tree := ast.parse(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\n" in node.value:
+                try:
+                    yield ast.parse(node.value)
+                except SyntaxError:
+                    pass
+
+    found = []
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for tree in trees(path.read_text()):
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        names = {node.id} & REPLAY_ONLY
+                    elif isinstance(node, ast.Attribute):
+                        names = {node.attr} & REPLAY_ONLY
+                    elif isinstance(node, ast.ImportFrom):
+                        names = {alias.name for alias in node.names}
+                        from_engine = (node.module or "").endswith("product_engine")
+                        names &= REPLAY_ONLY | (moved if from_engine else set())
+                    else:
+                        continue
+                    found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names]
+    assert not found, found
 
 
 def _catalogue_entry(group, kind, n, mode):

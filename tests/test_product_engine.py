@@ -20,7 +20,7 @@ from classprod.alt_group import (
     long_cycle_classes,
     long_cycle_type,
 )
-from classprod.brute_force import alt_conjugacy_classes, oracle_class_product, oracle_product_set
+from classprod.brute_force import alt_conjugacy_classes, oracle_class_product
 from classprod.characters import character_table, integer_table, parse_char
 from classprod.errors import CapabilityError, ConsistencyError, UsageError
 from classprod.pair_sums import (
@@ -39,7 +39,6 @@ from classprod.product_engine import (
     _algebra,
     contains,
     covering_number,
-    ensure_pair_masks,
     missing_classes,
     names_in,
     product_set,
@@ -55,6 +54,7 @@ from classprod.sweeps import (
 )
 from helpers import (
     SWEEP_EPSILONS,
+    fill_pair_masks,
     four_class_groups_reference,
     frobenius_reference,
     pair_reference,
@@ -139,12 +139,11 @@ def test_product_set_matches_oracle():
     # n = 8 is the exhaustive top tier: identical products for every class
     # pair means identical containment verdicts for every triple
     for n in (5, 6, 8):
-        table = alt_conjugacy_classes(n)
         classes = enumerate_alt_classes(n)
         for a in classes:
             for b in classes:
                 s, t = NormalSet.of([a]), NormalSet.of([b])
-                assert product_set(s, t) == oracle_product_set(table, s, t)
+                assert product_set(s, t) == product_set(s, t, mode="oracle")
 
 
 def test_product_set_commutes_and_associates():
@@ -197,11 +196,8 @@ def test_missing_classes_cube_witness():
 def test_powers_match_oracle_up_to_7():
     # the shared powers routine against oracle products taken one power at
     # a time
-    from classprod.brute_force import oracle_covering_number
-
     k_max = 6
     for n in range(3, 8):
-        table = alt_conjugacy_classes(n)
         for cls in enumerate_alt_classes(n):
             if cls == identity_class(n):
                 continue
@@ -209,10 +205,10 @@ def test_powers_match_oracle_up_to_7():
             power = single
             for k in range(1, k_max + 1):
                 if k > 1:
-                    power = oracle_product_set(table, power, single)
+                    power = product_set(power, single, mode="oracle")
                 expected = tuple(c for c in enumerate_alt_classes(n) if c not in power)
                 assert missing_classes(cls, k) == expected, (cls, k)
-            assert covering_number(cls, k_max) == oracle_covering_number(table, cls, k_max)
+            assert covering_number(cls, k_max) == covering_number(cls, k_max, mode="oracle")
 
 
 def test_powers_read_past_their_cycle_match_the_walk():
@@ -776,7 +772,7 @@ def test_four_class_sweep_keeps_every_exactness_check():
 
     code = (
         "from fractions import Fraction\n"
-        "from classprod.product_engine import exactness_check_count\n"
+        "from classprod.pair_sums import exactness_check_count\n"
         "from classprod.sweeps import verify_four_class_theorem\n"
         "verify_four_class_theorem(10, Fraction(1, 10))\n"
         "print(exactness_check_count())\n"
@@ -791,7 +787,7 @@ def test_mask_pair_verdicts_equal_the_chain_for_every_quadruple(n):
     # ABCD = (AB)(CD): the product of the two pair masks gives the chain's
     # verdict on every quadruple of nontrivial classes (split in size
     # order, as the sweep splits them)
-    ensure_pair_masks(n)
+    fill_pair_masks(n)
     alg = _algebra(n, "engine")
     classes = enumerate_alt_classes(n)
     nontrivial = [i for i, c in enumerate(classes) if c != identity_class(n)]
@@ -841,9 +837,8 @@ def test_contains_reads_the_cached_pair_mask():
 
 
 def test_fpf_involution_square_matches_oracle_n8():
-    table = alt_conjugacy_classes(8)
     fpf = AltClass((2, 2, 2, 2))
-    hit = oracle_product_set(table, NormalSet.of([fpf]), NormalSet.of([fpf]))
+    hit = product_set(NormalSet.of([fpf]), NormalSet.of([fpf]), mode="oracle")
     for g in enumerate_alt_classes(8):
         assert contains(fpf, fpf, g) == (g in hit)
 
@@ -878,7 +873,7 @@ def test_products_stopping_at_all_of_alt_n_equal_the_plain_union(n):
     # a fresh algebra over the filled pairs: stopping once a union is all of
     # Alt(n) changes no product of two pair masks, no mask times a class,
     # and G times any class is G
-    ensure_pair_masks(n)
+    fill_pair_masks(n)
     pairs = _algebra(n, "engine").pairs
     k = len(enumerate_alt_classes(n))
     alg = ProductAlgebra(n, lambda i, j: pairs[(i, j)])
@@ -901,18 +896,22 @@ def test_products_stopping_at_all_of_alt_n_equal_the_plain_union(n):
 
 
 def test_parallel_fill_counts_worker_exactness_checks():
-    # a fresh interpreter, so that the fill computes every mask; ``jobs`` is
-    # accepted and the fill is serial, so each check is counted where it ran
+    # a fresh interpreter, so that the fill computes every mask; the fill
+    # is serial, so each check is counted in the process that ran it
     import subprocess
     import sys
 
     code = (
+        "from itertools import combinations_with_replacement\n"
         "from classprod.alt_group import enumerate_alt_classes\n"
-        "from classprod.product_engine import _algebra, ensure_pair_masks, exactness_check_count\n"
-        "ensure_pair_masks(9, jobs=2)\n"
+        "from classprod.pair_sums import exactness_check_count\n"
+        "from classprod.product_engine import _algebra\n"
         "k = len(enumerate_alt_classes(9))\n"
+        "alg = _algebra(9, 'engine')\n"
+        "for i, j in combinations_with_replacement(range(k), 2):\n"
+        "    alg.pair(i, j)\n"
         "print(exactness_check_count(), k * k * (k + 1) // 2)\n"
-        "print(sorted(_algebra(9, 'engine').pairs.items()))\n"
+        "print(sorted(alg.pairs.items()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
